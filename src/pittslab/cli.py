@@ -226,6 +226,16 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
+def _world_bound(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pittslab",
@@ -240,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="decide a quantifier-free sequent")
     p.add_argument("sequent")
-    p.add_argument("--bound", type=int, default=6, help="countermodel world bound")
+    p.add_argument("--bound", type=_world_bound, default=6, help="countermodel world bound")
     add_format(p)
     p.set_defaults(fn=_cmd_prove)
 

@@ -19,6 +19,7 @@ from .syntax import (
     FormulaError,
     Or,
     Variable,
+    subformulas,
     substitute,
 )
 
@@ -122,7 +123,7 @@ def extract_auxiliary(proof: ProofTree, c: RegularConnective) -> Formula:
         raise FormulaError("tree must conclude the quantified connective")
     if len(concl.hyps) != 1:
         raise FormulaError("tree must have the interpolant as its only hypothesis")
-    if any(isinstance(g, Or) for g in _subnodes(concl.hyps[0])):
+    if any(isinstance(g, Or) for g in subformulas(concl.hyps[0])):
         raise FormulaError("interpolant must be disjunction-free")
 
     node, path = proof, ()
@@ -143,9 +144,3 @@ def extract_auxiliary(proof: ProofTree, c: RegularConnective) -> Formula:
             node, path = node.premises[0], path + (0,)
             continue
         raise NoEligibleRule(node.rule, path)
-
-
-def _subnodes(f: Formula):
-    yield f
-    for ch in f.children():
-        yield from _subnodes(ch)

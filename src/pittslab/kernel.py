@@ -615,13 +615,6 @@ def t_cl_to(t: ProofTree, target_hyps) -> ProofTree:
         t = t_cl(t, next(iter(excess)))
 
 
-def t_wr(t: ProofTree, concl: Formula) -> ProofTree:
-    c = t.conclusion
-    if not isinstance(c.concl, Bottom):
-        raise KernelError("wR needs a bot conclusion")
-    return ProofTree("wR", Sequent(c.hyps, concl), (t,))
-
-
 def t_cut(t1: ProofTree, t2: ProofTree) -> ProofTree:
     phi = t1.conclusion.concl
     hyps = t1.conclusion.hyps + _minus(t2.conclusion.hyps, phi)

@@ -24,6 +24,7 @@ from .syntax import (
     UnsupportedFormula,
     Var,
     Variable,
+    require_plain,
 )
 
 
@@ -186,21 +187,13 @@ def _eval_grid(f: Formula, atom_arrays: dict[Variable, np.ndarray], n: int,
     raise UnsupportedFormula(f"cannot evaluate {f}")
 
 
-def _require_plain_sequent(s: Sequent):
-    for f in s.hyps + (s.concl,):
-        if f.has_quantifier:
-            raise UnsupportedFormula(f"quantifier in {f}")
-        if f.has_app:
-            raise UnsupportedFormula(f"uninterpreted connective in {f}")
-
-
 def find_countermodel(s: Sequent, max_worlds: int = 6):
     """Exhaustive search for a model and world forcing the hypotheses but not
     the conclusion.  Returns (KripkeModel, world) or None.
     """
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
-    _require_plain_sequent(s)
+    require_plain(*s.hyps, s.concl)
     names = sorted(s.free_vars())
     k = len(names)
     for n in range(1, max_worlds + 1):

@@ -3,11 +3,12 @@
 For a variable p, `pite_exists` returns the strongest p-free consequence
 and `pita_forall` the weakest p-free antecedent of a quantifier-free
 formula.  Both are computed by a pair of mutually recursive functions over
-sequents of the terminating contraction-free calculus: invertible rules are
-applied eagerly, and each irreducible sequent contributes one clause per
-usable hypothesis or goal shape.  Contexts where the eliminated variable is
-unreachable contribute nothing, which is exactly what makes the result
-variable-free.
+sequents of the terminating contraction-free calculus, following the rule
+schedule in `prover` (`_left_step`, `_nested_premises`): invertible rules
+are applied eagerly, and each irreducible sequent contributes one clause
+per usable hypothesis or goal shape.  Contexts where the eliminated
+variable is unreachable contribute nothing, which is exactly what makes
+the result variable-free.
 
 The recursion is exponential in the implication nesting of the input;
 results are memoized per eliminated variable.
@@ -26,20 +27,13 @@ from .syntax import (
     Implies,
     Or,
     TOP,
-    UnsupportedFormula,
     Var,
     Variable,
     is_top,
+    require_plain,
     substitute,
 )
 from . import prover
-
-
-def _require_plain(f: Formula):
-    if f.has_quantifier:
-        raise UnsupportedFormula(f"quantifier in {f}")
-    if f.has_app:
-        raise UnsupportedFormula(f"uninterpreted connective in {f}")
 
 
 # Constructors that fold unit laws on the fly; raw outputs stay equivalent
@@ -87,36 +81,17 @@ def _disj(parts) -> Formula:
     return out
 
 
-def _sorted(ctx) -> list[Formula]:
-    return sorted(ctx, key=lambda f: f.key)
-
-
 @lru_cache(maxsize=None)
 def _E(p: Variable, ctx: frozenset) -> Formula:
-    # invertible left reductions
-    for h in _sorted(ctx):
-        if isinstance(h, Bottom):
-            return BOT
-        if isinstance(h, And):
-            return _E(p, ctx - {h} | {h.left, h.right})
-        if isinstance(h, Or):
-            return _or(_E(p, ctx - {h} | {h.left}), _E(p, ctx - {h} | {h.right}))
-        if isinstance(h, Implies):
-            a = h.left
-            if isinstance(a, Bottom):
-                return _E(p, ctx - {h})
-            if isinstance(a, Var) and a in ctx:
-                return _E(p, ctx - {h} | {h.right})
-            if isinstance(a, And):
-                return _E(p, ctx - {h} | {Implies(a.left, Implies(a.right, h.right))})
-            if isinstance(a, Or):
-                return _E(
-                    p,
-                    ctx - {h} | {Implies(a.left, h.right), Implies(a.right, h.right)},
-                )
+    ordered = prover._by_key(ctx)
+    step = prover._left_step(ordered, ctx)
+    if step is not None:  # invertible left rule: disjoin over its premises
+        h, premises = step
+        rest = ctx - {h}
+        return _disj(_E(p, rest.union(replacement)) for replacement in premises)
     # irreducible: conjoin one clause per usable hypothesis
     parts = []
-    for h in _sorted(ctx):
+    for h in ordered:
         if isinstance(h, Var):
             if h.var != p:
                 parts.append(h)
@@ -126,38 +101,20 @@ def _E(p: Variable, ctx: frozenset) -> Formula:
                 if a.var != p:
                     parts.append(_imp(a, _E(p, ctx - {h} | {a, h.right})))
             else:  # (c -> d) -> e
-                c, d, e = a.left, a.right, h.right
-                alpha = _A(p, ctx - {h} | {Implies(d, e)}, a)
+                d_e, e = prover._nested_premises(h)
+                alpha = _A(p, ctx - {h} | {d_e}, a)
                 parts.append(_imp(alpha, _E(p, ctx - {h} | {e})))
     return _conj(parts)
 
 
 @lru_cache(maxsize=None)
 def _A(p: Variable, ctx: frozenset, goal: Formula) -> Formula:
-    # invertible left reductions
-    for h in _sorted(ctx):
-        if isinstance(h, Bottom):
-            return TOP
-        if isinstance(h, And):
-            return _A(p, ctx - {h} | {h.left, h.right}, goal)
-        if isinstance(h, Or):
-            return _and(
-                _A(p, ctx - {h} | {h.left}, goal), _A(p, ctx - {h} | {h.right}, goal)
-            )
-        if isinstance(h, Implies):
-            a = h.left
-            if isinstance(a, Bottom):
-                return _A(p, ctx - {h}, goal)
-            if isinstance(a, Var) and a in ctx:
-                return _A(p, ctx - {h} | {h.right}, goal)
-            if isinstance(a, And):
-                return _A(p, ctx - {h} | {Implies(a.left, Implies(a.right, h.right))}, goal)
-            if isinstance(a, Or):
-                return _A(
-                    p,
-                    ctx - {h} | {Implies(a.left, h.right), Implies(a.right, h.right)},
-                    goal,
-                )
+    ordered = prover._by_key(ctx)
+    step = prover._left_step(ordered, ctx)
+    if step is not None:  # invertible left rule: conjoin over its premises
+        h, premises = step
+        rest = ctx - {h}
+        return _conj(_A(p, rest.union(replacement), goal) for replacement in premises)
     # invertible right rules
     if isinstance(goal, And):
         return _and(_A(p, ctx, goal.left), _A(p, ctx, goal.right))
@@ -172,28 +129,28 @@ def _A(p: Variable, ctx: frozenset, goal: Formula) -> Formula:
     if isinstance(goal, Or):
         parts.append(_A(p, ctx, goal.left))
         parts.append(_A(p, ctx, goal.right))
-    for h in _sorted(ctx):
+    for h in ordered:
         if isinstance(h, Implies):
             a = h.left
             if isinstance(a, Var):
                 if a.var != p:
                     parts.append(_and(a, _A(p, ctx - {h} | {a, h.right}, goal)))
             else:  # (c -> d) -> e
-                c, d, e = a.left, a.right, h.right
-                first = _A(p, ctx - {h} | {Implies(d, e)}, a)
+                d_e, e = prover._nested_premises(h)
+                first = _A(p, ctx - {h} | {d_e}, a)
                 parts.append(_and(first, _A(p, ctx - {h} | {e}, goal)))
     return _imp(_E(p, ctx), _disj(parts))
 
 
 def pite_exists(phi: Formula, y: Variable) -> Formula:
     """Strongest y-free consequence: phi |- psi iff result |- psi for y-free psi."""
-    _require_plain(phi)
+    require_plain(phi)
     return _E(y, frozenset([phi]))
 
 
 def pita_forall(phi: Formula, y: Variable) -> Formula:
     """Weakest y-free antecedent: psi |- phi iff psi |- result for y-free psi."""
-    _require_plain(phi)
+    require_plain(phi)
     return _A(y, frozenset(), phi)
 
 
@@ -265,7 +222,7 @@ def _rw(f: Formula) -> Formula:
 
 def simplify(f: Formula) -> Formula:
     """Prover-equivalent normalization; never grows the formula."""
-    _require_plain(f)
+    require_plain(f)
     cur = f
     while True:
         nxt = _rw(cur)
@@ -295,22 +252,7 @@ def validate_interpolant(
     For each y-free probe psi: (candidate |- psi) iff (phi |- psi); plus
     phi |- candidate and the variable condition.
     """
-    _require_plain(phi)
-    _require_plain(candidate)
-    variable_free = y not in candidate.free_vars
-    consequence = prover.decide(Sequent((phi,), candidate))
-    failures = []
-    count = 0
-    for psi in probes:
-        if y in psi.free_vars:
-            continue
-        count += 1
-        left = prover.decide(Sequent((candidate,), psi))
-        right = prover.decide(Sequent((phi,), psi))
-        if left != right:
-            failures.append((psi, "candidate" if left else "input"))
-    ok = variable_free and consequence and not failures
-    return ValidationReport(ok, variable_free, consequence, failures, count)
+    return _gate(phi, y, candidate, probes, forall=False)
 
 
 def validate_forall_interpolant(
@@ -318,22 +260,31 @@ def validate_forall_interpolant(
 ) -> ValidationReport:
     """Dual gate: for each y-free probe psi, (psi |- candidate) iff (psi |- phi),
     plus candidate |- phi and the variable condition."""
-    _require_plain(phi)
-    _require_plain(candidate)
+    return _gate(phi, y, candidate, probes, forall=True)
+
+
+def _gate(
+    phi: Formula, y: Variable, candidate: Formula, probes, forall: bool
+) -> ValidationReport:
+    # The dual gate is the same check with every sequent turned around.
+    def entails(a: Formula, b: Formula) -> bool:
+        return prover.decide(Sequent((b,), a) if forall else Sequent((a,), b))
+
+    require_plain(phi, candidate)
     variable_free = y not in candidate.free_vars
-    antecedent = prover.decide(Sequent((candidate,), phi))
+    consequence = entails(phi, candidate)
     failures = []
     count = 0
     for psi in probes:
         if y in psi.free_vars:
             continue
         count += 1
-        left = prover.decide(Sequent((psi,), candidate))
-        right = prover.decide(Sequent((psi,), phi))
+        left = entails(candidate, psi)
+        right = entails(phi, psi)
         if left != right:
             failures.append((psi, "candidate" if left else "input"))
-    ok = variable_free and antecedent and not failures
-    return ValidationReport(ok, variable_free, antecedent, failures, count)
+    ok = variable_free and consequence and not failures
+    return ValidationReport(ok, variable_free, consequence, failures, count)
 
 
 def _comm_key(f: Formula) -> str:

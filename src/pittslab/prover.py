@@ -4,11 +4,18 @@ Proof search runs in a contraction-free calculus (G4ip): the left rules for
 implication are split on the head connective of the antecedent, so search
 terminates without loop checking.  Successful searches are replayed into
 plain sequent-calculus trees (with cuts) that the kernel checks.
+
+The rule schedule is written once: `_left_step` applies the invertible
+left rules to the first reducible hypothesis in key order (`_by_key`), and
+`_nested_premises` gives the premises of the (c -> d) -> e choice point.
+The decision procedure, the witness builder and the uniform interpolants in
+`pitts` all search with it; each combines a rule's premises its own way.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 
 from .kernel import (
     ProofTree,
@@ -31,60 +38,78 @@ from .kernel import (
 )
 from .syntax import (
     And,
+    BOT,
     Bottom,
     Formula,
     Implies,
     Or,
-    UnsupportedFormula,
     Var,
     Variable,
+    require_plain,
 )
 
 
-def _require_plain(f: Formula):
-    if f.has_quantifier:
-        raise UnsupportedFormula(f"quantifier in {f}")
-    if f.has_app:
-        raise UnsupportedFormula(f"uninterpreted connective in {f}")
+def _by_key(fs) -> list[Formula]:
+    """Formulas in canonical-key order, the order in which every rule scans."""
+    return sorted(fs, key=attrgetter("key"))
 
 
-def _check_sequent(s: Sequent):
-    for f in s.hyps + (s.concl,):
-        _require_plain(f)
+def _left_step(
+    ordered: list[Formula], hyps: frozenset
+) -> tuple[Formula, tuple[tuple[Formula, ...], ...]] | None:
+    """The invertible left rules of G4ip: the first hypothesis in `ordered`
+    (the hypotheses `hyps`, in key order) that one of them reduces, and the
+    rule's premises, each given as the formulas that replace that hypothesis.
+    None when no hypothesis reduces.
+
+    Falsum has no premises; an implication whose antecedent is an atom reduces
+    only when the atom is a hypothesis too.
+    """
+    for h in ordered:
+        if isinstance(h, Bottom):
+            return h, ()
+        if isinstance(h, And):
+            return h, ((h.left, h.right),)
+        if isinstance(h, Or):
+            return h, ((h.left,), (h.right,))
+        if isinstance(h, Implies):
+            a = h.left
+            if isinstance(a, Bottom):
+                return h, ((),)
+            if isinstance(a, Var):
+                if a in hyps:
+                    return h, ((h.right,),)
+            elif isinstance(a, And):
+                return h, ((Implies(a.left, Implies(a.right, h.right)),),)
+            elif isinstance(a, Or):
+                return h, ((Implies(a.left, h.right), Implies(a.right, h.right)),)
+    return None
+
+
+def _nested_premises(h: Implies) -> tuple[Implies, Formula]:
+    """The one non-invertible left rule, for h = (c -> d) -> e: the formula that
+    replaces h in the premise proving c -> d (d -> e), and in the premise
+    proving the goal (e)."""
+    return Implies(h.left.right, h.right), h.right
 
 
 @lru_cache(maxsize=None)
 def _decide(hyps: frozenset, goal: Formula) -> bool:
     # Success leaves: falsum on the left, or the goal among the hypotheses.
-    if goal in hyps:
+    if goal in hyps or BOT in hyps:
         return True
-    for h in hyps:
-        if isinstance(h, Bottom):
-            return True
 
-    # Invertible left reductions, first reducible hypothesis in key order.
-    for h in sorted(hyps, key=lambda f: f.key):
-        if isinstance(h, And):
-            return _decide(hyps - {h} | {h.left, h.right}, goal)
-        if isinstance(h, Or):
-            return _decide(hyps - {h} | {h.left}, goal) and _decide(
-                hyps - {h} | {h.right}, goal
-            )
-        if isinstance(h, Implies):
-            a = h.left
-            if isinstance(a, Bottom):
-                return _decide(hyps - {h}, goal)
-            if isinstance(a, Var):
-                if a in hyps:
-                    return _decide(hyps - {h} | {h.right}, goal)
-                continue
-            if isinstance(a, And):
-                curried = Implies(a.left, Implies(a.right, h.right))
-                return _decide(hyps - {h} | {curried}, goal)
-            if isinstance(a, Or):
-                split = {Implies(a.left, h.right), Implies(a.right, h.right)}
-                return _decide(hyps - {h} | split, goal)
-            # implication antecedent: non-invertible, handled below
+    # Invertible left rules: every premise must hold.  A plain loop, because
+    # all() over a generator adds a generator frame on the hottest path.
+    ordered = _by_key(hyps)
+    step = _left_step(ordered, hyps)
+    if step is not None:
+        h, premises = step
+        rest = hyps - {h}
+        for replacement in premises:
+            if not _decide(rest.union(replacement), goal):
+                return False
+        return True
 
     # Invertible right rules.
     if isinstance(goal, And):
@@ -96,19 +121,18 @@ def _decide(hyps: frozenset, goal: Formula) -> bool:
     if isinstance(goal, Or):
         if _decide(hyps, goal.left) or _decide(hyps, goal.right):
             return True
-    for h in sorted(hyps, key=lambda f: f.key):
+    for h in ordered:
         if isinstance(h, Implies) and isinstance(h.left, Implies):
-            a, b, c = h.left.left, h.left.right, h.right
-            if _decide(hyps - {h} | {Implies(b, c)}, h.left) and _decide(
-                hyps - {h} | {c}, goal
-            ):
+            d_e, e = _nested_premises(h)
+            rest = hyps - {h}
+            if _decide(rest | {d_e}, h.left) and _decide(rest | {e}, goal):
                 return True
     return False
 
 
 def decide(s: Sequent) -> bool:
     """Total decision procedure for quantifier-free, App-free sequents."""
-    _check_sequent(s)
+    require_plain(*s.hyps, s.concl)
     return _decide(frozenset(s.hyps), s.concl)
 
 
@@ -117,7 +141,7 @@ def clear_cache():
 
 
 # ---------------------------------------------------------------------------
-# Witness construction.  Mirrors the search above on exact multisets, using
+# Witness construction.  Follows the same schedule on exact multisets, using
 # `_decide` as the oracle at choice points, and emits Def-1.3-style trees.
 
 def _plus(hyps: tuple, *fs: Formula) -> tuple:
@@ -163,60 +187,52 @@ def _derive(hyps: tuple, goal: Formula) -> ProofTree:
         if h == goal:
             return t_ax(goal, extra=_minus(hyps, h))
 
-    for h in sorted(set(hyps), key=lambda f: f.key):
+    base = frozenset(hyps)
+    ordered = _by_key(base)
+    step = _left_step(ordered, base)
+    if step is not None:
+        h, premises = step
         rest = _minus(hyps, h)
+        ts = [_derive(_plus(rest, *replacement), goal) for replacement in premises]
+        # The rule's tree over its premises' trees.
         if isinstance(h, And):
-            t = _derive(_plus(rest, h.left, h.right), goal)
-            t = t_andL2(t, h.right, h.left)
+            t = t_andL2(ts[0], h.right, h.left)
             t = t_andL1(t, h.left, h.right)
             return t_cl(t, h)
         if isinstance(h, Or):
-            t1 = _derive(_plus(rest, h.left), goal)
-            t2 = _derive(_plus(rest, h.right), goal)
-            return t_orL_on(t1, h.left, t2, h.right)
-        if isinstance(h, Implies):
-            a = h.left
-            if isinstance(a, Bottom):
-                return t_wl(_derive(rest, goal), h)
-            if isinstance(a, Var):
-                if a in hyps:
-                    t = _derive(_plus(rest, h.right), goal)
-                    t = t_impL(t_ax(a), t, h.right)
-                    return t_cl(t, a)
-                continue
-            if isinstance(a, And):
-                curried = Implies(a.left, Implies(a.right, h.right))
-                t = _derive(_plus(rest, curried), goal)
-                return t_cut(_lemma_curry(h), t)
-            if isinstance(a, Or):
-                fl = Implies(a.left, h.right)
-                fr = Implies(a.right, h.right)
-                t = _derive(_plus(rest, fl, fr), goal)
-                t = t_cut(_lemma_or_part(h, "left"), t)
-                t = t_cut(_lemma_or_part(h, "right"), t)
-                return t_cl(t, h)
+            return t_orL_on(ts[0], h.left, ts[1], h.right)
+        a = h.left
+        if isinstance(a, Bottom):
+            return t_wl(ts[0], h)
+        if isinstance(a, Var):
+            t = t_impL(t_ax(a), ts[0], h.right)
+            return t_cl(t, a)
+        if isinstance(a, And):
+            return t_cut(_lemma_curry(h), ts[0])
+        t = t_cut(_lemma_or_part(h, "left"), ts[0])
+        t = t_cut(_lemma_or_part(h, "right"), t)
+        return t_cl(t, h)
 
     if isinstance(goal, And):
         return t_andR(_derive(hyps, goal.left), _derive(hyps, goal.right))
     if isinstance(goal, Implies):
         return t_impR(_derive(_plus(hyps, goal.left), goal.right), goal.left)
 
-    base = frozenset(hyps)
     if isinstance(goal, Or):
         if _decide(base, goal.left):
             return t_orR1(_derive(hyps, goal.left), goal.right)
         if _decide(base, goal.right):
             return t_orR2(_derive(hyps, goal.right), goal.left)
-    for h in sorted(set(hyps), key=lambda f: f.key):
+    for h in ordered:
         if isinstance(h, Implies) and isinstance(h.left, Implies):
-            a, b, c = h.left.left, h.left.right, h.right
+            d_e, e = _nested_premises(h)
             rest = _minus(hyps, h)
             s = frozenset(rest)
-            if _decide(s | {Implies(b, c)}, h.left) and _decide(s | {c}, goal):
-                p1 = _derive(_plus(rest, Implies(b, c)), h.left)
-                p2 = _derive(_plus(rest, c), goal)
+            if _decide(s | {d_e}, h.left) and _decide(s | {e}, goal):
+                p1 = _derive(_plus(rest, d_e), h.left)
+                p2 = _derive(_plus(rest, e), goal)
                 q = t_cut(_lemma_nested(h), p1)  # hyps: rest + h |- A -> B
-                r = t_impL(q, p2, c)
+                r = t_impL(q, p2, e)
                 return t_cl_to(r, hyps)
     raise AssertionError(f"derive called on unprovable sequent {Sequent(hyps, goal)}")
 
@@ -236,7 +252,7 @@ class Verdict:
 
 def derive(s: Sequent) -> ProofTree:
     """Kernel-checkable tree for a provable sequent."""
-    _check_sequent(s)
+    require_plain(*s.hyps, s.concl)
     if not _decide(frozenset(s.hyps), s.concl):
         raise ValueError(f"not provable: {s}")
     return _derive(tuple(s.hyps), s.concl)
@@ -244,7 +260,7 @@ def derive(s: Sequent) -> ProofTree:
 
 def prove(s: Sequent, countermodel_bound: int = 6) -> Verdict:
     """Decide a sequent; attach a proof tree or a countermodel witness."""
-    _check_sequent(s)
+    require_plain(*s.hyps, s.concl)
     if _decide(frozenset(s.hyps), s.concl):
         return Verdict(True, _derive(tuple(s.hyps), s.concl))
     from .kripke import find_countermodel
@@ -253,20 +269,15 @@ def prove(s: Sequent, countermodel_bound: int = 6) -> Verdict:
     return Verdict(False, found if found is not None else Unknown(countermodel_bound))
 
 
-def provable(hyps, concl) -> bool:
-    return decide(Sequent(tuple(hyps), concl))
-
-
 def equivalent(a: Formula, b: Formula) -> bool:
     """Mutual derivability."""
-    _require_plain(a)
-    _require_plain(b)
+    require_plain(a, b)
     return _decide(frozenset([a]), b) and _decide(frozenset([b]), a)
 
 
 def classical_tautology(f: Formula) -> bool:
     """Truth-table evaluation over all valuations of the free atoms."""
-    _require_plain(f)
+    require_plain(f)
     names = sorted(f.free_vars)
 
     def ev(g: Formula, val: dict[Variable, bool]) -> bool:

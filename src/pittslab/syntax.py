@@ -281,6 +281,15 @@ def iff(a: Formula, b: Formula) -> Formula:
     return And(Implies(a, b), Implies(b, a))
 
 
+def require_plain(*fs: Formula) -> None:
+    """Reject quantifiers and uninterpreted connectives, first offender first."""
+    for f in fs:
+        if f.has_quantifier:
+            raise UnsupportedFormula(f"quantifier in {f}")
+        if f.has_app:
+            raise UnsupportedFormula(f"uninterpreted connective in {f}")
+
+
 def is_top(f: Formula) -> bool:
     return isinstance(f, Implies) and isinstance(f.left, Bottom) and isinstance(f.right, Bottom)
 
@@ -334,17 +343,8 @@ def _subst(f: Formula, bindings: dict[Variable, Formula]) -> Formula:
     raise FormulaError(f"unknown node {f!r}")
 
 
-def alpha_eq(a: Formula, b: Formula) -> bool:
-    return a == b
-
-
 def subformulas(f: Formula):
     """All subformula occurrences, preorder."""
     yield f
     for c in f.children():
         yield from subformulas(c)
-
-
-def atoms(f: Formula) -> frozenset[Variable]:
-    """Free propositional atoms (synonym for free_vars on quantifier-free input)."""
-    return f.free_vars

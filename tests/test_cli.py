@@ -41,6 +41,11 @@ def test_usage_error_is_exit_two(capsys):
     assert code == 2 and "error" in err
 
 
+def test_world_bound_below_one_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "prove", "--bound", "0", "|- P")
+    assert code == 2 and out == "" and "--bound" in err
+
+
 def test_interpolate_matches_reference_value(capsys):
     code, out, _ = run(
         capsys, "interpolate", "--exists", "--var", "Y", "(~Y -> X1) /\\ (~~Y -> X2)"

@@ -87,6 +87,15 @@ def test_validate_interpolant_accepts_reference_value_and_rejects_top():
     assert any(psi == f("~X1 -> X2") for psi, _ in bad.failures)
 
 
+def test_validate_forall_interpolant_rejects_wrong_candidate():
+    from pittslab.pitts import validate_forall_interpolant
+
+    X = f("X")
+    rep = validate_forall_interpolant(f("X \\/ Y"), Y, BOT, probe_corpus([Variable("X")], 6))
+    assert not rep.ok
+    assert (X, "input") in rep.failures
+
+
 def test_validate_trivial_identity():
     rep = validate_interpolant(f("X"), Y, f("X"), probe_corpus([Variable("X")], 6))
     assert rep.ok
