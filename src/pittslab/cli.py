@@ -226,14 +226,18 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _world_bound(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(low: int):
+    """An argparse type: an int no smaller than `low`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
+        return n
+
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -250,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="decide a quantifier-free sequent")
     p.add_argument("sequent")
-    p.add_argument("--bound", type=_world_bound, default=6, help="countermodel world bound")
+    p.add_argument("--bound", type=_at_least(1), default=6, help="countermodel world bound")
     add_format(p)
     p.set_defaults(fn=_cmd_prove)
 
@@ -261,7 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--var", required=True)
     p.add_argument("formula")
     p.add_argument("--validate", action="store_true", help="run the probe gate")
-    p.add_argument("--probe-budget", type=int, default=8, dest="probe_budget",
+    # below 3 nodes the probe corpus is only the leaves
+    p.add_argument("--probe-budget", type=_at_least(3), default=8, dest="probe_budget",
                    help="max probe size in AST nodes")
     add_format(p)
     p.set_defaults(fn=_cmd_interpolate)
@@ -283,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rn-classify", help="classify a one-variable formula")
     p.add_argument("formula")
-    p.add_argument("--level", type=int, default=12)
+    p.add_argument("--level", type=_at_least(0), default=12)
     add_format(p)
     p.set_defaults(fn=_cmd_rn_classify)
 

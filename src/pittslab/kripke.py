@@ -3,16 +3,15 @@
 The refutation oracle: posets are enumerated up to isomorphism (worlds are
 labeled along a linear extension, so `u <= v` implies `u <= v` as integers),
 and for each poset every persistent valuation of the sequent's atoms is
-examined.  The valuation sweep is vectorized with numpy over bitmask-encoded
-upsets, which keeps the six-world exhaustive search affordable.
+examined.  `forcing_mask` evaluates a formula at every valuation and world
+at once, as one Python int with a bit per (valuation, world); the one-variable
+lattice in `rieger` uses the same evaluator on the one-atom universal model.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .kernel import Sequent
 from .syntax import (
@@ -23,7 +22,6 @@ from .syntax import (
     Or,
     UnsupportedFormula,
     Var,
-    Variable,
     require_plain,
 )
 
@@ -97,14 +95,6 @@ def _canonical(n: int, down: tuple[int, ...]) -> int:
     return best or 0
 
 
-def _downsets(n: int, down: tuple[int, ...]) -> list[int]:
-    out = []
-    for mask in range(1 << n):
-        if all(not (mask >> w & 1) or (down[w] & mask) == down[w] for w in range(n)):
-            out.append(mask)
-    return out
-
-
 @lru_cache(maxsize=None)
 def posets(n: int) -> tuple[tuple[int, ...], ...]:
     """All posets on n labeled-along-a-linear-extension worlds, up to iso.
@@ -121,7 +111,8 @@ def posets(n: int) -> tuple[tuple[int, ...], ...]:
         for smaller in posets(n - 1):
             down_small = _ups_to_downs(n - 1, smaller)
             # the new element is maximal; any downset can be its strict past
-            for d in _downsets(n - 1, down_small):
+            # (a downset is closed under the strict-down masks)
+            for d in upsets(n - 1, down_small):
                 cand = down_small + (d,)
                 key = _canonical(n, cand)
                 if key not in seen:
@@ -146,45 +137,84 @@ def _downs_to_ups(n: int, down: tuple[int, ...]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def upsets(n: int, up: tuple[int, ...]) -> tuple[int, ...]:
-    full = (1 << n) - 1
-    out = []
-    for mask in range(1 << n):
-        ok = True
-        for w in range(n):
-            if mask >> w & 1 and (up[w] & mask) != up[w]:
-                ok = False
-                break
-        if ok:
-            out.append(mask)
-    return tuple(out)
+    """The masks m, ascending, with up[w] inside m for every world w in m:
+    the upsets of `up` masks, or the downsets of strict-down masks."""
+    return tuple(
+        mask for mask in range(1 << n)
+        if all(up[w] & mask == up[w] for w in range(n) if mask >> w & 1)
+    )
 
 
 # ---------------------------------------------------------------------------
-# Vectorized forcing over whole valuation grids.
+# Forcing at every valuation at once.  A poset's n worlds are laid out over
+# a grid of valuation points: bit p * n + w of a mask stands for world w at
+# point p, and a formula's mask holds the (point, world) pairs forcing it.
 
-def _eval_grid(f: Formula, atom_arrays: dict[Variable, np.ndarray], n: int,
-               up: tuple[int, ...]) -> np.ndarray:
-    if isinstance(f, Var):
-        return atom_arrays[f.var]
-    if isinstance(f, Bottom):
-        return np.zeros((), dtype=np.int64)
-    if isinstance(f, And):
-        return _eval_grid(f.left, atom_arrays, n, up) & _eval_grid(
-            f.right, atom_arrays, n, up
-        )
-    if isinstance(f, Or):
-        return _eval_grid(f.left, atom_arrays, n, up) | _eval_grid(
-            f.right, atom_arrays, n, up
-        )
-    if isinstance(f, Implies):
-        a = _eval_grid(f.left, atom_arrays, n, up)
-        b = _eval_grid(f.right, atom_arrays, n, up)
-        res = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        for w in range(n):
-            ok = (a & up[w] & ~b) == 0
-            res |= ok.astype(np.int64) << w
-        return res
-    raise UnsupportedFormula(f"cannot evaluate {f}")
+@dataclass(frozen=True)
+class Grid:
+    """A poset repeated at every valuation point."""
+
+    full: int  # every (point, world) bit
+    # (d, bits of the worlds w that see world w + d), one entry per offset d != 0
+    sees: tuple[tuple[int, int], ...]
+
+
+def grid(up: tuple[int, ...], col: int = 1) -> Grid:
+    """The grid of the poset with masks `up` (up[w] = bitmask of worlds >= w)
+    at the points marked in `col` (bit p * n for point p)."""
+    n = len(up)
+    offsets: dict[int, int] = {}
+    for w, mask in enumerate(up):
+        for v in range(n):
+            if v != w and mask >> v & 1:
+                offsets[v - w] = offsets.get(v - w, 0) | 1 << w
+    return Grid(col * ((1 << n) - 1), tuple((d, col * ws) for d, ws in sorted(offsets.items())))
+
+
+def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid) -> int:
+    """The mask of f on grid g, given the masks of its atoms by name (each
+    inside g.full)."""
+    def ev(h: Formula) -> int:
+        if isinstance(h, Var):
+            if h.var.name not in atoms:
+                raise UnsupportedFormula(f"unexpected atom {h.var}")
+            return atoms[h.var.name]
+        if isinstance(h, Bottom):
+            return 0
+        if isinstance(h, (And, Or, Implies)):
+            return connective_mask(type(h), ev(h.left), ev(h.right), g)
+        raise UnsupportedFormula(f"cannot evaluate {h}")
+
+    return ev(f)
+
+
+def connective_mask(op: type, a: int, b: int, g: Grid) -> int:
+    """The mask of op(f, h) on grid g from the masks a of f and b of h."""
+    if op is And:
+        return a & b
+    if op is Or:
+        return a | b
+    # f -> h fails at world w iff some world w + d >= w forces f but not h;
+    # (a | b) ^ b is a & ~b without the negative intermediate
+    bad = (a | b) ^ b
+    miss = bad
+    for d, ws in g.sees:
+        miss |= (bad >> d if d > 0 else bad << -d) & ws
+    return g.full ^ miss
+
+
+def _repeat(pattern: int, width: int, count: int) -> int:
+    """`count` copies of `pattern`, one every `width` bits from bit 0."""
+    out = shift = 0
+    while True:
+        if count & 1:
+            out |= pattern << shift
+            shift += width
+        count >>= 1
+        if not count:
+            return out
+        pattern |= pattern << width
+        width *= 2
 
 
 def find_countermodel(s: Sequent, max_worlds: int = 6):
@@ -195,37 +225,41 @@ def find_countermodel(s: Sequent, max_worlds: int = 6):
         raise ValueError("max_worlds must be >= 1")
     require_plain(*s.hyps, s.concl)
     names = sorted(s.free_vars())
-    k = len(names)
     for n in range(1, max_worlds + 1):
         for up in posets(n):
-            hit = _search_poset(s, names, k, n, up)
+            hit = _search_poset(s, names, n, up)
             if hit is not None:
                 return hit
     return None
 
 
-def _search_poset(s: Sequent, names, k, n, up):
-    full = (1 << n) - 1
-    us = np.array(upsets(n, up), dtype=np.int64)
-    atom_arrays = {}
+def _search_poset(s: Sequent, names, n, up):
+    """The first failing (valuation, world) on one poset.  Valuation points
+    are numbered with the last atom's upset varying fastest, so the lowest
+    failing bit is the first countermodel in that order."""
+    us = upsets(n, up)
+    k = len(names)
+    # atom i takes upset j on a run of `inner` consecutive points, j = 0, 1, ...
+    atoms = {}
     for i, v in enumerate(names):
-        sh = [1] * k
-        sh[i] = len(us)
-        atom_arrays[v] = us.reshape(sh)
-    acc = np.full((), full, dtype=np.int64)
+        inner = len(us) ** (k - 1 - i)
+        run = _repeat(1, n, inner)
+        runs = 0
+        for j, mask in enumerate(us):
+            runs |= (mask * run) << (j * inner * n)
+        atoms[v.name] = _repeat(runs, len(us) * inner * n, len(us) ** i)
+    g = grid(up, _repeat(1, n, len(us) ** k))
+    fail = g.full
     for h in s.hyps:
-        acc = acc & _eval_grid(h, atom_arrays, n, up)
-    concl = _eval_grid(s.concl, atom_arrays, n, up)
-    fail = acc & ~concl & full
-    grid_shape = tuple([len(us)] * k)
-    flat = np.ravel(np.broadcast_to(fail, grid_shape))
-    nz = np.flatnonzero(flat)
-    if nz.size == 0:
+        fail &= forcing_mask(h, atoms, g)
+    fail ^= fail & forcing_mask(s.concl, atoms, g)
+    if not fail:
         return None
-    idx = int(nz[0])
-    choice = list(np.unravel_index(idx, grid_shape)) if k else []
-    chosen = {v: int(us[c]) for v, c in zip(names, choice)}
-    world = _lowest_bit(int(flat[idx]))
+    point, world = divmod(_lowest_bit(fail), n)
+    chosen = {}
+    for v in reversed(names):
+        point, j = divmod(point, len(us))
+        chosen[v] = us[j]
     order = frozenset((u, v) for u in range(n) for v in range(n) if up[u] >> v & 1)
     valuation = tuple(
         (w, frozenset(v.name for v in names if chosen[v] >> w & 1)) for w in range(n)

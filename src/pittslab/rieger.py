@@ -4,24 +4,27 @@ star-connective replays.
 Classes are enumerated bottom-up by closing {bot, X} under the connectives,
 one closure round per level: after r rounds every one-variable formula of
 connective depth at most r is equivalent to a generated representative.
-Inside the enumeration, entailment between one-variable formulas is decided
-on truncations of the one-atom universal Kripke model (depth bounded by the
-implication count of the formulas involved), which stays fast where plain
-proof search blows up; the test suite cross-validates this oracle against
-the prover, and everything the module reports (classification, lattice
-order) is certified by the prover or by an explicit countermodel.
+Equivalence between one-variable formulas is decided on truncations of the
+one-atom universal Kripke model (depth bounded by the implication count of
+the formulas involved), which stays fast where plain proof search blows up:
+each class is keyed by the bitmask of the worlds its formulas force there,
+evaluated with `kripke.forcing_mask`.  The test suite cross-validates this
+oracle against the prover, and everything the module reports
+(classification, lattice order) is certified by the prover or by an
+explicit countermodel.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .kernel import Sequent
+from .kripke import Grid, KripkeModel, connective_mask, forcing_mask, grid
 from .prover import decide
 from .syntax import (
     And,
     BOT,
-    Bottom,
     Formula,
     Implies,
     Or,
@@ -53,53 +56,41 @@ class RNClass:
 # ---------------------------------------------------------------------------
 # Truncations of the universal model over one atom.  Worlds are built level
 # by level: an antichain of existing worlds plus a persistent valuation,
-# skipping worlds that would duplicate their unique successor.
+# skipping worlds that would duplicate their unique successor.  Each round
+# only appends worlds, so a truncation's worlds are a prefix of every deeper
+# truncation's worlds, and each of them forces the same formulas in both.
 
 @lru_cache(maxsize=None)
-def _universal_model(depth: int):
+def _universal_model(depth: int) -> tuple[int, tuple[int, ...], Grid]:
     """Worlds of the one-atom universal model to the given depth.
 
-    Returns (atom_true: tuple[bool], succs: tuple[tuple[int, ...]]) where
-    succs[i] lists all strictly greater worlds (transitively closed).
+    Returns (true_at, up, grid): the bitmask of worlds forcing the atom, for
+    each world w the bitmask of worlds >= w, and the model's forcing grid.
     """
-    atom_true: list[bool] = [True, False]
-    above: list[frozenset[int]] = [frozenset(), frozenset()]  # strict ups
-    frontier = [0, 1]
-    seen: set[tuple[frozenset, bool]] = {
-        (frozenset(), True),
-        (frozenset(), False),
-    }
+    true_at = 0b01
+    up = [0b01, 0b10]
+    start = 0  # the worlds of the last round are start, start + 1, ...
     for _ in range(depth - 1):
-        fresh: list[int] = []
-        count = len(atom_true)
-        candidates = []
-        import itertools
-
-        pool = list(range(count))
+        count = len(up)
         for r in (1, 2, 3):
-            for combo in itertools.combinations(pool, r):
-                if any(i in above[j] or j in above[i] for i in combo for j in combo if i != j):
-                    continue  # not an antichain
-                if not any(i in frontier for i in combo):
+            for combo in itertools.combinations(range(count), r):
+                if combo[-1] < start:
                     continue  # already considered at an earlier depth
-                candidates.append(combo)
-        for combo in candidates:
-            up = frozenset(combo) | frozenset().union(*(above[i] for i in combo))
-            vals = [False] if any(not atom_true[i] for i in combo) else [False, True]
-            for val in vals:
-                if len(combo) == 1 and atom_true[combo[0]] == val:
-                    continue  # duplicates its unique successor
-                key = (up, val)
-                if key in seen:
-                    continue
-                seen.add(key)
-                atom_true.append(val)
-                above.append(up)
-                fresh.append(len(atom_true) - 1)
-        frontier = fresh
-        if not frontier:
+                members = sum(1 << i for i in combo)
+                if any(up[i] & members != 1 << i for i in combo):
+                    continue  # not an antichain
+                above = 0
+                for i in combo:
+                    above |= up[i]
+                for val in (False, True) if members & true_at == members else (False,):
+                    if r == 1 and bool(members & true_at) == val:
+                        continue  # duplicates its unique successor
+                    true_at |= val << len(up)
+                    up.append(1 << len(up) | above)
+        if len(up) == count:
             break
-    return tuple(atom_true), tuple(tuple(sorted(s)) for s in above)
+        start = count
+    return true_at, tuple(up), grid(tuple(up))
 
 
 def _imp_depth(f: Formula) -> int:
@@ -114,80 +105,31 @@ def _imp_depth(f: Formula) -> int:
         return d
 
 
-def _eval_universal(f: Formula, atom: Variable, depth: int) -> tuple[bool, ...]:
-    atom_true, succs = _universal_model(depth)
-    n = len(atom_true)
-    memo: dict[str, list[bool]] = {}
-
-    def ev(g: Formula) -> list[bool]:
-        got = memo.get(g.key)
-        if got is not None:
-            return got
-        if isinstance(g, Var):
-            if g.var != atom:
-                raise UnsupportedFormula(f"unexpected atom {g.var}")
-            out = list(atom_true)
-        elif isinstance(g, Bottom):
-            out = [False] * n
-        elif isinstance(g, And):
-            a, b = ev(g.left), ev(g.right)
-            out = [x and y for x, y in zip(a, b)]
-        elif isinstance(g, Or):
-            a, b = ev(g.left), ev(g.right)
-            out = [x or y for x, y in zip(a, b)]
-        elif isinstance(g, Implies):
-            a, b = ev(g.left), ev(g.right)
-            out = [
-                ((not a[w]) or b[w]) and all((not a[v]) or b[v] for v in succs[w])
-                for w in range(n)
-            ]
-        else:
-            raise UnsupportedFormula(f"cannot evaluate {g}")
-        memo[g.key] = out
-        return out
-
-    return tuple(ev(f))
+def _forced(fs, atom: Variable, depth: int) -> list[int]:
+    """The worlds of the depth-`depth` truncation that force each of fs."""
+    true_at, _, g = _universal_model(depth)
+    return [forcing_mask(f, {atom.name: true_at}, g) for f in fs]
 
 
-def _entails_1var(f: Formula, g: Formula, atom: Variable) -> bool:
-    """Semantic entailment for one-variable formulas on the universal model.
+def refuting_model(f: Formula, g: Formula, atom: Variable = X):
+    """A concrete finite model refuting f |- g, or None (independent witness).
 
     The truncation depth follows the refuting-model depth bound: an
     unprovable one-variable sequent has a countermodel whose depth is at
     most the implication nesting degree of the formulas involved.
     """
     depth = _imp_depth(f) + _imp_depth(g) + 2
-    fa = _eval_universal(f, atom, depth)
-    ga = _eval_universal(g, atom, depth)
-    return all((not x) or y for x, y in zip(fa, ga))
-
-
-def _equiv_1var(f: Formula, g: Formula, atom: Variable) -> bool:
-    return _entails_1var(f, g, atom) and _entails_1var(g, f, atom)
-
-
-def refuting_model(f: Formula, g: Formula, atom: Variable = X):
-    """A concrete finite model refuting f |- g, or None (independent witness)."""
-    from .kripke import KripkeModel
-
-    depth = _imp_depth(f) + _imp_depth(g) + 2
-    fa = _eval_universal(f, atom, depth)
-    ga = _eval_universal(g, atom, depth)
-    try:
-        w0 = next(w for w in range(len(fa)) if fa[w] and not ga[w])
-    except StopIteration:
+    fa, ga = _forced((f, g), atom, depth)
+    fail = fa & ~ga
+    if not fail:
         return None
-    atom_true, succs = _universal_model(depth)
-    keep = sorted({w0} | set(succs[w0]))
+    true_at, up, _ = _universal_model(depth)
+    w0 = (fail & -fail).bit_length() - 1
+    keep = [w for w in range(len(up)) if up[w0] >> w & 1]
     index = {w: i for i, w in enumerate(keep)}
-    order = frozenset(
-        (index[u], index[v])
-        for u in keep
-        for v in keep
-        if u == v or v in succs[u]
-    )
+    order = frozenset((index[u], index[v]) for u in keep for v in keep if up[u] >> v & 1)
     valuation = tuple(
-        (index[w], frozenset({atom.name} if atom_true[w] else set())) for w in keep
+        (index[w], frozenset({atom.name} if true_at >> w & 1 else set())) for w in keep
     )
     return KripkeModel(tuple(range(len(keep))), order, valuation), index[w0]
 
@@ -202,34 +144,40 @@ class RNLattice:
     the previous round with everything older (older pairs cannot produce new
     classes, the connectives being congruences).  Representatives are kept
     minimal in size.
+
+    A class is keyed by the worlds its formulas force on the truncation of
+    depth `2 * level + 2`.  Every formula the enumeration builds has
+    implication depth at most `level`, so by the refuting-model depth bound
+    two of them are equivalent exactly when their masks there are equal, and
+    a candidate's mask is one connective step on its operands' masks.
     """
 
     def __init__(self, level: int = 12, variable: Variable = X):
+        if level < 0:
+            raise ValueError("level must be >= 0")
         self.level = level
         self.variable = variable
+        self.depth = 2 * level + 2
         self.reps: list[Formula] = []
-        self._tried: set[str] = set()
+        self._masks: list[int] = []
+        self._classes: dict[int, int] = {}  # mask -> index into reps
         self._grow()
 
-    def _find(self, f: Formula) -> int | None:
-        for idx, rep in enumerate(self.reps):
-            if _equiv_1var(rep, f, self.variable):
-                return idx
-        return None
-
-    def _try_add(self, f: Formula) -> bool:
-        idx = self._find(f)
+    def _add(self, f: Formula, mask: int) -> bool:
+        idx = self._classes.get(mask)
         if idx is not None:
             if f.size < self.reps[idx].size:
                 self.reps[idx] = f
             return False
+        self._classes[mask] = len(self.reps)
         self.reps.append(f)
+        self._masks.append(mask)
         return True
 
     def _grow(self):
-        for seed in (BOT, Var(self.variable)):
-            self._tried.add(seed.key)
-            self._try_add(seed)
+        true_at, _, g = _universal_model(self.depth)
+        self._add(BOT, 0)
+        self._add(Var(self.variable), true_at)
         frontier = list(range(len(self.reps)))
         for _round in range(self.level):
             fset = set(frontier)
@@ -241,11 +189,8 @@ class RNLattice:
                         continue
                     a, b = self.reps[i], self.reps[j]
                     for op in (And, Or, Implies):
-                        cand = op(a, b)
-                        if cand.key in self._tried:
-                            continue
-                        self._tried.add(cand.key)
-                        if self._try_add(cand):
+                        mask = connective_mask(op, self._masks[i], self._masks[j], g)
+                        if self._add(op(a, b), mask):
                             frontier.append(len(self.reps) - 1)
             if not frontier:
                 break
@@ -260,7 +205,13 @@ class RNLattice:
                 f = substitute(f, {next(iter(fv)): Var(self.variable)})
             else:
                 raise UnsupportedFormula("at most one free variable allowed")
-        idx = self._find(f)
+        # compare at depth >= imp(f) + imp(rep) + 2; a shallower truncation
+        # can give an inequivalent formula the mask of a class
+        depth = max(self.depth, _imp_depth(f) + self.level + 2)
+        classes = self._classes if depth == self.depth else {
+            mask: idx for idx, mask in enumerate(_forced(self.reps, self.variable, depth))
+        }
+        idx = classes.get(_forced((f,), self.variable, depth)[0])
         if idx is None:
             raise LevelExceeded(f"{f} lies above the generated lattice portion")
         rep = self.reps[idx]

@@ -2,6 +2,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from pittslab.cli import main
 
@@ -44,6 +45,18 @@ def test_usage_error_is_exit_two(capsys):
 def test_world_bound_below_one_is_a_usage_error(capsys):
     code, out, err = run(capsys, "prove", "--bound", "0", "|- P")
     assert code == 2 and out == "" and "--bound" in err
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["interpolate", "--exists", "--var", "Y", "--validate", "--probe-budget", "-3", "Y /\\ X"],
+     "--probe-budget"),
+    (["interpolate", "--exists", "--var", "Y", "--validate", "--probe-budget", "2", "Y /\\ X"],
+     "--probe-budget"),
+    (["rn-classify", "--level", "-4", "X"], "--level"),
+])
+def test_option_below_its_bound_is_a_usage_error(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and option in err
 
 
 def test_interpolate_matches_reference_value(capsys):

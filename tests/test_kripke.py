@@ -1,3 +1,7 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from pittslab.kripke import KripkeModel, find_countermodel, posets, upsets
@@ -62,3 +66,9 @@ def test_bound_respected():
     s = parse_sequent("|- ~P \\/ ~~P")
     assert find_countermodel(s, 1) is None
     assert find_countermodel(s, 3) is not None
+
+
+def test_package_imports_without_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = 'import pittslab, sys; assert "numpy" not in sys.modules'
+    subprocess.run([sys.executable, "-c", code], cwd=src, check=True, timeout=60)

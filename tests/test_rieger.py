@@ -10,7 +10,7 @@ from pittslab.rieger import (
     HypothesisFails,
     LevelExceeded,
     RNLattice,
-    _entails_1var,
+    _forced,
     check_rieger_lower_facts,
     default_lattice,
     refuting_model,
@@ -31,7 +31,7 @@ def test_universal_model_oracle_agrees_with_prover():
     for _ in range(600):
         a = random_formula(rng, ["X"], rng.choice([1, 3, 5, 7, 9]))
         b = random_formula(rng, ["X"], rng.choice([1, 3, 5, 7, 9]))
-        assert _entails_1var(a, b, X) == decide(Sequent((a,), b)), (a, b)
+        assert (refuting_model(a, b, X) is None) == decide(Sequent((a,), b)), (a, b)
 
 
 def test_classify_idempotent_conjunction():
@@ -98,6 +98,21 @@ def test_level_exceeded():
     deep = f("(~~X -> X) -> (X \\/ ~X)")
     with pytest.raises(LevelExceeded):
         lattice.classify(deep)
+
+
+def test_deep_formula_does_not_inherit_a_shallow_class():
+    # On the level-1 truncation (depth 4) this formula forces what top
+    # forces, but it is not equivalent to top: it lies in class 16.
+    deep = f("((((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) -> ~~X \\/ (~~X -> X)) \\/ "
+             "(((((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) -> ~~X \\/ (~~X -> X)) -> "
+             "(~~X -> X) \\/ ((~~X -> X) -> X \\/ ~X))")
+    assert deep.size == 97
+    lattice = RNLattice(1)
+    assert lattice.depth == 4
+    assert _forced((deep,), X, 4) == _forced((f("top"),), X, 4)
+    with pytest.raises(LevelExceeded):
+        lattice.classify(deep)
+    assert default_lattice(12).classify(deep).level == 16
 
 
 def test_rieger_facts_on_kreisel_body():
