@@ -33,7 +33,7 @@ from .replays import REPLAY_NAMES, ScriptFailed, replay, script_root
 from .rieger import LevelExceeded, default_lattice
 from .scripts import MalformedScript, ScriptError, check_script, parse_script, parse_theory
 from .syntax import FormulaError, UnsupportedFormula, Variable
-from .trees import parse_tree
+from .trees import parse_tree, print_tree
 
 
 class UsageError(Exception):
@@ -52,8 +52,6 @@ def _cmd_prove(args) -> int:
     seq = Parser().parse_sequent(args.sequent)
     verdict = prove(seq, countermodel_bound=args.bound)
     if verdict.provable:
-        from .trees import print_tree
-
         _emit(
             {"provable": True, "sequent": str(seq), "witness": "proof-tree"},
             args.format,

@@ -14,6 +14,7 @@ from .kernel import ProofTree, Sequent, check_tree, is_cut_free, t_exR
 from .pitts import pite_exists
 from .prover import decide, derive
 from .syntax import (
+    BOT,
     Exists,
     Formula,
     FormulaError,
@@ -129,8 +130,6 @@ def extract_auxiliary(proof: ProofTree, c: RegularConnective) -> Formula:
     node, path = proof, ()
     while True:
         if node.rule == "wR":
-            from .syntax import BOT
-
             return BOT
         if node.rule == "exR":
             witness = node.data

@@ -96,6 +96,12 @@ class Sequent:
             out |= h.free_vars
         return out
 
+    def substitute(self, bindings: dict[Variable, Formula]) -> "Sequent":
+        """Simultaneous substitution into every hypothesis and the conclusion."""
+        return Sequent(
+            tuple(substitute(h, bindings) for h in self.hyps), substitute(self.concl, bindings)
+        )
+
     def __str__(self):
         left = ", ".join(str(h) for h in self.hyps)
         return f"{left} |- {self.concl}" if left else f"|- {self.concl}"
@@ -135,27 +141,24 @@ class SchemaTheory:
 
     def __post_init__(self):
         for label, template in self.schemas.items():
-            for f in template.hyps + (template.concl,):
-                if f.has_quantifier:
-                    raise FormulaError(f"axiom schema {label} is not quantifier-free")
+            _require_quantifier_free(label, template)
 
     def add_schema(self, label: str, template: Sequent):
-        for f in template.hyps + (template.concl,):
-            if f.has_quantifier:
-                raise FormulaError(f"axiom schema {label} is not quantifier-free")
+        _require_quantifier_free(label, template)
         self.schemas[label] = template
 
     def instantiate(self, label: str, bindings: dict[Variable, Formula]) -> Sequent:
-        template = self.schemas[label]
-        return Sequent(
-            tuple(substitute(h, bindings) for h in template.hyps),
-            substitute(template.concl, bindings),
-        )
+        return self.schemas[label].substitute(bindings)
 
     def extends(self, other: "SchemaTheory") -> bool:
         return other.signature <= self.signature and all(
             self.schemas.get(k) == v for k, v in other.schemas.items()
         )
+
+
+def _require_quantifier_free(label: str, template: Sequent) -> None:
+    if any(f.has_quantifier for f in template.hyps + (template.concl,)):
+        raise FormulaError(f"axiom schema {label} is not quantifier-free")
 
 
 EMPTY_THEORY = SchemaTheory(name="ipc")
@@ -559,16 +562,12 @@ def substitute_tree(tree: ProofTree, bindings: dict[Variable, Formula]) -> Proof
     Valid derivations stay valid as long as no substituted variable is
     quantified along the tree (quantifier-free trees always qualify).
     """
-    concl = Sequent(
-        tuple(substitute(h, bindings) for h in tree.conclusion.hyps),
-        substitute(tree.conclusion.concl, bindings),
-    )
     data = tree.data
     if isinstance(data, Formula):
         data = substitute(data, bindings)
     return ProofTree(
         tree.rule,
-        concl,
+        tree.conclusion.substitute(bindings),
         tuple(substitute_tree(p, bindings) for p in tree.premises),
         data,
     )

@@ -5,7 +5,9 @@ labeled along a linear extension, so `u <= v` implies `u <= v` as integers),
 and for each poset every persistent valuation of the sequent's atoms is
 examined.  `forcing_mask` evaluates a formula at every valuation and world
 at once, as one Python int with a bit per (valuation, world); the one-variable
-lattice in `rieger` uses the same evaluator on the one-atom universal model.
+lattice in `rieger` uses the same evaluator on the one-atom universal model,
+and `prover.classical_tautology` is the search on one world (a one-world
+model is a classical valuation).
 """
 from __future__ import annotations
 
@@ -259,13 +261,22 @@ def _search_poset(s: Sequent, names, n, up):
     chosen = {}
     for v in reversed(names):
         point, j = divmod(point, len(us))
-        chosen[v] = us[j]
-    order = frozenset((u, v) for u in range(n) for v in range(n) if up[u] >> v & 1)
-    valuation = tuple(
-        (w, frozenset(v.name for v in names if chosen[v] >> w & 1)) for w in range(n)
+        chosen[v.name] = us[j]
+    return submodel(up, range(n), chosen), world
+
+
+def submodel(up: tuple[int, ...], keep, atoms: dict[str, int]) -> KripkeModel:
+    """The worlds `keep` of the poset with masks `up`, renumbered 0, 1, ...
+    in that order, where atom `name` holds at the worlds in atoms[name]."""
+    keep = tuple(keep)
+    order = frozenset(
+        (i, j) for i, u in enumerate(keep) for j, v in enumerate(keep) if up[u] >> v & 1
     )
-    model = KripkeModel(tuple(range(n)), order, valuation)
-    return model, world
+    valuation = tuple(
+        (i, frozenset(name for name, mask in atoms.items() if mask >> w & 1))
+        for i, w in enumerate(keep)
+    )
+    return KripkeModel(tuple(range(len(keep))), order, valuation)
 
 
 def _lowest_bit(mask: int) -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 
+from .kernel import Sequent
 from .syntax import (
     App,
     BOT,
@@ -115,9 +116,7 @@ class Parser:
         f = self._formula(toks)
         return f, toks.peek()[2]
 
-    def parse_sequent(self, text: str):
-        from .kernel import Sequent
-
+    def parse_sequent(self, text: str) -> Sequent:
         toks = _Tokens(text)
         hyps: list[Formula] = []
         if toks.peek()[0] not in ("turnstile", "eof"):

@@ -163,61 +163,37 @@ def clear_cache():
 # Normalization: a fixed, size-nonincreasing rewrite set applied to a
 # fixpoint.  Equivalence is prover-certified in the test suite.
 
+_FOLD = {And: _and, Or: _or, Implies: _imp}
+
+
 def _rw(f: Formula) -> Formula:
-    if isinstance(f, And):
-        a, b = _rw(f.left), _rw(f.right)
-        if is_top(a):
+    """One bottom-up pass: the unit laws of `_and`/`_or`/`_imp`, then, where
+    none applies, absorption, a -> (a -> b) to a -> b and ~~~a to ~a."""
+    if not isinstance(f, (And, Or, Implies)):
+        return f
+    a, b = _rw(f.left), _rw(f.right)
+    g = _FOLD[type(f)](a, b)
+    if type(g) is not type(f) or g.left is not a or g.right is not b:
+        return g  # a unit law applied
+    if isinstance(g, (And, Or)):
+        dual = Or if isinstance(g, And) else And
+        if isinstance(b, dual) and a in (b.left, b.right):
+            return a
+        if isinstance(a, dual) and b in (a.left, a.right):
             return b
-        if is_top(b):
-            return a
-        if isinstance(a, Bottom) or isinstance(b, Bottom):
-            return BOT
-        if a == b:
-            return a
-        if isinstance(b, Or) and (b.left == a or b.right == a):
-            return a
-        if isinstance(a, Or) and (a.left == b or a.right == b):
-            return b
-        return And(a, b)
-    if isinstance(f, Or):
-        a, b = _rw(f.left), _rw(f.right)
-        if isinstance(a, Bottom):
-            return b
-        if isinstance(b, Bottom):
-            return a
-        if is_top(a) or is_top(b):
-            return TOP
-        if a == b:
-            return a
-        if isinstance(b, And) and (b.left == a or b.right == a):
-            return a
-        if isinstance(a, And) and (a.left == b or a.right == b):
-            return b
-        return Or(a, b)
-    if isinstance(f, Implies):
-        a, b = _rw(f.left), _rw(f.right)
-        if isinstance(a, Bottom):
-            return TOP
-        if is_top(b):
-            return TOP
-        if a == b:
-            return TOP
-        if is_top(a):
-            return b
-        if isinstance(b, Implies) and b.left == a:
-            return Implies(a, b.right)
-        # triple negation collapses to single negation
-        if (
-            isinstance(b, Bottom)
-            and isinstance(a, Implies)
-            and isinstance(a.right, Bottom)
-            and isinstance(a.left, Implies)
-            and isinstance(a.left.right, Bottom)
-            and not isinstance(a.left.left, Bottom)
-        ):
-            return Implies(a.left.left, BOT)
-        return Implies(a, b)
-    return f
+        return g
+    if isinstance(b, Implies) and b.left == a:
+        return Implies(a, b.right)
+    if (
+        isinstance(b, Bottom)
+        and isinstance(a, Implies)
+        and isinstance(a.right, Bottom)
+        and isinstance(a.left, Implies)
+        and isinstance(a.left.right, Bottom)
+        and not isinstance(a.left.left, Bottom)
+    ):
+        return Implies(a.left.left, BOT)
+    return g
 
 
 def simplify(f: Formula) -> Formula:

@@ -36,6 +36,7 @@ from .kernel import (
     t_orR2,
     t_wl,
 )
+from .kripke import find_countermodel
 from .syntax import (
     And,
     BOT,
@@ -44,7 +45,6 @@ from .syntax import (
     Implies,
     Or,
     Var,
-    Variable,
     require_plain,
 )
 
@@ -263,8 +263,6 @@ def prove(s: Sequent, countermodel_bound: int = 6) -> Verdict:
     require_plain(*s.hyps, s.concl)
     if _decide(frozenset(s.hyps), s.concl):
         return Verdict(True, _derive(tuple(s.hyps), s.concl))
-    from .kripke import find_countermodel
-
     found = find_countermodel(s, countermodel_bound)
     return Verdict(False, found if found is not None else Unknown(countermodel_bound))
 
@@ -276,25 +274,6 @@ def equivalent(a: Formula, b: Formula) -> bool:
 
 
 def classical_tautology(f: Formula) -> bool:
-    """Truth-table evaluation over all valuations of the free atoms."""
-    require_plain(f)
-    names = sorted(f.free_vars)
-
-    def ev(g: Formula, val: dict[Variable, bool]) -> bool:
-        if isinstance(g, Var):
-            return val[g.var]
-        if isinstance(g, Bottom):
-            return False
-        if isinstance(g, And):
-            return ev(g.left, val) and ev(g.right, val)
-        if isinstance(g, Or):
-            return ev(g.left, val) or ev(g.right, val)
-        if isinstance(g, Implies):
-            return (not ev(g.left, val)) or ev(g.right, val)
-        raise AssertionError
-
-    for bits in range(1 << len(names)):
-        val = {v: bool(bits >> i & 1) for i, v in enumerate(names)}
-        if not ev(f, val):
-            return False
-    return True
+    """True at every valuation of the free atoms: a one-world Kripke model is
+    a classical valuation, so this is the one-world countermodel search."""
+    return find_countermodel(Sequent((), f), 1) is None

@@ -144,10 +144,8 @@ def load_suite(name: str, script_dir: str | None = None):
 
 def replay(name: str, script_dir: str | None = None) -> ReplayReport:
     """Check a bundled suite; raise ScriptFailed on the first broken line."""
-    suite = _SUITES[name] if name in _SUITES else None
-    if suite is None:
-        raise KeyError(f"unknown replay {name!r}; choose from {', '.join(REPLAY_NAMES)}")
-    theory, scripts = load_suite(name, script_dir)
+    _, scripts = load_suite(name, script_dir)
+    suite = _SUITES[name]
     report = ReplayReport(name)
     registry: dict[str, ProofScript] = {}
     for script in scripts:

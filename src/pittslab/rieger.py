@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .kernel import Sequent
-from .kripke import Grid, KripkeModel, connective_mask, forcing_mask, grid
+from .kripke import Grid, _lowest_bit, connective_mask, forcing_mask, grid, submodel
 from .prover import decide
 from .syntax import (
     And,
@@ -124,14 +124,9 @@ def refuting_model(f: Formula, g: Formula, atom: Variable = X):
     if not fail:
         return None
     true_at, up, _ = _universal_model(depth)
-    w0 = (fail & -fail).bit_length() - 1
+    w0 = _lowest_bit(fail)
     keep = [w for w in range(len(up)) if up[w0] >> w & 1]
-    index = {w: i for i, w in enumerate(keep)}
-    order = frozenset((index[u], index[v]) for u in keep for v in keep if up[u] >> v & 1)
-    valuation = tuple(
-        (index[w], frozenset({atom.name} if true_at >> w & 1 else set())) for w in keep
-    )
-    return KripkeModel(tuple(range(len(keep))), order, valuation), index[w0]
+    return submodel(up, keep, {atom.name: true_at}), keep.index(w0)
 
 
 # ---------------------------------------------------------------------------

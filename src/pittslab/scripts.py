@@ -23,6 +23,7 @@ Exit-status convention for the CLI: 0 accepted, 1 rejected, 2 malformed.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .kernel import (
@@ -37,9 +38,14 @@ from .kernel import (
 from .parser import FormulaSyntaxError, Parser
 from .prover import decide
 from .syntax import (
+    And,
     App,
     ConnectiveSymbol,
+    Exists,
+    Forall,
     Formula,
+    Implies,
+    Or,
     Signature,
     Var,
     Variable,
@@ -144,6 +150,13 @@ def _parse_bindings(text: str, parser: Parser) -> dict[Variable, Formula]:
     return out
 
 
+def _line_number(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise MalformedScript(f"expected a line number, got {token!r}") from None
+
+
 def parse_justification(text: str, theory: SchemaTheory) -> Justification:
     text = text.strip()
     parser = Parser(theory.signature)
@@ -161,13 +174,13 @@ def parse_justification(text: str, theory: SchemaTheory) -> Justification:
             "ax-schema", name=name.strip(), bindings=tuple(sorted(bindings.items()))
         )
     if head == "cut":
-        nums = tuple(int(tok) for tok in rest.split())
+        nums = tuple(_line_number(tok) for tok in rest.split())
         if len(nums) < 2:
             raise MalformedScript("cut needs at least two cited lines")
         return Justification("cut", lines=nums)
     if head == "rule":
         name, _, tail = rest.partition(" ")
-        nums = tuple(int(tok) for tok in tail.split()) if tail.strip() else ()
+        nums = tuple(_line_number(tok) for tok in tail.split())
         return Justification("rule", name=name.strip(), lines=nums)
     if head == "ext":
         ctx, off = hole_parser.parse_prefix(rest)
@@ -181,13 +194,13 @@ def parse_justification(text: str, theory: SchemaTheory) -> Justification:
         num, _, brace = rest.partition(" ")
         bindings = _parse_bindings(brace, parser)
         return Justification(
-            "subst", lines=(int(num),), bindings=tuple(sorted(bindings.items()))
+            "subst", lines=(_line_number(num),), bindings=tuple(sorted(bindings.items()))
         )
     if head == "ref":
         script, _, claim = rest.rpartition(":")
         if not script:
             raise MalformedScript(f"bad reference {rest!r}")
-        return Justification("ref", ref=(script.strip(), int(claim)))
+        return Justification("ref", ref=(script.strip(), _line_number(claim)))
     raise UnknownJustification(f"unknown justification {head!r}")
 
 
@@ -202,10 +215,7 @@ def parse_script(text: str, theory: SchemaTheory, name: str = "") -> ProofScript
         fields = content.split(" | ")
         if len(fields) != 3:
             raise MalformedScript(f"expected '<n> | <sequent> | <justification>': {raw!r}")
-        try:
-            number = int(fields[0].strip())
-        except ValueError:
-            raise MalformedScript(f"bad line number in {raw!r}") from None
+        number = _line_number(fields[0].strip())
         if number <= last:
             raise MalformedScript(f"line numbers must increase strictly at {number}")
         last = number
@@ -231,9 +241,10 @@ def parse_theory(text: str, name: str = "") -> SchemaTheory:
         if content.startswith("connective "):
             try:
                 _, cname, arity = content.split()
+                arity = int(arity)
             except ValueError:
                 raise MalformedScript(f"bad connective line {raw!r}") from None
-            sig.add(ConnectiveSymbol(cname, int(arity)))
+            sig.add(ConnectiveSymbol(cname, arity))
         elif content.startswith("schema "):
             head, _, body = content.partition(":")
             label = head[len("schema "):].strip()
@@ -273,8 +284,6 @@ def atomize(seq: Sequent) -> Sequent:
             return got
         if not f.has_app:
             return f
-        from .syntax import And, Exists, Forall, Implies, Or
-
         if isinstance(f, (And, Or, Implies)):
             return type(f)(walk(f.left), walk(f.right))
         if isinstance(f, (Exists, Forall)):
@@ -372,13 +381,9 @@ def check_line(
             fresh = fresh_variable(hole, p.free_vars | p2.free_vars | ctx.free_vars)
             ctx = substitute(ctx, {hole: Var(fresh)})
             hole = fresh
-        from .syntax import Implies
-
         left = substitute(ctx, {hole: p})
         right = substitute(ctx, {hole: p2})
         need = (Implies(p, p2), Implies(p2, p), left)
-        from collections import Counter
-
         need_ms = Counter(need)
         if seq.concl != right or not all(seq.multiset[f] >= n for f, n in need_ms.items()):
             raise LineFailed(
@@ -392,12 +397,7 @@ def check_line(
         return
 
     if j.kind == "subst":
-        src = cited(j.lines[0])
-        bindings = dict(j.bindings)
-        inst = Sequent(
-            tuple(substitute(h, bindings) for h in src.hyps),
-            substitute(src.concl, bindings),
-        )
+        inst = cited(j.lines[0]).substitute(dict(j.bindings))
         if not _weakened_match(seq, inst):
             raise LineFailed(line.number, f"not the substitution instance {inst}")
         return

@@ -21,6 +21,7 @@ from .syntax import (
     Or,
     TOP,
     Variable,
+    neg,
     substitute,
     var,
 )
@@ -70,8 +71,6 @@ def soundness_battery(count: int = 500, seed: int = 0, atoms=("P", "Q", "R"),
 
 def glivenko_battery(count: int = 200, seed: int = 0, atoms=("P", "Q", "R"),
                      max_nodes: int = 12) -> dict:
-    from .syntax import neg
-
     rng = random.Random(seed)
     failures = []
     for _ in range(count):

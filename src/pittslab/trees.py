@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .kernel import ProofTree
+from .kernel import RULES, ProofTree
 from .parser import Parser
 from .scripts import MalformedScript, _parse_bindings
 from .syntax import Formula, Signature
@@ -33,18 +33,27 @@ def _tokens(text: str):
     return out
 
 
+def _token(tokens: list[str], i: int) -> str:
+    if i >= len(tokens):
+        raise MalformedScript("tree ends before its closing ')'")
+    return tokens[i]
+
+
 def _read(tokens: list[str], i: int, parser: Parser):
-    if tokens[i] != "(":
+    if _token(tokens, i) != "(":
         raise MalformedScript(f"expected '(' at token {i}")
     i += 1
-    rule = tokens[i]
+    rule = _token(tokens, i)
+    if rule not in RULES:
+        raise MalformedScript(f"unknown rule {rule!r}")
     i += 1
-    if not (tokens[i].startswith('"') and tokens[i].endswith('"')):
+    quoted = _token(tokens, i)
+    if not (quoted.startswith('"') and quoted.endswith('"')):
         raise MalformedScript(f"expected quoted sequent after rule {rule!r}")
-    seq = parser.parse_sequent(tokens[i][1:-1])
+    seq = parser.parse_sequent(quoted[1:-1])
     i += 1
     data = None
-    if rule in ("cut", "exR", "allL", "schema") and i < len(tokens) and tokens[i].startswith('"'):
+    if rule in ("cut", "exR", "allL", "schema") and _token(tokens, i).startswith('"'):
         raw = tokens[i][1:-1]
         i += 1
         if rule == "schema":
@@ -53,7 +62,7 @@ def _read(tokens: list[str], i: int, parser: Parser):
         else:
             data = parser.parse(raw)
     children = []
-    while tokens[i] != ")":
+    while _token(tokens, i) != ")":
         child, i = _read(tokens, i, parser)
         children.append(child)
     return ProofTree(rule, seq, tuple(children), data), i + 1

@@ -118,11 +118,36 @@ def test_check_bundled_script(capsys, tmp_path):
     assert payload["failure"]["line"] == 1
 
 
-def test_check_malformed_is_exit_two(capsys, tmp_path):
+@pytest.mark.parametrize("script, theory", [
+    pytest.param("not a script at all\n", None, id="not-a-script"),
+    pytest.param("1 | P |- P | ipc\n2 | P |- P | cut a b\n", None, id="cut-word"),
+    pytest.param("1 | P |- P | rule impR x\n", None, id="rule-word"),
+    pytest.param("1 | P |- P | ipc\n2 | P |- P | subst x {P := Q}\n", None, id="subst-word"),
+    pytest.param("1 | P |- P | ref foo:x\n", None, id="ref-word"),
+    pytest.param("1 | P |- P | ipc\n", "connective t x\n", id="theory-arity-word"),
+])
+def test_check_malformed_is_exit_two(capsys, tmp_path, script, theory):
     bad = tmp_path / "malformed.pfs"
-    bad.write_text("not a script at all\n")
-    code, _, err = run(capsys, "check", str(bad))
-    assert code == 2 and "error" in err
+    bad.write_text(script)
+    argv = ["check", str(bad)]
+    if theory is not None:
+        thy = tmp_path / "malformed.thy"
+        thy.write_text(theory)
+        argv += ["--theory", str(thy)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param('(ax "P |- P"', id="truncated"),
+    pytest.param('(foo "P |- P")', id="unknown-rule"),
+    pytest.param("", id="empty"),
+])
+def test_extract_aux_malformed_tree_is_exit_two(capsys, tmp_path, text):
+    tree = tmp_path / "malformed.tree"
+    tree.write_text(text)
+    code, out, err = run(capsys, "extract-aux", str(tree), "--body", "Y -> P", "--var", "Y")
+    assert code == 2 and out == "" and err.startswith("error: ")
 
 
 def test_extract_aux_command(capsys):

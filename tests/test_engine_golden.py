@@ -1,9 +1,10 @@
 """Outputs of the shared G4ip rule schedule, pinned across commits.
 
 `engine_golden.json` holds the witness-tree text of sequents that together
-fire every rule of the schedule, and the raw (unsimplified) interpolant keys
-of the five reference bodies.  A change to the schedule that alters either
-fails here, even when the new output is still correct.
+fire every rule of the schedule, and the raw and the simplified interpolant
+keys of the five reference bodies.  A change to the schedule or to `simplify`
+that alters any of them fails here, even when the new output is still
+correct.
 """
 import json
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from pittslab.parser import parse_formula, parse_sequent
-from pittslab.pitts import pita_forall, pite_exists
+from pittslab.pitts import pita_forall, pite_exists, simplify
 from pittslab.prover import derive
 from pittslab.syntax import Variable
 from pittslab.trees import print_tree
@@ -47,3 +48,10 @@ def test_raw_interpolant_keys(body):
     phi = parse_formula(body)
     assert pite_exists(phi, Y).key == GOLDEN["interpolants"][body]["exists"]
     assert pita_forall(phi, Y).key == GOLDEN["interpolants"][body]["forall"]
+
+
+@pytest.mark.parametrize("body", sorted(GOLDEN["interpolants"]))
+def test_simplified_interpolant_keys(body):
+    phi = parse_formula(body)
+    assert simplify(pite_exists(phi, Y)).key == GOLDEN["simplified"][body]["exists"]
+    assert simplify(pita_forall(phi, Y)).key == GOLDEN["simplified"][body]["forall"]

@@ -13,11 +13,10 @@ from pittslab.pitts import (
     validate_interpolant,
 )
 from pittslab.prover import decide, equivalent
+from pittslab.selftest import random_formula
 from pittslab.syntax import (
     And,
     BOT,
-    Implies,
-    Or,
     TOP,
     UnsupportedFormula,
     Variable,
@@ -113,19 +112,10 @@ def test_rejects_quantified_input():
         pite_exists(f("exists X. X"), Y)
 
 
-def _random_formula(rng, names, size):
-    if size <= 1:
-        return rng.choice([BOT] + [var(n) for n in names])
-    left = rng.randint(1, size - 2) if size > 2 else 1
-    a = _random_formula(rng, names, left)
-    b = _random_formula(rng, names, size - 1 - left)
-    return rng.choice([And, Or, Implies])(a, b)
-
-
 def test_variable_condition_and_strongest_consequence_random():
     rng = random.Random(0)
     for _ in range(120):
-        phi = _random_formula(rng, ["Y", "P", "Q"], rng.choice([3, 5, 7]))
+        phi = random_formula(rng, ["Y", "P", "Q"], rng.choice([3, 5, 7]))
         e = pite_exists(phi, Y)
         assert Y not in e.free_vars
         assert decide(Sequent((phi,), e))
@@ -134,10 +124,10 @@ def test_variable_condition_and_strongest_consequence_random():
 def test_weakest_antecedent_random_probe_substitutions():
     rng = random.Random(1)
     for _ in range(60):
-        phi = _random_formula(rng, ["Y", "P"], rng.choice([3, 5, 7]))
+        phi = random_formula(rng, ["Y", "P"], rng.choice([3, 5, 7]))
         a = pita_forall(phi, Y)
         assert Y not in a.free_vars
-        probes = [BOT, TOP, f("P"), _random_formula(rng, ["P"], 5)]
+        probes = [BOT, TOP, f("P"), random_formula(rng, ["P"], 5)]
         for t in probes:
             assert decide(Sequent((a,), substitute(phi, {Y: t})))
 
@@ -146,8 +136,8 @@ def test_monotonicity_on_implication_pairs():
     rng = random.Random(2)
     pairs = 0
     while pairs < 40:
-        a = _random_formula(rng, ["Y", "P", "Q"], rng.choice([3, 5]))
-        b = _random_formula(rng, ["Y", "P", "Q"], rng.choice([3, 5]))
+        a = random_formula(rng, ["Y", "P", "Q"], rng.choice([3, 5]))
+        b = random_formula(rng, ["Y", "P", "Q"], rng.choice([3, 5]))
         if decide(Sequent((a,), b)):
             ea, eb = pite_exists(a, Y), pite_exists(b, Y)
             assert decide(Sequent((ea,), eb))
@@ -157,7 +147,7 @@ def test_monotonicity_on_implication_pairs():
 def test_idempotence_on_variable_free_input():
     rng = random.Random(3)
     for _ in range(60):
-        phi = _random_formula(rng, ["P", "Q"], rng.choice([3, 5, 7]))
+        phi = random_formula(rng, ["P", "Q"], rng.choice([3, 5, 7]))
         assert equivalent(pite_exists(phi, Y), phi)
 
 
@@ -171,7 +161,7 @@ def test_probe_biconditional_on_random_small_bodies():
     rng = random.Random(9)
     probes = probe_corpus([Variable("P"), Variable("Q")], 6)
     for _ in range(12):
-        body = _random_formula(rng, ["Y", "P", "Q"], rng.choice([5, 7]))
+        body = random_formula(rng, ["Y", "P", "Q"], rng.choice([5, 7]))
         rep = validate_interpolant(body, Y, pite_exists(body, Y), probes)
         assert rep.ok, (body, rep.failures[:3])
 
@@ -182,7 +172,7 @@ def test_forall_defining_biconditional_random():
     rng = random.Random(10)
     probes = probe_corpus([Variable("P"), Variable("Q")], 6)
     for _ in range(10):
-        body = _random_formula(rng, ["Y", "P", "Q"], rng.choice([5, 7]))
+        body = random_formula(rng, ["Y", "P", "Q"], rng.choice([5, 7]))
         rep = validate_forall_interpolant(body, Y, pita_forall(body, Y), probes)
         assert rep.ok, (body, rep.failures[:3])
 
@@ -193,7 +183,7 @@ def test_interpolants_of_single_variable_bodies_collapse():
     # one is top exactly when the body is outright derivable
     rng = random.Random(13)
     for _ in range(80):
-        phi = _random_formula(rng, ["Y"], rng.choice([1, 3, 5, 7]))
+        phi = random_formula(rng, ["Y"], rng.choice([1, 3, 5, 7]))
         e = pite_exists(phi, Y)
         a = pita_forall(phi, Y)
         inconsistent = decide(Sequent((phi,), BOT))

@@ -12,7 +12,8 @@ from pittslab.prover import (
     equivalent,
     prove,
 )
-from pittslab.syntax import And, BOT, Implies, Or, UnsupportedFormula, var
+from pittslab.selftest import random_formula
+from pittslab.syntax import UnsupportedFormula
 
 
 def seq(text):
@@ -66,22 +67,13 @@ def test_rejects_quantifiers_and_apps():
         decide(seq("|- exists X. X"))
 
 
-def _random_formula(rng, names, size):
-    if size <= 1:
-        return rng.choice([BOT] + [var(n) for n in names])
-    left = rng.randint(1, size - 2) if size > 2 else 1
-    a = _random_formula(rng, names, left)
-    b = _random_formula(rng, names, size - 1 - left)
-    return rng.choice([And, Or, Implies])(a, b)
-
-
 def test_provable_formulas_have_no_countermodel_small_corpus():
     from pittslab.kripke import find_countermodel
 
     rng = random.Random(0)
     checked = 0
     for _ in range(60):
-        f = _random_formula(rng, ["P", "Q"], rng.choice([3, 5, 7]))
+        f = random_formula(rng, ["P", "Q"], rng.choice([3, 5, 7]))
         s = Sequent((), f)
         if decide(s):
             assert find_countermodel(s, 3) is None
@@ -98,7 +90,7 @@ def test_witness_trees_check_on_random_provables():
     rng = random.Random(1)
     found = 0
     for _ in range(80):
-        f = _random_formula(rng, ["P", "Q", "R"], rng.choice([3, 5, 7, 9]))
+        f = random_formula(rng, ["P", "Q", "R"], rng.choice([3, 5, 7, 9]))
         s = Sequent((), f)
         if decide(s):
             t = derive(s)
@@ -112,9 +104,9 @@ def test_cut_admissibility_spot_check():
     rng = random.Random(2)
     hits = 0
     for _ in range(300):
-        phi = _random_formula(rng, ["P", "Q"], rng.choice([1, 3, 5]))
-        gamma = _random_formula(rng, ["P", "Q"], rng.choice([1, 3]))
-        psi = _random_formula(rng, ["P", "Q"], rng.choice([1, 3, 5]))
+        phi = random_formula(rng, ["P", "Q"], rng.choice([1, 3, 5]))
+        gamma = random_formula(rng, ["P", "Q"], rng.choice([1, 3]))
+        psi = random_formula(rng, ["P", "Q"], rng.choice([1, 3, 5]))
         if decide(Sequent((gamma,), phi)) and decide(Sequent((gamma, phi), psi)):
             assert decide(Sequent((gamma, gamma), psi))
             hits += 1
