@@ -31,8 +31,8 @@ from .pitts import (
 from .prover import Unknown, prove
 from .replays import REPLAY_NAMES, ScriptFailed, replay, script_root
 from .rieger import LevelExceeded, default_lattice
-from .scripts import MalformedScript, ScriptError, check_script, parse_script, parse_theory
-from .syntax import FormulaError, UnsupportedFormula, Variable
+from .scripts import ScriptError, check_script, parse_script, parse_theory
+from .syntax import FormulaError, Variable
 from .trees import parse_tree, print_tree
 
 
@@ -319,16 +319,7 @@ def main(argv=None) -> int:
     except (NotCutFree, NoEligibleRule, LevelExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (
-        FormulaSyntaxError,
-        FormulaError,
-        UnsupportedFormula,
-        MalformedScript,
-        ScriptError,
-        UsageError,
-        FileNotFoundError,
-        KeyError,
-    ) as e:
+    except (FormulaSyntaxError, FormulaError, ScriptError, UsageError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -177,12 +177,12 @@ class ProofTree:
             raise KernelError(f"unknown rule {self.rule!r}")
 
     def nodes(self):
-        yield self
-        for p in self.premises:
-            yield from p.nodes()
-
-    def size(self) -> int:
-        return 1 + sum(p.size() for p in self.premises)
+        """Every node, preorder."""
+        todo = [self]
+        while todo:
+            node = todo.pop()
+            yield node
+            todo.extend(reversed(node.premises))
 
 
 @dataclass
@@ -526,9 +526,11 @@ def _eigen(quantified, instance: Formula, data) -> tuple[bool, Variable | None]:
 
 
 def check_tree(tree: ProofTree, theory: SchemaTheory | None = None) -> CheckReport:
-    """Accept iff every node matches its rule template and side conditions hold."""
-
-    def walk(node: ProofTree, path: tuple[int, ...]) -> CheckReport | None:
+    """Accept iff every node matches its rule template and side conditions
+    hold; a rejection reports the first failing node in preorder."""
+    todo = [(tree, ())]
+    while todo:
+        node, path = todo.pop()
         try:
             check_rule(
                 node.rule,
@@ -542,14 +544,8 @@ def check_tree(tree: ProofTree, theory: SchemaTheory | None = None) -> CheckRepo
             return CheckReport(False, "SideConditionViolated", path, str(e))
         except KernelError as e:
             return CheckReport(False, "MalformedRule", path, str(e))
-        for i, p in enumerate(node.premises):
-            r = walk(p, path + (i,))
-            if r is not None:
-                return r
-        return None
-
-    failure = walk(tree, ())
-    return failure if failure is not None else CheckReport(True)
+        todo.extend((node.premises[i], path + (i,)) for i in reversed(range(len(node.premises))))
+    return CheckReport(True)
 
 
 def is_cut_free(tree: ProofTree) -> bool:

@@ -6,8 +6,8 @@ and for each poset every persistent valuation of the sequent's atoms is
 examined.  `forcing_mask` evaluates a formula at every valuation and world
 at once, as one Python int with a bit per (valuation, world); the one-variable
 lattice in `rieger` uses the same evaluator on the one-atom universal model,
-and `prover.classical_tautology` is the search on one world (a one-world
-model is a classical valuation).
+and `prover.classical_tautology` is the mask-level sweep `first_failure` on
+one world (a one-world model is a classical valuation).
 """
 from __future__ import annotations
 
@@ -223,22 +223,40 @@ def find_countermodel(s: Sequent, max_worlds: int = 6):
     """Exhaustive search for a model and world forcing the hypotheses but not
     the conclusion.  Returns (KripkeModel, world) or None.
     """
+    hit = first_failure(s, max_worlds)
+    if hit is None:
+        return None
+    up, point, world = hit
+    us = upsets(len(up), up)
+    chosen = {}
+    for v in reversed(sorted(s.free_vars())):
+        point, j = divmod(point, len(us))
+        chosen[v.name] = us[j]
+    return submodel(up, range(len(up)), chosen), world
+
+
+def first_failure(s: Sequent, max_worlds: int = 6):
+    """The sweep behind `find_countermodel`, on masks only: the first poset
+    (as `up` masks), valuation point and world at which the hypotheses hold
+    and the conclusion fails, or None."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     require_plain(*s.hyps, s.concl)
     names = sorted(s.free_vars())
     for n in range(1, max_worlds + 1):
         for up in posets(n):
-            hit = _search_poset(s, names, n, up)
-            if hit is not None:
-                return hit
+            fail = _failures(s, names, up)
+            if fail:
+                point, world = divmod(_lowest_bit(fail), n)
+                return up, point, world
     return None
 
 
-def _search_poset(s: Sequent, names, n, up):
-    """The first failing (valuation, world) on one poset.  Valuation points
-    are numbered with the last atom's upset varying fastest, so the lowest
-    failing bit is the first countermodel in that order."""
+def _failures(s: Sequent, names, up) -> int:
+    """The (valuation, world) bits of one poset's grid at which s fails.
+    Valuation points are numbered with the last atom's upset varying
+    fastest, so the lowest bit is the first countermodel in that order."""
+    n = len(up)
     us = upsets(n, up)
     k = len(names)
     # atom i takes upset j on a run of `inner` consecutive points, j = 0, 1, ...
@@ -254,15 +272,7 @@ def _search_poset(s: Sequent, names, n, up):
     fail = g.full
     for h in s.hyps:
         fail &= forcing_mask(h, atoms, g)
-    fail ^= fail & forcing_mask(s.concl, atoms, g)
-    if not fail:
-        return None
-    point, world = divmod(_lowest_bit(fail), n)
-    chosen = {}
-    for v in reversed(names):
-        point, j = divmod(point, len(us))
-        chosen[v.name] = us[j]
-    return submodel(up, range(n), chosen), world
+    return fail ^ fail & forcing_mask(s.concl, atoms, g)
 
 
 def submodel(up: tuple[int, ...], keep, atoms: dict[str, int]) -> KripkeModel:

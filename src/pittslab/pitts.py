@@ -154,11 +154,6 @@ def pita_forall(phi: Formula, y: Variable) -> Formula:
     return _A(y, frozenset(), phi)
 
 
-def clear_cache():
-    _E.cache_clear()
-    _A.cache_clear()
-
-
 # ---------------------------------------------------------------------------
 # Normalization: a fixed, size-nonincreasing rewrite set applied to a
 # fixpoint.  Equivalence is prover-certified in the test suite.

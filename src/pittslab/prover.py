@@ -36,7 +36,7 @@ from .kernel import (
     t_orR2,
     t_wl,
 )
-from .kripke import find_countermodel
+from .kripke import find_countermodel, first_failure
 from .syntax import (
     And,
     BOT,
@@ -134,10 +134,6 @@ def decide(s: Sequent) -> bool:
     """Total decision procedure for quantifier-free, App-free sequents."""
     require_plain(*s.hyps, s.concl)
     return _decide(frozenset(s.hyps), s.concl)
-
-
-def clear_cache():
-    _decide.cache_clear()
 
 
 # ---------------------------------------------------------------------------
@@ -275,5 +271,5 @@ def equivalent(a: Formula, b: Formula) -> bool:
 
 def classical_tautology(f: Formula) -> bool:
     """True at every valuation of the free atoms: a one-world Kripke model is
-    a classical valuation, so this is the one-world countermodel search."""
-    return find_countermodel(Sequent((), f), 1) is None
+    a classical valuation, so this is the one-world countermodel sweep."""
+    return first_failure(Sequent((), f), 1) is None

@@ -95,14 +95,7 @@ def _universal_model(depth: int) -> tuple[int, tuple[int, ...], Grid]:
 
 def _imp_depth(f: Formula) -> int:
     """Implication nesting degree; refuting models need at most this depth."""
-    try:
-        return f._impd  # type: ignore[attr-defined]
-    except AttributeError:
-        d = max((_imp_depth(c) for c in f.children()), default=0)
-        if isinstance(f, Implies):
-            d += 1
-        object.__setattr__(f, "_impd", d)
-        return d
+    return isinstance(f, Implies) + max((_imp_depth(c) for c in f.children()), default=0)
 
 
 def _forced(fs, atom: Variable, depth: int) -> list[int]:

@@ -30,7 +30,6 @@ from .kernel import (
     KernelError,
     SchemaTheory,
     Sequent,
-    SideConditionViolated,
     check_rule,
     check_tree,
     derive_extensionality,
@@ -368,8 +367,6 @@ def check_line(
             raise LineFailed(line.number, "use the dedicated cut justification")
         try:
             check_rule(j.name, seq, prems, None, script.theory, path=(line.number,))
-        except SideConditionViolated as e:
-            raise LineFailed(line.number, str(e)) from None
         except KernelError as e:
             raise LineFailed(line.number, str(e)) from None
         return

@@ -1,13 +1,18 @@
 """Formula syntax: AST nodes, variable bookkeeping, capture-avoiding substitution.
 
-Formulas are immutable. Equality and hashing go through a cached canonical
-key in which bound variables are replaced by binder indices, so ``==`` is
-alpha-equivalence throughout the package.
+Formulas are immutable. Equality and hashing go through a canonical key in
+which bound variables are replaced by binder indices, so ``==`` is
+alpha-equivalence throughout the package.  A node's key, size,
+has_quantifier and has_app are derived once, at construction, from its
+children's: connective and application keys are composed from the
+children's keys, and only a quantifier serializes its body (under its
+binder).  Free variables are computed on first use.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import ClassVar
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
 
@@ -74,21 +79,30 @@ class Signature:
 
 
 class Formula:
-    """Base class; concrete nodes are Var, Bottom, And, Or, Implies, Exists, Forall, App."""
+    """Base class; concrete nodes are Var, Bottom, And, Or, Implies, Exists, Forall, App.
 
-    __hash__ = None  # type: ignore[assignment]
+    A node is built after its children, so its key, size, has_quantifier and
+    has_app are derived once, at construction, from the children's values.
+    """
 
-    def _cache(self, name, value):
-        object.__setattr__(self, name, value)
-        return value
+    key: str  # canonical serialization; equal keys mean alpha-equivalent formulas
+    size: int  # number of AST nodes
+    has_quantifier: bool
+    has_app: bool
 
-    @property
-    def key(self) -> str:
-        """Canonical serialization; equal keys mean alpha-equivalent formulas."""
-        try:
-            return self._key  # type: ignore[attr-defined]
-        except AttributeError:
-            return self._cache("_key", _serialize(self, {}, 0))
+    def _derive(self, key: str, quantifier: bool = False, app: bool = False) -> None:
+        size = 1
+        for c in self.children():
+            size += c.size
+            quantifier = quantifier or c.has_quantifier
+            app = app or c.has_app
+        # past the frozen dataclass's __setattr__; writing through
+        # self.__dict__ instead would give every node a dict object of its own
+        set_ = object.__setattr__
+        set_(self, "key", key)
+        set_(self, "size", size)
+        set_(self, "has_quantifier", quantifier)
+        set_(self, "has_app", app)
 
     def __eq__(self, other):
         if self is other:
@@ -97,48 +111,17 @@ class Formula:
             return NotImplemented
         return self.key == other.key
 
-    def __hash__(self):  # type: ignore[misc]
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            return self._cache("_hash", hash(self.key))
-
-    @property
-    def size(self) -> int:
-        """Number of AST nodes."""
-        try:
-            return self._size  # type: ignore[attr-defined]
-        except AttributeError:
-            return self._cache("_size", 1 + sum(c.size for c in self.children()))
+    def __hash__(self):
+        return hash(self.key)
 
     @property
     def free_vars(self) -> frozenset[Variable]:
         try:
             return self._free  # type: ignore[attr-defined]
         except AttributeError:
-            return self._cache("_free", self._free_vars())
-
-    @property
-    def has_quantifier(self) -> bool:
-        try:
-            return self._hasq  # type: ignore[attr-defined]
-        except AttributeError:
-            return self._cache(
-                "_hasq",
-                isinstance(self, (Exists, Forall)) or any(c.has_quantifier for c in self.children()),
-            )
-
-    @property
-    def has_app(self) -> bool:
-        try:
-            return self._hasapp  # type: ignore[attr-defined]
-        except AttributeError:
-            return self._cache(
-                "_hasapp", isinstance(self, App) or any(c.has_app for c in self.children())
-            )
-
-    def children(self) -> tuple["Formula", ...]:
-        return ()
+            free = self._free_vars()
+            object.__setattr__(self, "_free", free)
+            return free
 
     def _free_vars(self) -> frozenset[Variable]:
         out: frozenset[Variable] = frozenset()
@@ -146,9 +129,12 @@ class Formula:
             out |= c.free_vars
         return out
 
+    def children(self) -> tuple["Formula", ...]:
+        return ()
+
     def bound_vars(self) -> frozenset[Variable]:
         out: frozenset[Variable] = frozenset()
-        if isinstance(self, (Exists, Forall)):
+        if isinstance(self, _Binder):
             out |= {self.var}
         for c in self.children():
             out |= c.bound_vars()
@@ -167,46 +153,57 @@ class Formula:
 class Var(Formula):
     var: Variable
 
+    def __post_init__(self):
+        self._derive(f"v{self.var.name}")
+
     def _free_vars(self):
         return frozenset({self.var})
 
 
 @dataclass(frozen=True, eq=False, repr=False)
 class Bottom(Formula):
-    pass
+    def __post_init__(self):
+        self._derive("F")
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class And(Formula):
+class _Binary(Formula):
     left: Formula
     right: Formula
+
+    tag: ClassVar[str]
+
+    def __post_init__(self):
+        self._derive(f"{self.tag}({self.left.key},{self.right.key})")
 
     def children(self):
         return (self.left, self.right)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Or(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
+class And(_Binary):
+    tag = "&"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Implies(Formula):
-    left: Formula
-    right: Formula
-
-    def children(self):
-        return (self.left, self.right)
+class Or(_Binary):
+    tag = "|"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Exists(Formula):
+class Implies(_Binary):
+    tag = ">"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class _Binder(Formula):
     var: Variable
     body: Formula
+
+    tag: ClassVar[str]
+
+    def __post_init__(self):
+        self._derive(_serialize(self, {}, 0), quantifier=True)
 
     def children(self):
         return (self.body,)
@@ -216,15 +213,13 @@ class Exists(Formula):
 
 
 @dataclass(frozen=True, eq=False, repr=False)
-class Forall(Formula):
-    var: Variable
-    body: Formula
+class Exists(_Binder):
+    tag = "E"
 
-    def children(self):
-        return (self.body,)
 
-    def _free_vars(self):
-        return self.body.free_vars - {self.var}
+@dataclass(frozen=True, eq=False, repr=False)
+class Forall(_Binder):
+    tag = "A"
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -238,28 +233,25 @@ class App(Formula):
             raise FormulaError(
                 f"{self.symbol.name} expects {self.symbol.arity} arguments, got {len(self.args)}"
             )
+        inner = ",".join(a.key for a in self.args)
+        self._derive(f"@{self.symbol.name}/{self.symbol.arity}({inner})", app=True)
 
     def children(self):
         return self.args
 
 
 def _serialize(f: Formula, env: dict[Variable, int], depth: int) -> str:
+    """f's key with each variable of env replaced by its binder index; the
+    next binder inside f takes index `depth`."""
     if isinstance(f, Var):
         idx = env.get(f.var)
-        return f"#{idx}" if idx is not None else f"v{f.var.name}"
+        return f"#{idx}" if idx is not None else f.key
     if isinstance(f, Bottom):
-        return "F"
-    if isinstance(f, And):
-        return f"&({_serialize(f.left, env, depth)},{_serialize(f.right, env, depth)})"
-    if isinstance(f, Or):
-        return f"|({_serialize(f.left, env, depth)},{_serialize(f.right, env, depth)})"
-    if isinstance(f, Implies):
-        return f">({_serialize(f.left, env, depth)},{_serialize(f.right, env, depth)})"
-    if isinstance(f, (Exists, Forall)):
-        tag = "E" if isinstance(f, Exists) else "A"
-        inner = dict(env)
-        inner[f.var] = depth
-        return f"{tag}({_serialize(f.body, inner, depth + 1)})"
+        return f.key
+    if isinstance(f, _Binary):
+        return f"{f.tag}({_serialize(f.left, env, depth)},{_serialize(f.right, env, depth)})"
+    if isinstance(f, _Binder):
+        return f"{f.tag}({_serialize(f.body, {**env, f.var: depth}, depth + 1)})"
     if isinstance(f, App):
         inner = ",".join(_serialize(a, env, depth) for a in f.args)
         return f"@{f.symbol.name}/{f.symbol.arity}({inner})"
@@ -318,12 +310,12 @@ def _subst(f: Formula, bindings: dict[Variable, Formula]) -> Formula:
         return bindings.get(f.var, f)
     if isinstance(f, Bottom):
         return f
-    if isinstance(f, (And, Or, Implies)):
+    if isinstance(f, _Binary):
         left, right = _subst(f.left, bindings), _subst(f.right, bindings)
         if left is f.left and right is f.right:
             return f
         return type(f)(left, right)
-    if isinstance(f, (Exists, Forall)):
+    if isinstance(f, _Binder):
         live = {v: g for v, g in bindings.items() if v != f.var and v in f.body.free_vars}
         if not live:
             return f

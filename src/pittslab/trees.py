@@ -39,7 +39,9 @@ def _token(tokens: list[str], i: int) -> str:
     return tokens[i]
 
 
-def _read(tokens: list[str], i: int, parser: Parser):
+def _node(tokens: list[str], i: int, parser: Parser):
+    """Rule, sequent and extra data of the node opening at token i, and the
+    index of the token after them."""
     if _token(tokens, i) != "(":
         raise MalformedScript(f"expected '(' at token {i}")
     i += 1
@@ -61,20 +63,26 @@ def _read(tokens: list[str], i: int, parser: Parser):
             data = (name, dict(_parse_bindings(brace or "{}", parser)))
         else:
             data = parser.parse(raw)
-    children = []
-    while _token(tokens, i) != ")":
-        child, i = _read(tokens, i, parser)
-        children.append(child)
-    return ProofTree(rule, seq, tuple(children), data), i + 1
+    return rule, seq, data, i
 
 
 def parse_tree(text: str, signature: Signature | None = None) -> ProofTree:
     parser = Parser(signature or Signature())
     tokens = _tokens(text)
-    tree, end = _read(tokens, 0, parser)
-    if end != len(tokens):
-        raise MalformedScript("trailing input after tree")
-    return tree
+    open_nodes = []  # (rule, sequent, data, premises so far) of each unclosed node
+    i = 0
+    while True:
+        rule, seq, data, i = _node(tokens, i, parser)
+        open_nodes.append((rule, seq, data, []))
+        while _token(tokens, i) == ")":
+            i += 1
+            rule, seq, data, premises = open_nodes.pop()
+            tree = ProofTree(rule, seq, tuple(premises), data)
+            if not open_nodes:
+                if i != len(tokens):
+                    raise MalformedScript("trailing input after tree")
+                return tree
+            open_nodes[-1][3].append(tree)
 
 
 def print_tree(tree: ProofTree, indent: int = 0) -> str:

@@ -150,6 +150,29 @@ def test_extract_aux_malformed_tree_is_exit_two(capsys, tmp_path, text):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_extract_aux_deep_tree_is_exit_two(capsys, tmp_path):
+    # a valid chain of 1,200 weakenings and contractions over P |- P; its
+    # conclusion is not the connective
+    lines = [
+        f'({"wL" if d % 2 else "cL"} "{"P, P" if d % 2 else "P"} |- P"' for d in range(1200, 0, -1)
+    ]
+    tree = tmp_path / "deep.tree"
+    tree.write_text("\n".join(lines) + '\n(ax "P |- P"' + ")" * 1201)
+    code, out, err = run(capsys, "extract-aux", str(tree), "--body", "Y -> P", "--var", "Y")
+    assert code == 2 and out == ""
+    assert err == "error: tree must conclude the quantified connective\n"
+
+
+def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
+    # no user input reaches a KeyError, so one is a bug, not exit 2
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("pittslab.cli.prove", broken)
+    with pytest.raises(KeyError):
+        main(["prove", "|- P -> P"])
+
+
 def test_extract_aux_command(capsys):
     from pittslab.replays import script_root
 

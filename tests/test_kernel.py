@@ -184,6 +184,22 @@ def test_check_report_pinpoints_first_failing_node():
     assert rep.path == (0,)  # leftmost failure reported first
 
 
+def test_check_report_pinpoints_failure_deep_in_a_chain():
+    # 1,200 alternating weakenings and contractions over P |- P, with a Q in
+    # the contraction 900 levels down: it and its parent fail, the parent
+    # first in preorder; so does a bad right sibling of the whole chain
+    tree = t_ax(P)
+    for depth in range(1200, 0, -1):
+        hyps = [P, Q] if depth == 900 else [P, P] if depth % 2 else [P]
+        tree = ProofTree("wL" if depth % 2 else "cL", sequent(hyps, P), (tree,))
+    rep = check_tree(tree)
+    assert not rep.ok and rep.path == (0,) * 898
+    bad_sibling = ProofTree("ax", sequent([P, P], P))
+    both = ProofTree("andR", sequent([P, P], And(P, P)), (tree, bad_sibling))
+    assert check_tree(both).path == (0,) * 899
+    assert sum(1 for _ in tree.nodes()) == 1201
+
+
 def test_cut_with_wrong_merge_rejected():
     from pittslab.kernel import t_ax
 

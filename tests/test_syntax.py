@@ -6,6 +6,7 @@ from pittslab.syntax import (
     BOT,
     ConnectiveSymbol,
     Exists,
+    Forall,
     Implies,
     Or,
     Signature,
@@ -14,6 +15,7 @@ from pittslab.syntax import (
     Variable,
     iff,
     neg,
+    require_plain,
     substitute,
     var,
 )
@@ -133,3 +135,42 @@ def test_free_vars_equation_randomized():
             assert out.free_vars == (f.free_vars - {gvar}) | g.free_vars
         else:
             assert out.free_vars == f.free_vars
+
+
+# Keys of quantified and App formulas as literals: memo lookups, rule-scan
+# order and the golden files all rely on keys staying byte-identical.
+_t, _u = ConnectiveSymbol("t", 2), ConnectiveSymbol("u", 1)
+_vX, _vY, _vZ = Variable("X"), Variable("Y"), Variable("Z")
+
+
+@pytest.mark.parametrize("formula, key", [
+    pytest.param(Exists(_vX, Forall(_vY, Implies(X, Or(Y, Z)))), "E(A(>(#0,|(#1,vZ))))", id="nested"),
+    pytest.param(Forall(_vX, And(X, Exists(_vX, Implies(X, Y)))), "A(&(#0,E(>(#1,vY))))",
+                 id="shadowing"),
+    pytest.param(Forall(_vZ, And(Z, Exists(_vX, Implies(X, Y)))), "A(&(#0,E(>(#1,vY))))",
+                 id="alpha-variant"),
+    pytest.param(Forall(_vZ, And(Z, Exists(_vY, Implies(Y, Y)))), "A(&(#0,E(>(#1,#1))))",
+                 id="inner-binder-captures"),
+    pytest.param(And(X, Exists(_vX, Forall(_vZ, Implies(Z, X)))), "&(vX,E(A(>(#1,#0))))",
+                 id="free-and-bound"),
+    pytest.param(Exists(_vY, App(_t, (Y, App(_u, (neg(X),))))), "E(@t/2(#0,@u/1(>(vX,F))))",
+                 id="app-under-binder"),
+    pytest.param(App(_t, (Forall(_vX, X), Exists(_vZ, Or(Z, BOT)))), "@t/2(A(#0),E(|(#0,F)))",
+                 id="binders-under-app"),
+])
+def test_pinned_keys(formula, key):
+    assert formula.key == key
+
+
+def test_deep_formula_attributes_need_no_recursion():
+    f = X
+    for _ in range(1500):
+        f = neg(f)
+    g = X
+    for _ in range(1500):
+        g = neg(g)
+    assert f.size == 3001
+    assert f.key.startswith(">(>(") and f.key == g.key
+    assert not f.has_quantifier and not f.has_app
+    assert hash(f) == hash(g) and f == g and f is not g
+    require_plain(f)
