@@ -319,8 +319,12 @@ def main(argv=None) -> int:
     except (NotCutFree, NoEligibleRule, LevelExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (FormulaSyntaxError, FormulaError, ScriptError, UsageError, FileNotFoundError) as e:
+    except (FormulaSyntaxError, FormulaError, ScriptError, UsageError, OSError,
+            UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
 
 

@@ -4,6 +4,12 @@ Rules: ax, cut, wL, cL, wR, orL, orR1, orR2, andR, andL1, andL2, impL,
 impR, botL, allL, allR, exR, exL, plus `schema` and `congruence`, which are
 admitted only when a SchemaTheory is in force.  Hypotheses are multisets;
 formulas compare up to alpha-equivalence.
+
+`check_rule` checks each rule shape in one place.  The `_PREMISES` table
+holds every premise count, and `_SAME_GOAL` and `_RIGHT` the conclusion
+checks that rules share.  `_principals` is the one matcher of a left rule's
+principal hypothesis and the rest of its context, and `_one_extra` finds the
+one hypothesis by which two contexts differ.
 """
 from __future__ import annotations
 
@@ -236,293 +242,223 @@ def match_single(pattern: Formula, x: Variable, target: Formula) -> Formula | No
     return first
 
 
+# Premises each rule takes.  Congruence takes one per argument of its
+# symbol, checked once its theory and conclusion are known to be sound; schema
+# checks its own after its theory and data.
+_PREMISES = {
+    "ax": 0, "botL": 0,
+    "wL": 1, "cL": 1, "wR": 1, "orR1": 1, "orR2": 1, "andL1": 1, "andL2": 1,
+    "impR": 1, "allL": 1, "allR": 1, "exR": 1, "exL": 1,
+    "cut": 2, "orL": 2, "andR": 2, "impL": 2,
+}
+# Rules whose one premise concludes the conclusion's formula.
+_SAME_GOAL = frozenset(("wL", "cL", "andL1", "andL2", "allL", "exL"))
+# Right rules: the connective of their conclusion's formula.
+_RIGHT = {
+    "orR1": (Or, "a disjunction"), "orR2": (Or, "a disjunction"),
+    "andR": (And, "a conjunction"), "impR": (Implies, "an implication"),
+    "allR": (Forall, "universally quantified"), "exR": (Exists, "existentially quantified"),
+}
+
+
 def check_rule(rule: str, concl: Sequent, premises: tuple[Sequent, ...], data=None,
                theory: SchemaTheory | None = None, path=()) -> None:
     """Verify one rule instance; raise MalformedRule / SideConditionViolated."""
+    reason = _fault(rule, concl, premises, data, theory, path)
+    if reason is not None:
+        raise MalformedRule(path, f"{rule}: {reason}")
 
-    def bad(msg):
-        raise MalformedRule(path, f"{rule}: {msg}")
 
-    def need(n):
-        if len(premises) != n:
-            bad(f"expected {n} premises, got {len(premises)}")
-
-    cm = concl.multiset
-
-    if rule == "ax":
-        need(0)
-        if len(concl.hyps) != 1 or concl.hyps[0] != concl.concl:
-            bad("conclusion must be phi |- phi")
-        return
-
-    if rule == "botL":
-        need(0)
-        if len(concl.hyps) != 1 or not isinstance(concl.hyps[0], Bottom):
-            bad("conclusion must be bot |- phi")
-        return
-
-    if rule == "cut":
-        need(2)
-        s1, s2 = premises
-        phi = data if isinstance(data, Formula) else s1.concl
-        if s1.concl != phi:
-            bad("first premise must conclude the cut formula")
-        if s2.multiset[phi] < 1:
-            bad("cut formula missing from second premise hypotheses")
-        if concl.concl != s2.concl:
-            bad("conclusion formula mismatch")
-        expect = s1.multiset + s2.multiset
-        expect[phi] -= 1
-        if +expect != cm:
-            bad("hypotheses are not the merge of the premises")
-        return
+def _fault(rule, concl, premises, data, theory, path) -> str | None:
+    """Why the instance is malformed, or None when it is sound."""
+    goal = concl.concl
+    count = _PREMISES.get(rule)
+    if rule == "congruence":
+        if theory is None:
+            return "congruence rule outside any theory"
+        if not isinstance(goal, App):
+            return "conclusion must be an uninterpreted application"
+        if theory.signature.get(goal.symbol.name) != goal.symbol:
+            return f"symbol {goal.symbol.name} not in the theory signature"
+        count = goal.symbol.arity
+    if count is not None and len(premises) != count:
+        return f"expected {count} premises, got {len(premises)}"
+    if rule in _SAME_GOAL and premises[0].concl != goal:
+        return "conclusion formula mismatch"
+    right = _RIGHT.get(rule)
+    if right is not None and not isinstance(goal, right[0]):
+        return f"conclusion must be {right[1]}"
 
     if rule == "wL":
-        need(1)
-        (s,) = premises
-        if concl.concl != s.concl:
-            bad("conclusion formula mismatch")
-        diff = cm - s.multiset
-        if sum(diff.values()) != 1 or +( s.multiset - cm):
-            bad("conclusion must add exactly one hypothesis")
-        return
-
-    if rule == "cL":
-        need(1)
-        (s,) = premises
-        if concl.concl != s.concl:
-            bad("conclusion formula mismatch")
-        diff = s.multiset - cm
-        if sum(diff.values()) != 1 or +(cm - s.multiset):
-            bad("premise must have exactly one extra copy")
-        phi = next(iter(diff))
+        if _one_extra(concl.multiset, premises[0].multiset) is None:
+            return "conclusion must add exactly one hypothesis"
+    elif rule == "ax":
+        if len(concl.hyps) != 1 or concl.hyps[0] != goal:
+            return "conclusion must be phi |- phi"
+    elif rule == "cL":
+        cm = concl.multiset
+        phi = _one_extra(premises[0].multiset, cm)
+        if phi is None:
+            return "premise must have exactly one extra copy"
         if cm[phi] < 1:
-            bad("contracted formula must remain present")
-        return
-
-    if rule == "wR":
-        need(1)
-        (s,) = premises
-        if not isinstance(s.concl, Bottom):
-            bad("premise must have empty (bot) right side")
-        if s.multiset != cm:
-            bad("hypotheses must match")
-        return
-
-    if rule == "orL":
-        need(2)
+            return "contracted formula must remain present"
+    elif rule == "impR":
+        s = premises[0]
+        if s.concl != goal.right:
+            return "premise must conclude the consequent"
+        if _one_extra(s.multiset, concl.multiset) != goal.left:
+            return "premise must add the antecedent as a hypothesis"
+    elif rule in ("andL1", "andL2"):
+        sm = premises[0].multiset
+        for principal, rest in _principals(concl, And):
+            if _one_extra(sm, rest) == (principal.left if rule == "andL1" else principal.right):
+                return None
+        return "no conjunction hypothesis matches the premise"
+    elif rule == "botL":
+        if len(concl.hyps) != 1 or not isinstance(concl.hyps[0], Bottom):
+            return "conclusion must be bot |- phi"
+    elif rule == "impL":
         s1, s2 = premises
-        if s1.concl != concl.concl or s2.concl != concl.concl:
-            bad("premise conclusions must match")
-        for principal in set(f for f in concl.hyps if isinstance(f, Or)):
-            rest = cm.copy()
-            rest[principal] -= 1
-            m1 = rest.copy()
-            m1[principal.left] += 1
-            m2 = rest.copy()
-            m2[principal.right] += 1
-            if +m1 == s1.multiset and +m2 == s2.multiset:
-                return
-        bad("no disjunction hypothesis matches the premises")
-
-    if rule in ("orR1", "orR2"):
-        need(1)
-        (s,) = premises
-        if not isinstance(concl.concl, Or):
-            bad("conclusion must be a disjunction")
-        part = concl.concl.left if rule == "orR1" else concl.concl.right
-        if s.concl != part or s.multiset != cm:
-            bad("premise must prove the chosen disjunct in the same context")
-        return
-
-    if rule == "andR":
-        need(2)
-        s1, s2 = premises
-        if not isinstance(concl.concl, And):
-            bad("conclusion must be a conjunction")
-        if s1.concl != concl.concl.left or s2.concl != concl.concl.right:
-            bad("premises must prove the two conjuncts")
-        if s1.multiset != cm or s2.multiset != cm:
-            bad("premises must share the conclusion context")
-        return
-
-    if rule in ("andL1", "andL2"):
-        need(1)
-        (s,) = premises
-        if s.concl != concl.concl:
-            bad("conclusion formula mismatch")
-        for principal in set(f for f in concl.hyps if isinstance(f, And)):
-            part = principal.left if rule == "andL1" else principal.right
-            rest = cm.copy()
-            rest[principal] -= 1
-            rest[part] += 1
-            if +rest == s.multiset:
-                return
-        bad("no conjunction hypothesis matches the premise")
-
-    if rule == "impL":
-        need(2)
-        s1, s2 = premises
-        if s2.concl != concl.concl:
-            bad("second premise must conclude the goal")
-        for principal in set(f for f in concl.hyps if isinstance(f, Implies)):
-            if principal.left != s1.concl:
-                continue
-            if s2.multiset[principal.right] < 1:
+        if s2.concl != goal:
+            return "second premise must conclude the goal"
+        for principal, rest in _principals(concl, Implies):
+            if principal.left != s1.concl or s2.multiset[principal.right] < 1:
                 continue
             expect = s1.multiset + s2.multiset
             expect[principal.right] -= 1
-            expect[principal] += 1
-            if +expect == cm:
-                return
-        bad("no implication hypothesis matches the premises")
-
-    if rule == "impR":
-        need(1)
-        (s,) = premises
-        if not isinstance(concl.concl, Implies):
-            bad("conclusion must be an implication")
-        if s.concl != concl.concl.right:
-            bad("premise must conclude the consequent")
-        expect = cm.copy()
-        expect[concl.concl.left] += 1
-        if +expect != s.multiset:
-            bad("premise must add the antecedent as a hypothesis")
-        return
-
-    if rule == "allL":
-        need(1)
-        (s,) = premises
-        if s.concl != concl.concl:
-            bad("conclusion formula mismatch")
-        for principal in set(f for f in concl.hyps if isinstance(f, Forall)):
-            rest = cm.copy()
-            rest[principal] -= 1
-            extra = s.multiset - rest
-            if sum(extra.values()) != 1 or +(rest - s.multiset):
+            if expect == rest:
+                return None
+        return "no implication hypothesis matches the premises"
+    elif rule == "orL":
+        s1, s2 = premises
+        if s1.concl != goal or s2.concl != goal:
+            return "premise conclusions must match"
+        for principal, rest in _principals(concl, Or):
+            if (_one_extra(s1.multiset, rest) == principal.left
+                    and _one_extra(s2.multiset, rest) == principal.right):
+                return None
+        return "no disjunction hypothesis matches the premises"
+    elif rule in ("orR1", "orR2"):
+        s = premises[0]
+        part = goal.left if rule == "orR1" else goal.right
+        if s.concl != part or s.multiset != concl.multiset:
+            return "premise must prove the chosen disjunct in the same context"
+    elif rule == "cut":
+        s1, s2 = premises
+        phi = data if isinstance(data, Formula) else s1.concl
+        if s1.concl != phi:
+            return "first premise must conclude the cut formula"
+        if s2.multiset[phi] < 1:
+            return "cut formula missing from second premise hypotheses"
+        if goal != s2.concl:
+            return "conclusion formula mismatch"
+        expect = s1.multiset + s2.multiset
+        expect[phi] -= 1
+        if expect != concl.multiset:
+            return "hypotheses are not the merge of the premises"
+    elif rule == "andR":
+        s1, s2 = premises
+        if s1.concl != goal.left or s2.concl != goal.right:
+            return "premises must prove the two conjuncts"
+        if s1.multiset != concl.multiset or s2.multiset != concl.multiset:
+            return "premises must share the conclusion context"
+    elif rule in ("wR", "allR", "exR"):
+        s = premises[0]
+        if rule == "wR" and not isinstance(s.concl, Bottom):
+            return "premise must have empty (bot) right side"
+        if s.multiset != concl.multiset:
+            return "hypotheses must match"
+        if rule == "allR" and not _eigen(rule, goal, s.concl, data, concl.hyps, path):
+            return "premise does not match the quantified body"
+        if rule == "exR":
+            if isinstance(data, Formula):
+                if substitute(goal.body, {goal.var: data}) != s.concl:
+                    return "premise is not the declared witness instance"
+            elif match_single(goal.body, goal.var, s.concl) is None:
+                return "premise does not instantiate the quantified body"
+    elif rule == "allL":
+        sm = premises[0].multiset
+        for principal, rest in _principals(concl, Forall):
+            inst = _one_extra(sm, rest)
+            if inst is None:
                 continue
-            inst = next(iter(extra))
             if isinstance(data, Formula):
                 if substitute(principal.body, {principal.var: data}) == inst:
-                    return
+                    return None
             elif match_single(principal.body, principal.var, inst) is not None:
-                return
-        bad("no universal hypothesis matches the premise")
-
-    if rule == "allR":
-        need(1)
-        (s,) = premises
-        if not isinstance(concl.concl, Forall):
-            bad("conclusion must be universally quantified")
-        if s.multiset != cm:
-            bad("hypotheses must match")
-        vacuous, y = _eigen(concl.concl, s.concl, data)
-        if not vacuous and y is None:
-            bad("premise does not match the quantified body")
-        if y is not None:
-            ctx_vars: frozenset[Variable] = frozenset()
-            for h in concl.hyps:
-                ctx_vars |= h.free_vars
-            if y in ctx_vars:
-                raise SideConditionViolated(y, path, f"allR: {y} occurs free in the context")
-        return
-
-    if rule == "exR":
-        need(1)
-        (s,) = premises
-        if not isinstance(concl.concl, Exists):
-            bad("conclusion must be existentially quantified")
-        if s.multiset != cm:
-            bad("hypotheses must match")
-        if isinstance(data, Formula):
-            if substitute(concl.concl.body, {concl.concl.var: data}) != s.concl:
-                bad("premise is not the declared witness instance")
-        elif match_single(concl.concl.body, concl.concl.var, s.concl) is None:
-            bad("premise does not instantiate the quantified body")
-        return
-
-    if rule == "exL":
-        need(1)
-        (s,) = premises
-        if s.concl != concl.concl:
-            bad("conclusion formula mismatch")
-        for principal in set(f for f in concl.hyps if isinstance(f, Exists)):
-            rest = cm.copy()
-            rest[principal] -= 1
-            extra = s.multiset - rest
-            if sum(extra.values()) != 1 or +(rest - s.multiset):
-                continue
-            inst = next(iter(extra))
-            vacuous, y = _eigen(principal, inst, data)
-            if not vacuous and y is None:
-                continue
-            if y is not None:
-                ctx_vars = concl.concl.free_vars
-                for f, n in rest.items():
-                    if n > 0:
-                        ctx_vars |= f.free_vars
-                if y in ctx_vars:
-                    raise SideConditionViolated(y, path, f"exL: {y} occurs free in the context")
-            return
-        bad("no existential hypothesis matches the premise")
-
-    if rule == "schema":
+                return None
+        return "no universal hypothesis matches the premise"
+    elif rule == "exL":
+        sm = premises[0].multiset
+        for principal, rest in _principals(concl, Exists):
+            inst = _one_extra(sm, rest)
+            if inst is not None and _eigen(rule, principal, inst, data, (goal, *+rest), path):
+                return None
+        return "no existential hypothesis matches the premise"
+    elif rule == "schema":
         if theory is None:
-            bad("schema rule outside any theory")
+            return "schema rule outside any theory"
         if not isinstance(data, tuple) or len(data) != 2:
-            bad("schema rule needs (name, bindings) data")
+            return "schema rule needs (name, bindings) data"
         label, bindings = data
         if label not in theory.schemas:
-            bad(f"unknown axiom schema {label!r}")
+            return f"unknown axiom schema {label!r}"
         if premises:
-            bad("axiom schema takes no premises")
+            return "axiom schema takes no premises"
         inst = theory.instantiate(label, bindings)
-        if concl.concl != inst.concl or not _contains(cm, inst.multiset):
-            bad(f"conclusion is not an instance of schema {label!r} (up to weakening)")
-        return
-
-    if rule == "congruence":
-        if theory is None:
-            bad("congruence rule outside any theory")
-        if not isinstance(concl.concl, App):
-            bad("conclusion must be an uninterpreted application")
-        sym = concl.concl.symbol
-        if theory.signature.get(sym.name) != sym:
-            bad(f"symbol {sym.name} not in the theory signature")
-        need(sym.arity)
-        for principal in set(f for f in concl.hyps if isinstance(f, App) and f.symbol == sym):
-            rest = cm.copy()
-            rest[principal] -= 1
-            rest = +rest
-            okay = True
-            for prem, a, b in zip(premises, principal.args, concl.concl.args):
-                if prem.multiset != rest or prem.concl != iff(a, b):
-                    okay = False
-                    break
-            if okay:
-                return
-        bad("no application hypothesis matches the congruence premises")
-
-    bad("unhandled rule")
+        if goal != inst.concl or not _contains(concl.multiset, inst.multiset):
+            return f"conclusion is not an instance of schema {label!r} (up to weakening)"
+    elif rule == "congruence":
+        for principal, rest in _principals(concl, App):
+            if principal.symbol == goal.symbol and all(
+                prem.multiset == rest and prem.concl == iff(a, b)
+                for prem, a, b in zip(premises, principal.args, goal.args)
+            ):
+                return None
+        return "no application hypothesis matches the congruence premises"
+    else:
+        return "unhandled rule"
+    return None
 
 
-def _eigen(quantified, instance: Formula, data) -> tuple[bool, Variable | None]:
-    """Resolve an allR/exL premise against the quantified formula.
+def _principals(concl: Sequent, kind):
+    """Each distinct hypothesis of type `kind`, with the rest of the context:
+    a fresh multiset of the hypotheses less one copy of it."""
+    for principal in set(f for f in concl.hyps if isinstance(f, kind)):
+        rest = concl.multiset.copy()
+        rest[principal] -= 1
+        yield principal, rest
 
-    Returns (vacuous, eigenvariable).  For vacuous quantification the binder
-    is alpha-renamable to anything fresh, so no side condition applies.
+
+def _one_extra(big: Counter, small: Counter) -> Formula | None:
+    """The formula `big` holds one more copy of than `small`, when that is
+    all they differ by; else None."""
+    if big.total() != small.total() + 1 or not _contains(big, small):
+        return None
+    return next(f for f, n in big.items() if n > small[f])
+
+
+def _eigen(rule, quantified, instance: Formula, data, context, path) -> bool:
+    """Whether `instance` is the body of an allR/exL `quantified` formula at
+    its eigenvariable (the variable `data`, when one is declared).
+
+    A vacuous binder is alpha-renamable to anything fresh, so it matches its
+    body with no side condition; otherwise the eigenvariable must not occur
+    free in `context`.
     """
     body, x = quantified.body, quantified.var
     if x not in body.free_vars:
-        return (body == instance, None)
+        return body == instance
     if isinstance(data, Variable):
-        if substitute(body, {x: Var(data)}) == instance:
-            return (False, data)
-        return (False, None)
-    t = match_single(body, x, instance)
-    if isinstance(t, Var):
-        return (False, t.var)
-    return (False, None)
+        y = data if substitute(body, {x: Var(data)}) == instance else None
+    else:
+        t = match_single(body, x, instance)
+        y = t.var if isinstance(t, Var) else None
+    if y is None:
+        return False
+    if any(y in f.free_vars for f in context):
+        raise SideConditionViolated(y, path, f"{rule}: {y} occurs free in the context")
+    return True
 
 
 def check_tree(tree: ProofTree, theory: SchemaTheory | None = None) -> CheckReport:
@@ -532,14 +468,8 @@ def check_tree(tree: ProofTree, theory: SchemaTheory | None = None) -> CheckRepo
     while todo:
         node, path = todo.pop()
         try:
-            check_rule(
-                node.rule,
-                node.conclusion,
-                tuple(p.conclusion for p in node.premises),
-                node.data,
-                theory,
-                path,
-            )
+            premises = tuple([p.conclusion for p in node.premises])
+            check_rule(node.rule, node.conclusion, premises, node.data, theory, path)
         except SideConditionViolated as e:
             return CheckReport(False, "SideConditionViolated", path, str(e))
         except KernelError as e:
@@ -573,18 +503,29 @@ def substitute_tree(tree: ProofTree, bindings: dict[Variable, Formula]) -> Proof
 # Tree builders.  Each returns a ProofTree whose conclusion is computed from
 # the parts, so composite constructions stay well formed by construction.
 
-def t_ax(f: Formula, extra=()) -> ProofTree:
-    t = ProofTree("ax", Sequent((f,), f))
+def _weakened(t: ProofTree, extra) -> ProofTree:
     for g in extra:
         t = t_wl(t, g)
     return t
+
+
+def _left(rule: str, t: ProofTree, old: Formula, new: Formula, data=None) -> ProofTree:
+    """`rule` below t: one copy of hypothesis `old` becomes `new`."""
+    c = t.conclusion
+    return ProofTree(rule, Sequent(_minus(c.hyps, old) + (new,), c.concl), (t,), data)
+
+
+def _right(rule: str, t: ProofTree, goal: Formula, data=None) -> ProofTree:
+    """`rule` below t: the same hypotheses prove `goal`."""
+    return ProofTree(rule, Sequent(t.conclusion.hyps, goal), (t,), data)
+
+
+def t_ax(f: Formula, extra=()) -> ProofTree:
+    return _weakened(ProofTree("ax", Sequent((f,), f)), extra)
 
 
 def t_botL(concl: Formula, extra=()) -> ProofTree:
-    t = ProofTree("botL", Sequent((BOT,), concl))
-    for g in extra:
-        t = t_wl(t, g)
-    return t
+    return _weakened(ProofTree("botL", Sequent((BOT,), concl)), extra)
 
 
 def t_wl(t: ProofTree, f: Formula) -> ProofTree:
@@ -600,14 +541,12 @@ def t_cl(t: ProofTree, f: Formula) -> ProofTree:
 def t_cl_to(t: ProofTree, target_hyps) -> ProofTree:
     """Contract duplicates until the hypothesis multiset equals the target."""
     target = Counter(target_hyps)
-    while True:
-        cur = t.conclusion.multiset
-        if cur == target:
-            return t
+    while (cur := t.conclusion.multiset) != target:
         excess = cur - target
-        if not +excess or +(target - cur):
+        if not excess or target - cur:
             raise KernelError("cannot reach target hypotheses by contraction")
         t = t_cl(t, next(iter(excess)))
+    return t
 
 
 def t_cut(t1: ProofTree, t2: ProofTree) -> ProofTree:
@@ -636,27 +575,19 @@ def t_andR(t1: ProofTree, t2: ProofTree) -> ProofTree:
 
 
 def t_andL1(t: ProofTree, part: Formula, partner: Formula) -> ProofTree:
-    c = t.conclusion
-    return ProofTree(
-        "andL1", Sequent(_minus(c.hyps, part) + (And(part, partner),), c.concl), (t,)
-    )
+    return _left("andL1", t, part, And(part, partner))
 
 
 def t_andL2(t: ProofTree, part: Formula, partner: Formula) -> ProofTree:
-    c = t.conclusion
-    return ProofTree(
-        "andL2", Sequent(_minus(c.hyps, part) + (And(partner, part),), c.concl), (t,)
-    )
+    return _left("andL2", t, part, And(partner, part))
 
 
 def t_orR1(t: ProofTree, other: Formula) -> ProofTree:
-    c = t.conclusion
-    return ProofTree("orR1", Sequent(c.hyps, Or(c.concl, other)), (t,))
+    return _right("orR1", t, Or(t.conclusion.concl, other))
 
 
 def t_orR2(t: ProofTree, other: Formula) -> ProofTree:
-    c = t.conclusion
-    return ProofTree("orR2", Sequent(c.hyps, Or(other, c.concl)), (t,))
+    return _right("orR2", t, Or(other, t.conclusion.concl))
 
 
 def t_orL_on(t1: ProofTree, a: Formula, t2: ProofTree, b: Formula) -> ProofTree:
@@ -668,25 +599,19 @@ def t_orL_on(t1: ProofTree, a: Formula, t2: ProofTree, b: Formula) -> ProofTree:
 
 
 def t_exR(t: ProofTree, target: Exists, witness: Formula) -> ProofTree:
-    c = t.conclusion
-    return ProofTree("exR", Sequent(c.hyps, target), (t,), witness)
+    return _right("exR", t, target, witness)
 
 
 def t_exL(t: ProofTree, instance: Formula, principal: Exists) -> ProofTree:
-    c = t.conclusion
-    return ProofTree("exL", Sequent(_minus(c.hyps, instance) + (principal,), c.concl), (t,))
+    return _left("exL", t, instance, principal)
 
 
 def t_allR(t: ProofTree, target: Forall) -> ProofTree:
-    c = t.conclusion
-    return ProofTree("allR", Sequent(c.hyps, target), (t,))
+    return _right("allR", t, target)
 
 
 def t_allL(t: ProofTree, instance: Formula, principal: Forall, witness: Formula) -> ProofTree:
-    c = t.conclusion
-    return ProofTree(
-        "allL", Sequent(_minus(c.hyps, instance) + (principal,), c.concl), (t,), witness
-    )
+    return _left("allL", t, instance, principal, witness)
 
 
 def t_schema(concl: Sequent, label: str, bindings: dict[Variable, Formula]) -> ProofTree:
@@ -720,10 +645,10 @@ def derive_extensionality(
         raise VariableClash(f"variables {sorted(v.name for v in clash)} would be captured")
     if context.has_app and not allow_app:
         raise KernelError("context contains an uninterpreted connective")
-    return _ext(context, hole, p, p_prime, allow_app)
+    return _ext(context, hole, p, p_prime)
 
 
-def _ext(c: Formula, hole: Variable, p: Formula, q: Formula, allow_app: bool) -> ProofTree:
+def _ext(c: Formula, hole: Variable, p: Formula, q: Formula) -> ProofTree:
     hyp_pq = Implies(p, q)
     hyp_qp = Implies(q, p)
     if hole not in c.free_vars:
@@ -734,18 +659,18 @@ def _ext(c: Formula, hole: Variable, p: Formula, q: Formula, allow_app: bool) ->
         t = t_impL(t_ax(p), t_ax(q), q)  # p, p->q |- q
         return t_wl(t, hyp_qp)
     if isinstance(c, And):
-        ta = _ext(c.left, hole, p, q, allow_app)
-        tb = _ext(c.right, hole, p, q, allow_app)
+        ta = _ext(c.left, hole, p, q)
+        tb = _ext(c.right, hole, p, q)
         ta = t_andL1(ta, substitute(c.left, sub_p), substitute(c.right, sub_p))
         tb = t_andL2(tb, substitute(c.right, sub_p), substitute(c.left, sub_p))
         return t_andR(ta, tb)
     if isinstance(c, Or):
-        ta = t_orR1(_ext(c.left, hole, p, q, allow_app), substitute(c.right, sub_q))
-        tb = t_orR2(_ext(c.right, hole, p, q, allow_app), substitute(c.left, sub_q))
+        ta = t_orR1(_ext(c.left, hole, p, q), substitute(c.right, sub_q))
+        tb = t_orR2(_ext(c.right, hole, p, q), substitute(c.left, sub_q))
         return t_orL_on(ta, substitute(c.left, sub_p), tb, substitute(c.right, sub_p))
     if isinstance(c, Implies):
-        ta = _ext(c.left, hole, q, p, allow_app)  # ..., A[q] |- A[p]
-        tb = _ext(c.right, hole, p, q, allow_app)  # ..., B[p] |- B[q]
+        ta = _ext(c.left, hole, q, p)  # ..., A[q] |- A[p]
+        tb = _ext(c.right, hole, p, q)  # ..., B[p] |- B[q]
         t = t_impL(ta, tb, substitute(c.right, sub_p))
         t = t_cl_to(
             t,
@@ -755,7 +680,7 @@ def _ext(c: Formula, hole: Variable, p: Formula, q: Formula, allow_app: bool) ->
     if isinstance(c, (Exists, Forall)):
         body_p = substitute(c.body, sub_p)
         body_q = substitute(c.body, sub_q)
-        inner = _ext(c.body, hole, p, q, allow_app)
+        inner = _ext(c.body, hole, p, q)
         if isinstance(c, Exists):
             t = t_exR(inner, Exists(c.var, body_q), Var(c.var))
             return t_exL(t, body_p, Exists(c.var, body_p))
@@ -764,8 +689,8 @@ def _ext(c: Formula, hole: Variable, p: Formula, q: Formula, allow_app: bool) ->
     if isinstance(c, App):
         prem_trees = []
         for arg in c.args:
-            fwd = t_impR(_ext(arg, hole, p, q, allow_app), substitute(arg, sub_p))
-            bwd = t_impR(_ext(arg, hole, q, p, allow_app), substitute(arg, sub_q))
+            fwd = t_impR(_ext(arg, hole, p, q), substitute(arg, sub_p))
+            bwd = t_impR(_ext(arg, hole, q, p), substitute(arg, sub_q))
             prem_trees.append(t_andR(fwd, bwd))
         app_p = App(c.symbol, tuple(substitute(a, sub_p) for a in c.args))
         app_q = App(c.symbol, tuple(substitute(a, sub_q) for a in c.args))

@@ -53,31 +53,44 @@ class KripkeModel:
             if not val.get(a, frozenset()) <= val.get(b, frozenset()):
                 raise ValueError("valuation must be persistent along the order")
 
-    def leq(self, a, b) -> bool:
-        return (a, b) in self.order
-
     def atoms_at(self, w) -> frozenset:
         return dict(self.valuation).get(w, frozenset())
 
     def forces(self, w, f: Formula) -> bool:
-        if isinstance(f, Var):
-            return f.var.name in self.atoms_at(w)
-        if isinstance(f, Bottom):
-            return False
-        if isinstance(f, And):
-            return self.forces(w, f.left) and self.forces(w, f.right)
-        if isinstance(f, Or):
-            return self.forces(w, f.left) or self.forces(w, f.right)
-        if isinstance(f, Implies):
-            return all(
-                not self.forces(v, f.left) or self.forces(v, f.right)
-                for v in self.worlds
-                if self.leq(w, v)
-            )
-        raise UnsupportedFormula(f"cannot evaluate {f}")
+        return self._forcing()(w, f)
 
     def refutes(self, w, s: Sequent) -> bool:
-        return all(self.forces(w, h) for h in s.hyps) and not self.forces(w, s.concl)
+        forces = self._forcing()
+        return all(forces(w, h) for h in s.hyps) and not forces(w, s.concl)
+
+    def _forcing(self):
+        """The forcing relation by the definition, with a memo of (world,
+        formula) verdicts for the compound formulas that lives as long as
+        the returned function."""
+        val = dict(self.valuation)
+        up = {w: [v for v in self.worlds if (w, v) in self.order] for w in self.worlds}
+        memo: dict = {}
+
+        def forces(w, f: Formula) -> bool:
+            if isinstance(f, Var):
+                return f.var.name in val.get(w, ())
+            if isinstance(f, Bottom):
+                return False
+            hit = memo.get((w, f))
+            if hit is not None:
+                return hit
+            if isinstance(f, And):
+                out = forces(w, f.left) and forces(w, f.right)
+            elif isinstance(f, Or):
+                out = forces(w, f.left) or forces(w, f.right)
+            elif isinstance(f, Implies):
+                out = all(not forces(v, f.left) or forces(v, f.right) for v in up.get(w, ()))
+            else:
+                raise UnsupportedFormula(f"cannot evaluate {f}")
+            memo[(w, f)] = out
+            return out
+
+        return forces
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ explicit countermodel.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -72,21 +71,27 @@ def _universal_model(depth: int) -> tuple[int, tuple[int, ...], Grid]:
     start = 0  # the worlds of the last round are start, start + 1, ...
     for _ in range(depth - 1):
         count = len(up)
-        for r in (1, 2, 3):
-            for combo in itertools.combinations(range(count), r):
-                if combo[-1] < start:
-                    continue  # already considered at an earlier depth
-                members = sum(1 << i for i in combo)
-                if any(up[i] & members != 1 << i for i in combo):
-                    continue  # not an antichain
-                above = 0
-                for i in combo:
-                    above |= up[i]
-                for val in (False, True) if members & true_at == members else (False,):
-                    if r == 1 and bool(members & true_at) == val:
-                        continue  # duplicates its unique successor
-                    true_at |= val << len(up)
-                    up.append(1 << len(up) | above)
+        # Antichains of at most three worlds whose last (highest-numbered)
+        # world is from the previous round; earlier ones were all considered
+        # at an earlier depth.  A world only sees lower-numbered worlds above
+        # it, so i < k are incomparable when i is not above k.
+        antichains = []
+        for k in range(start, count):
+            apart = [i for i in range(k) if not up[k] >> i & 1]
+            antichains.append((k,))
+            antichains += [(i, k) for i in apart]
+            antichains += [(i, j, k) for n, j in enumerate(apart) for i in apart[:n]
+                           if not up[j] >> i & 1]
+        for combo in sorted(antichains, key=lambda c: (len(c), c)):
+            members = sum(1 << i for i in combo)
+            above = 0
+            for i in combo:
+                above |= up[i]
+            for val in (False, True) if members & true_at == members else (False,):
+                if len(combo) == 1 and bool(members & true_at) == val:
+                    continue  # duplicates its unique successor
+                true_at |= val << len(up)
+                up.append(1 << len(up) | above)
         if len(up) == count:
             break
         start = count

@@ -30,6 +30,7 @@ from .kernel import (
     KernelError,
     SchemaTheory,
     Sequent,
+    _contains,
     check_rule,
     check_tree,
     derive_extensionality,
@@ -342,9 +343,7 @@ def check_line(
         if j.name not in script.theory.schemas:
             raise LineFailed(line.number, f"unknown axiom schema {j.name!r}")
         inst = script.theory.instantiate(j.name, dict(j.bindings))
-        if seq.concl != inst.concl or not all(
-            seq.multiset[f] >= n for f, n in inst.multiset.items()
-        ):
+        if seq.concl != inst.concl or not _contains(seq.multiset, inst.multiset):
             raise LineFailed(
                 line.number, f"not an instance of schema {j.name!r}: wanted {inst}"
             )
@@ -381,8 +380,7 @@ def check_line(
         left = substitute(ctx, {hole: p})
         right = substitute(ctx, {hole: p2})
         need = (Implies(p, p2), Implies(p2, p), left)
-        need_ms = Counter(need)
-        if seq.concl != right or not all(seq.multiset[f] >= n for f, n in need_ms.items()):
+        if seq.concl != right or not _contains(seq.multiset, Counter(need)):
             raise LineFailed(
                 line.number,
                 f"extensionality line must contain {need[0]}, {need[1]}, {need[2]} and conclude {right}",

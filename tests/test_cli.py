@@ -37,6 +37,15 @@ def test_prove_json_validates(capsys):
     assert payload["countermodel"]["worlds"] == [0, 1]
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["prove", "P |- " + "~" * 400 + "P"], id="prove"),
+    pytest.param(["interpolate", "--exists", "--var", "Y", "~" * 1200 + "Y"], id="interpolate"),
+])
+def test_deep_input_is_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err == "error: input nested too deeply\n"
+
+
 def test_usage_error_is_exit_two(capsys):
     code, _, err = run(capsys, "prove", "P ->")
     assert code == 2 and "error" in err
@@ -118,6 +127,21 @@ def test_check_bundled_script(capsys, tmp_path):
     assert payload["failure"]["line"] == 1
 
 
+# In place of a file's text: the path given is a directory.
+DIRECTORY = object()
+
+
+def _input_file(tmp_path, name, content):
+    if content is DIRECTORY:
+        return tmp_path
+    path = tmp_path / name
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content)
+    return path
+
+
 @pytest.mark.parametrize("script, theory", [
     pytest.param("not a script at all\n", None, id="not-a-script"),
     pytest.param("1 | P |- P | ipc\n2 | P |- P | cut a b\n", None, id="cut-word"),
@@ -125,15 +149,15 @@ def test_check_bundled_script(capsys, tmp_path):
     pytest.param("1 | P |- P | ipc\n2 | P |- P | subst x {P := Q}\n", None, id="subst-word"),
     pytest.param("1 | P |- P | ref foo:x\n", None, id="ref-word"),
     pytest.param("1 | P |- P | ipc\n", "connective t x\n", id="theory-arity-word"),
+    pytest.param(DIRECTORY, None, id="script-is-a-directory"),
+    pytest.param(b"1 | P |- P | ipc\n2 | \xff |- P | ipc\n", None, id="not-utf-8"),
+    pytest.param("1 | P |- P | ipc\n", DIRECTORY, id="theory-is-a-directory"),
+    pytest.param("1 | P |- " + "~" * 1200 + "P | ipc\n", None, id="nested-too-deeply"),
 ])
 def test_check_malformed_is_exit_two(capsys, tmp_path, script, theory):
-    bad = tmp_path / "malformed.pfs"
-    bad.write_text(script)
-    argv = ["check", str(bad)]
+    argv = ["check", str(_input_file(tmp_path, "malformed.pfs", script))]
     if theory is not None:
-        thy = tmp_path / "malformed.thy"
-        thy.write_text(theory)
-        argv += ["--theory", str(thy)]
+        argv += ["--theory", str(_input_file(tmp_path, "malformed.thy", theory))]
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err.startswith("error: ")
 
@@ -142,10 +166,10 @@ def test_check_malformed_is_exit_two(capsys, tmp_path, script, theory):
     pytest.param('(ax "P |- P"', id="truncated"),
     pytest.param('(foo "P |- P")', id="unknown-rule"),
     pytest.param("", id="empty"),
+    pytest.param(DIRECTORY, id="tree-is-a-directory"),
 ])
 def test_extract_aux_malformed_tree_is_exit_two(capsys, tmp_path, text):
-    tree = tmp_path / "malformed.tree"
-    tree.write_text(text)
+    tree = _input_file(tmp_path, "malformed.tree", text)
     code, out, err = run(capsys, "extract-aux", str(tree), "--body", "Y -> P", "--var", "Y")
     assert code == 2 and out == "" and err.startswith("error: ")
 
