@@ -87,15 +87,6 @@ class Sequent:
             return NotImplemented
         return self.concl == other.concl and self.multiset == other.multiset
 
-    def __hash__(self):
-        try:
-            return self._hash  # type: ignore[attr-defined]
-        except AttributeError:
-            items = tuple(sorted((f.key, n) for f, n in self.multiset.items()))
-            h = hash((items, self.concl.key))
-            object.__setattr__(self, "_hash", h)
-            return h
-
     def free_vars(self) -> frozenset[Variable]:
         out = self.concl.free_vars
         for h in self.hyps:
@@ -108,9 +99,12 @@ class Sequent:
             tuple(substitute(h, bindings) for h in self.hyps), substitute(self.concl, bindings)
         )
 
-    def __str__(self):
-        left = ", ".join(str(h) for h in self.hyps)
-        return f"{left} |- {self.concl}" if left else f"|- {self.concl}"
+    def text(self, show=str) -> str:
+        """`hyps |- concl`, each formula written by `show`."""
+        left = ", ".join(map(show, self.hyps))
+        return f"{left} |- {show(self.concl)}" if left else f"|- {show(self.concl)}"
+
+    __str__ = text
 
     def __repr__(self):
         return f"<Sequent {self}>"

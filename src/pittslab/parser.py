@@ -1,10 +1,11 @@
-"""Recursive-descent parser for the ASCII formula and sequent grammar.
+"""Operator-precedence parser for the ASCII formula and sequent grammar.
 
-Precedence, tightest first: ~  /\\  \\/  ->  <->.  Implication and the
-biconditional associate to the right; conjunction and disjunction to the
-left.  `exists X.` / `forall X.` scope to the end of the enclosing
-expression unless parenthesized.  `top` and `~`/`<->` are sugar for their
-expansions; the AST never contains them.
+Infix symbols, levels and associativity come from `syntax.INFIX`: /\\,
+\\/, -> and <-> from tightest to loosest, the last two to the right; `~`
+binds tighter than all of them.  `exists X.` / `forall X.` scope to the end
+of the enclosing expression unless parenthesized.  `top` and `~`/`<->` are
+sugar for their expansions; the AST never contains them.  Only parentheses
+and connective arguments recurse.
 """
 from __future__ import annotations
 
@@ -17,9 +18,9 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
-    Implies,
-    And,
-    Or,
+    INFIX,
+    NEG_LEVEL,
+    QUANTIFIER_LEVEL,
     Signature,
     TOP,
     Var,
@@ -28,26 +29,30 @@ from .syntax import (
     neg,
 )
 
+_INFIX = {op.symbol: op for op in INFIX}
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<ident>[A-Za-z][A-Za-z0-9_']*)
   | (?P<hole>_)
-  | (?P<iff><->)
-  | (?P<imp>->)
-  | (?P<and>/\\)
-  | (?P<or>\\/)
+  | (?P<infix>%s)
   | (?P<neg>~)
   | (?P<lpar>\()
   | (?P<rpar>\))
   | (?P<comma>,)
   | (?P<dot>\.)
   | (?P<turnstile>\|-)
-    """,
+    """ % "|".join(re.escape(op.symbol) for op in INFIX),
     re.VERBOSE,
 )
 
+# An `<->` copies both operands, so a chain of n of them expands to about 2^n
+# nodes; a biconditional whose expansion would pass this many is rejected.
+_MAX_IFF_NODES = 10**6
+
 _KEYWORDS = {"bot", "top", "exists", "forall"}
+_CONSTANTS = {"bot": BOT, "top": TOP}
 
 
 class FormulaSyntaxError(Exception):
@@ -62,7 +67,6 @@ class FormulaSyntaxError(Exception):
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
         self.toks: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
@@ -74,7 +78,7 @@ class _Tokens:
             if kind == "ws":
                 continue
             value = m.group()
-            if kind == "ident" and value in _KEYWORDS:
+            if kind == "infix" or kind == "ident" and value in _KEYWORDS:
                 kind = value
             self.toks.append((kind, value, m.start()))
         self.toks.append(("eof", "", len(text)))
@@ -94,6 +98,11 @@ class _Tokens:
             raise FormulaSyntaxError(f"unexpected {tok[1] or 'end of input'!r}", tok[2], (kind,))
         return self.next()
 
+    def end(self) -> None:
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2], ("eof",))
+
 
 class Parser:
     """Parser over a fixed connective signature (empty by default)."""
@@ -105,9 +114,7 @@ class Parser:
     def parse(self, text: str) -> Formula:
         toks = _Tokens(text)
         f = self._formula(toks)
-        tok = toks.peek()
-        if tok[0] != "eof":
-            raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2], ("eof",))
+        toks.end()
         return f
 
     def parse_prefix(self, text: str) -> tuple[Formula, int]:
@@ -129,69 +136,42 @@ class Parser:
             concl: Formula = BOT
         else:
             concl = self._formula(toks)
-            tok = toks.peek()
-            if tok[0] != "eof":
-                raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2], ("eof",))
+            toks.end()
         return Sequent(tuple(hyps), concl)
 
-    # Grammar, loosest to tightest.
-
     def _formula(self, toks) -> Formula:
-        return self._iff(toks)
+        """One expression.  Each pending operator waits on the stack as
+        (level, constructor, left operand or bound variable, offset)."""
+        pending: list[tuple] = []
+        while True:
+            tok = toks.next()
+            kind = tok[0]
+            if kind == "neg":
+                pending.append((NEG_LEVEL, neg, None, 0))
+                continue
+            if kind in ("exists", "forall"):
+                v = Variable(toks.expect("ident")[1])
+                toks.expect("dot")
+                pending.append((QUANTIFIER_LEVEL, Exists if kind == "exists" else Forall, v, 0))
+                continue
+            f = self._atom(toks, tok)
+            op = _INFIX.get(toks.peek()[0])
+            # reduce what binds at least as tightly as op; everything at the end
+            floor = op.level + op.right if op else QUANTIFIER_LEVEL
+            while pending and pending[-1][0] >= floor:
+                _level, build, arg, off = pending.pop()
+                if build is iff and 3 + 2 * (arg.size + f.size) > _MAX_IFF_NODES:
+                    raise FormulaSyntaxError(f"'<->' expands past {_MAX_IFF_NODES} nodes", off)
+                f = build(f) if arg is None else build(arg, f)
+            if op is None:
+                return f
+            pending.append((op.level, op.build, f, toks.next()[2]))
 
-    def _iff(self, toks) -> Formula:
-        left = self._imp(toks)
-        if toks.peek()[0] == "iff":
-            toks.next()
-            right = self._iff(toks)
-            return iff(left, right)
-        return left
-
-    def _imp(self, toks) -> Formula:
-        left = self._or(toks)
-        if toks.peek()[0] == "imp":
-            toks.next()
-            right = self._imp(toks)
-            return Implies(left, right)
-        return left
-
-    def _or(self, toks) -> Formula:
-        left = self._and(toks)
-        while toks.peek()[0] == "or":
-            toks.next()
-            left = Or(left, self._and(toks))
-        return left
-
-    def _and(self, toks) -> Formula:
-        left = self._unary(toks)
-        while toks.peek()[0] == "and":
-            toks.next()
-            left = And(left, self._unary(toks))
-        return left
-
-    def _unary(self, toks) -> Formula:
-        kind, _value, _off = toks.peek()
-        if kind == "neg":
-            toks.next()
-            return neg(self._unary(toks))
-        if kind in ("exists", "forall"):
-            return self._quantifier(toks)
-        return self._atom(toks)
-
-    def _quantifier(self, toks) -> Formula:
-        kind, _value, off = toks.next()
-        name = toks.expect("ident")
-        toks.expect("dot")
-        body = self._formula(toks)
-        v = Variable(name[1])
-        return Exists(v, body) if kind == "exists" else Forall(v, body)
-
-    def _atom(self, toks) -> Formula:
-        kind, value, off = toks.next()
-        if kind == "bot":
-            return BOT
-        if kind == "top":
-            return TOP
+    def _atom(self, toks, tok: tuple[str, str, int]) -> Formula:
+        """The operand that opens with `tok`, already taken from toks."""
+        kind, value, off = tok
+        if kind in _CONSTANTS:
+            return _CONSTANTS[kind]
         if kind == "hole":
             if not self.allow_hole:
                 raise FormulaSyntaxError("hole '_' not allowed here", off)

@@ -1,72 +1,57 @@
 """Minimal-parenthesis formula printing with abbreviation refolding.
 
 Inverse of the parser up to alpha-equivalence: `parse(print(f)) == f`.
-Refolds `a -> bot` to `~a`, `bot -> bot` to `top`, and
+Symbols, levels and associativity come from `syntax.INFIX`, the table the
+parser reads.  Refolds `a -> bot` to `~a`, `bot -> bot` to `top`, and
 `(a -> b) /\\ (b -> a)` to `a <-> b` for readability.
 """
 from __future__ import annotations
 
-from .syntax import And, App, Bottom, Exists, Forall, Formula, Implies, Or, Var, is_top
+from .syntax import (
+    INFIX,
+    NEG_LEVEL,
+    QUANTIFIER_LEVEL,
+    And,
+    App,
+    Bottom,
+    Exists,
+    Forall,
+    Formula,
+    Implies,
+    Var,
+    iff,
+    is_top,
+)
 
-# Precedence levels: higher binds tighter.  Quantifiers scope to the end of
-# the expression, so they print at the loosest level.
-_QUANT, _IFF, _IMP, _OR, _AND, _NEG = 0, 1, 2, 3, 4, 5
-
-
-def _refold(f: Formula) -> tuple[str, Formula | tuple]:
-    """Classify `f` as one of the printable shapes, folding abbreviations."""
-    if is_top(f):
-        return ("top", ())
-    if isinstance(f, Implies) and isinstance(f.right, Bottom) and not isinstance(f.left, Bottom):
-        return ("neg", f.left)
-    if (
-        isinstance(f, And)
-        and isinstance(f.left, Implies)
-        and isinstance(f.right, Implies)
-        and f.left.left == f.right.right
-        and f.left.right == f.right.left
-        # do not fold a <-> a shaped conjunctions asymmetrically printed
-    ):
-        return ("iff", (f.left.left, f.left.right))
-    return ("raw", ())
+_INFIX = {op.build: op for op in INFIX}  # keyed by node class, and iff
 
 
 def print_formula(f: Formula) -> str:
     return _print(f, 0)
 
 
-def _paren(s: str, level: int, limit: int) -> str:
-    return f"({s})" if level < limit else s
-
-
 def _print(f: Formula, limit: int) -> str:
-    shape, data = _refold(f)
-    if shape == "top":
+    """f's text, parenthesized if it binds more loosely than `limit`."""
+    if is_top(f):
         return "top"
-    if shape == "neg":
-        return _paren("~" + _print(data, _NEG), _NEG, limit)  # type: ignore[arg-type]
-    if shape == "iff":
-        a, b = data  # type: ignore[misc]
-        s = f"{_print(a, _IFF + 1)} <-> {_print(b, _IFF)}"
-        return _paren(s, _IFF, limit)
     if isinstance(f, Var):
         return f.var.name
     if isinstance(f, Bottom):
         return "bot"
-    if isinstance(f, And):
-        s = f"{_print(f.left, _AND)} /\\ {_print(f.right, _AND + 1)}"
-        return _paren(s, _AND, limit)
-    if isinstance(f, Or):
-        s = f"{_print(f.left, _OR)} \\/ {_print(f.right, _OR + 1)}"
-        return _paren(s, _OR, limit)
-    if isinstance(f, Implies):
-        s = f"{_print(f.left, _IMP + 1)} -> {_print(f.right, _IMP)}"
-        return _paren(s, _IMP, limit)
-    if isinstance(f, (Exists, Forall)):
-        kw = "exists" if isinstance(f, Exists) else "forall"
-        s = f"{kw} {f.var.name}. {_print(f.body, _QUANT)}"
-        return _paren(s, _QUANT, limit)
     if isinstance(f, App):
         args = ", ".join(_print(a, 0) for a in f.args)
         return f"{f.symbol.name}({args})"
-    raise AssertionError(f"unprintable node {f!r}")
+    if isinstance(f, (Exists, Forall)):
+        kw = "exists" if isinstance(f, Exists) else "forall"
+        level, s = QUANTIFIER_LEVEL, f"{kw} {f.var.name}. {_print(f.body, QUANTIFIER_LEVEL)}"
+    elif isinstance(f, Implies) and isinstance(f.right, Bottom):
+        level, s = NEG_LEVEL, "~" + _print(f.left, NEG_LEVEL)
+    else:
+        op, a, b = _INFIX[type(f)], f.left, f.right  # type: ignore[attr-defined]
+        if op.build is And and isinstance(a, Implies) and isinstance(b, Implies) and (
+            a.left == b.right and a.right == b.left
+        ):
+            op, a, b = _INFIX[iff], a.left, a.right
+        level = op.level
+        s = f"{_print(a, level + op.right)} {op.symbol} {_print(b, level + (not op.right))}"
+    return f"({s})" if level < limit else s

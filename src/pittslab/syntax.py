@@ -6,13 +6,14 @@ alpha-equivalence throughout the package.  A node's key, size,
 has_quantifier and has_app are derived once, at construction, from its
 children's: connective and application keys are composed from the
 children's keys, and only a quantifier serializes its body (under its
-binder).  Free variables are computed on first use.
+binder).  Free variables are computed on first use.  `INFIX` is the surface
+notation that the parser and the printer share.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
 
@@ -133,12 +134,7 @@ class Formula:
         return ()
 
     def bound_vars(self) -> frozenset[Variable]:
-        out: frozenset[Variable] = frozenset()
-        if isinstance(self, _Binder):
-            out |= {self.var}
-        for c in self.children():
-            out |= c.bound_vars()
-        return out
+        return frozenset(g.var for g in subformulas(self) if isinstance(g, _Binder))
 
     def __str__(self):
         from .printer import print_formula
@@ -273,6 +269,31 @@ def iff(a: Formula, b: Formula) -> Formula:
     return And(Implies(a, b), Implies(b, a))
 
 
+# Surface notation, read by both the parser and the printer.  A higher level
+# binds tighter.  A quantifier's body runs to the end of the enclosing
+# expression, so quantifiers sit below every infix connective, and `~` above.
+
+QUANTIFIER_LEVEL, NEG_LEVEL = 0, 5
+
+
+@dataclass(frozen=True)
+class Infix:
+    """An infix connective; its symbol is also its token kind."""
+
+    symbol: str
+    level: int
+    right: bool  # associates to the right
+    build: Callable[[Formula, Formula], Formula]
+
+
+INFIX = (
+    Infix("<->", 1, True, iff),
+    Infix("->", 2, True, Implies),
+    Infix("\\/", 3, False, Or),
+    Infix("/\\", 4, False, And),
+)
+
+
 def require_plain(*fs: Formula) -> None:
     """Reject quantifiers and uninterpreted connectives, first offender first."""
     for f in fs:
@@ -337,6 +358,8 @@ def _subst(f: Formula, bindings: dict[Variable, Formula]) -> Formula:
 
 def subformulas(f: Formula):
     """All subformula occurrences, preorder."""
-    yield f
-    for c in f.children():
-        yield from subformulas(c)
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        todo.extend(reversed(g.children()))

@@ -5,7 +5,8 @@ S-expression format, one node per parenthesized group:
     (<rule> "<sequent>" ["<extra>"] <child>*)
 
 The extra string is positional: the cut formula for `cut`, the witness for
-`exR` / `allL`, and `<name> {X := ...}` for `schema`.
+`exR` / `allL`, and `<name> {X := ...}` for `schema`.  A subtree's closing
+`)`s end its last line.  Both directions walk the tree over an explicit stack.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import re
 
 from .kernel import RULES, ProofTree
 from .parser import Parser
+from .printer import print_formula
 from .scripts import MalformedScript, _parse_bindings
 from .syntax import Formula, Signature
 
@@ -85,17 +87,31 @@ def parse_tree(text: str, signature: Signature | None = None) -> ProofTree:
             open_nodes[-1][3].append(tree)
 
 
-def print_tree(tree: ProofTree, indent: int = 0) -> str:
-    pad = "  " * indent
-    parts = [f'{pad}({tree.rule} "{tree.conclusion}"']
-    if isinstance(tree.data, Formula):
-        parts[0] += f' "{tree.data}"'
-    elif isinstance(tree.data, tuple) and tree.rule == "schema":
-        name, bindings = tree.data
-        inner = ", ".join(f"{v.name} := {f}" for v, f in sorted(bindings.items()))
-        parts[0] += f' "{name} {{{inner}}}"'
-    if not tree.premises:
-        return parts[0] + ")"
-    for child in tree.premises:
-        parts.append(print_tree(child, indent + 1))
-    return "\n".join(parts) + ")"
+def print_tree(tree: ProofTree) -> str:
+    """One preorder pass: each node's line is written once, with the closing
+    ')'s of the subtrees it ends, and each distinct formula printed once."""
+    texts: dict[str, str] = {}
+
+    def show(f: Formula) -> str:
+        if f.has_quantifier or f.key not in texts:  # alpha-variants share a key, not a text
+            texts[f.key] = print_formula(f)
+        return texts[f.key]
+
+    lines = []
+    todo = [(tree, 0, 1)]  # node, depth, ')'s owed once its subtree is written
+    while todo:
+        node, depth, close = todo.pop()
+        line = f'{"  " * depth}({node.rule} "{node.conclusion.text(show)}"'
+        if isinstance(node.data, Formula):
+            line += f' "{show(node.data)}"'
+        elif isinstance(node.data, tuple) and node.rule == "schema":
+            name, bindings = node.data
+            inner = ", ".join(f"{v.name} := {show(f)}" for v, f in sorted(bindings.items()))
+            line += f' "{name} {{{inner}}}"'
+        if node.premises:
+            todo.append((node.premises[-1], depth + 1, close + 1))
+            todo.extend((p, depth + 1, 1) for p in reversed(node.premises[:-1]))
+        else:
+            line += ")" * close
+        lines.append(line)
+    return "\n".join(lines)

@@ -1,4 +1,5 @@
 import json
+import time
 from importlib import resources
 
 import jsonschema
@@ -44,6 +45,13 @@ def test_prove_json_validates(capsys):
 def test_deep_input_is_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err == "error: input nested too deeply\n"
+
+
+def test_long_biconditional_chain_is_exit_two(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "prove", "|- " + " <-> ".join(["P"] * 40))
+    assert code == 2 and out == "" and err.startswith("error: '<->' expands past 1000000 nodes")
+    assert time.perf_counter() - start < 10
 
 
 def test_usage_error_is_exit_two(capsys):

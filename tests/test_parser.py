@@ -61,6 +61,60 @@ def test_syntax_error_carries_offset_and_expected():
     assert e.value.expected
 
 
+_EXPECT_OPERAND = "(expected one of: (, bot, exists, forall, ident, top, ~)"
+_OPERANDS = ("(", "bot", "exists", "forall", "ident", "top", "~")
+
+
+@pytest.mark.parametrize("text, sequent, message, offset, expected", [
+    pytest.param("P /\\ ", False, f"unexpected 'end of input' at offset 5 {_EXPECT_OPERAND}", 5, _OPERANDS,
+                 id="binary-without-right"),
+    pytest.param("P -> Q )", False, "trailing input ')' at offset 7 (expected one of: eof)", 7, ("eof",),
+                 id="trailing"),
+    pytest.param("~ -> P", False, f"unexpected '->' at offset 2 {_EXPECT_OPERAND}", 2, _OPERANDS,
+                 id="prefix-without-operand"),
+    pytest.param("exists . P", False, "unexpected '.' at offset 7 (expected one of: ident)", 7, ("ident",),
+                 id="quantifier-without-variable"),
+    pytest.param("forall X P", False, "unexpected 'P' at offset 9 (expected one of: dot)", 9, ("dot",),
+                 id="quantifier-without-dot"),
+    pytest.param("t(P, Q", False, "unexpected 'end of input' at offset 6 (expected one of: rpar)", 6,
+                 ("rpar",), id="app-unclosed"),
+    pytest.param("u(P)", False, "unknown connective 'u' at offset 0", 0, (), id="app-unknown"),
+    pytest.param("P /\\ _", False, "hole '_' not allowed here at offset 5", 5, (), id="hole"),
+    pytest.param("P <- Q", False, "unexpected character '<' at offset 2", 2, (), id="bad-character"),
+    pytest.param("P, |- Q", True, f"unexpected '|-' at offset 3 {_EXPECT_OPERAND}", 3, _OPERANDS,
+                 id="sequent-empty-hypothesis"),
+    pytest.param("P Q |- R", True, "unexpected 'Q' at offset 2 (expected one of: turnstile)", 2,
+                 ("turnstile",), id="sequent-without-turnstile"),
+])
+def test_syntax_error_pins(text, sequent, message, offset, expected):
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse_sequent(text, _sig) if sequent else parse_formula(text, _sig)
+    assert (str(e.value), e.value.offset, e.value.expected) == (message, offset, expected)
+
+
+def test_deep_prefix_and_infix_chains_parse():
+    n = 5000
+    f, g = parse_formula("~" * n + "P"), P
+    for _ in range(n):
+        g = neg(g)
+    assert f.size == 2 * n + 1 and f.key == g.key
+    f, g = parse_formula(" -> ".join(["P"] * n)), P
+    for _ in range(n - 1):
+        g = Implies(P, g)
+    assert f.size == 2 * n - 1 and f.key == g.key
+    f, g = parse_formula(" /\\ ".join(["P"] * n)), P
+    for _ in range(n - 1):
+        g = And(g, P)
+    assert f.size == 2 * n - 1 and f.key == g.key
+
+
+def test_biconditional_chain_past_the_node_limit_is_rejected():
+    # each <-> copies both operands: 40 links would expand to about 2^40 nodes
+    with pytest.raises(FormulaSyntaxError, match="'<->' expands past 1000000 nodes"):
+        parse_formula(" <-> ".join(["P"] * 40))
+    assert parse_formula(" <-> ".join(["P"] * 12)).size < 10**5
+
+
 def test_parse_sequents():
     s = parse_sequent("P, P -> Q |- Q")
     assert list(s.hyps) == [P, Implies(P, Q)]
