@@ -199,11 +199,7 @@ def _cmd_replay(args) -> int:
         lines.append(f"  derived: {d}")
     for inst in report.details.get("psi_instances", []):
         lines.append(f"  psi {inst['psi']}: {'ok' if inst['ok'] else 'FAIL'}")
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        for line in lines:
-            print(line)
+    _emit(report.payload(), args.format, lines)
     return 0 if report.ok else 1
 
 

@@ -258,44 +258,29 @@ def _gate(
     return ValidationReport(ok, variable_free, consequence, failures, count)
 
 
-def _comm_key(f: Formula) -> str:
-    if isinstance(f, (And, Or)):
-        ka, kb = _comm_key(f.left), _comm_key(f.right)
-        if kb < ka:
-            ka, kb = kb, ka
-        tag = "&" if isinstance(f, And) else "|"
-        return f"{tag}({ka},{kb})"
-    if isinstance(f, Implies):
-        return f">({_comm_key(f.left)},{_comm_key(f.right)})"
-    return f.key
-
-
 def probe_corpus(variables, max_nodes: int = 8) -> list[Formula]:
     """All formulas over the given atoms up to `max_nodes` AST nodes,
     deduplicated up to commutativity of /\\ and \\/ (deterministic order).
+
+    Each probe is kept with its commutative key; a candidate's key is composed
+    from its operands' keys (sorted under /\\ and \\/), and the candidate is
+    built only when that key is new.
     """
-    leaves: list[Formula] = [BOT] + [Var(v) for v in sorted(variables)]
-    by_size: dict[int, list[Formula]] = {1: leaves}
-    out: list[Formula] = []
-    seen: set[str] = set()
-    for f in leaves:
-        seen.add(_comm_key(f))
-        out.append(f)
+    leaves = [(g, g.key) for g in [BOT] + [Var(v) for v in sorted(variables)]]
+    by_size: dict[int, list[tuple[Formula, str]]] = {1: leaves}
+    seen = {k for _, k in leaves}
     for size in range(3, max_nodes + 1, 2):
-        bucket: list[Formula] = []
+        bucket = by_size[size] = []
         for lsize in range(1, size - 1, 2):
-            rsize = size - 1 - lsize
-            for a in by_size.get(lsize, []):
-                for b in by_size.get(rsize, []):
-                    for ctor in (And, Or, Implies):
-                        g = ctor(a, b)
-                        k = _comm_key(g)
+            for a, ka in by_size[lsize]:
+                for b, kb in by_size[size - 1 - lsize]:
+                    lo, hi = (ka, kb) if ka <= kb else (kb, ka)
+                    for ctor, kl, kr in ((And, lo, hi), (Or, lo, hi), (Implies, ka, kb)):
+                        k = f"{ctor.tag}({kl},{kr})"
                         if k not in seen:
                             seen.add(k)
-                            bucket.append(g)
-                            out.append(g)
-        by_size[size] = bucket
-    return out
+                            bucket.append((ctor(a, b), k))
+    return [g for bucket in by_size.values() for g, _ in bucket]
 
 
 @dataclass

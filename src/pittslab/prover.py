@@ -8,11 +8,13 @@ plain sequent-calculus trees (with cuts) that the kernel checks.
 The rule schedule is written once: `_left_step` applies the invertible
 left rules to the first reducible hypothesis in key order (`_by_key`), and
 `_nested_premises` gives the premises of the (c -> d) -> e choice point.
-The decision procedure, the witness builder and the uniform interpolants in
-`pitts` all search with it; each combines a rule's premises its own way.
+`_decide` searches with them and records the rule that closes each provable
+sequent; the witness builder replays that record, and the uniform
+interpolants in `pitts` combine the rules' premises their own way.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -55,17 +57,17 @@ def _by_key(fs) -> list[Formula]:
 
 
 def _left_step(
-    ordered: list[Formula], hyps: frozenset
+    candidates: Iterable[Formula], hyps: frozenset
 ) -> tuple[Formula, tuple[tuple[Formula, ...], ...]] | None:
-    """The invertible left rules of G4ip: the first hypothesis in `ordered`
-    (the hypotheses `hyps`, in key order) that one of them reduces, and the
-    rule's premises, each given as the formulas that replace that hypothesis.
-    None when no hypothesis reduces.
+    """The invertible left rules of G4ip: the first of these candidates that
+    reduces, in scan order (`candidates`, drawn from the hypotheses `hyps`),
+    and the rule's premises, each given as the formulas that replace that
+    hypothesis.  None when no candidate reduces.
 
     Falsum has no premises; an implication whose antecedent is an atom reduces
     only when the atom is a hypothesis too.
     """
-    for h in ordered:
+    for h in candidates:
         if isinstance(h, Bottom):
             return h, ()
         if isinstance(h, And):
@@ -93,8 +95,16 @@ def _nested_premises(h: Implies) -> tuple[Implies, Formula]:
     return Implies(h.left.right, h.right), h.right
 
 
+# `_decide`'s records of an invertible right rule and of the two disjunction
+# choices; its other records are True or a formula of the sequent.
+_RIGHT, _FIRST, _SECOND = "right rule", "first disjunct", "second disjunct"
+
+
 @lru_cache(maxsize=None)
-def _decide(hyps: frozenset, goal: Formula) -> bool:
+def _decide(hyps: frozenset, goal: Formula):
+    """False when the sequent is refuted, else the rule that closes it: True
+    at an axiom, a marker above, or the principal hypothesis of an invertible
+    left rule or of the (c -> d) -> e choice."""
     # Success leaves: falsum on the left, or the goal among the hypotheses.
     if goal in hyps or BOT in hyps:
         return True
@@ -109,36 +119,40 @@ def _decide(hyps: frozenset, goal: Formula) -> bool:
         for replacement in premises:
             if not _decide(rest.union(replacement), goal):
                 return False
-        return True
+        return h
 
-    # Invertible right rules.
+    # Invertible right rules: False from a refuted premise, else the marker.
     if isinstance(goal, And):
-        return _decide(hyps, goal.left) and _decide(hyps, goal.right)
+        return _decide(hyps, goal.left) and _decide(hyps, goal.right) and _RIGHT
     if isinstance(goal, Implies):
-        return _decide(hyps | {goal.left}, goal.right)
+        return _decide(hyps | {goal.left}, goal.right) and _RIGHT
 
     # Choice points: disjunction introduction and implication-implication left.
     if isinstance(goal, Or):
-        if _decide(hyps, goal.left) or _decide(hyps, goal.right):
-            return True
+        if _decide(hyps, goal.left):
+            return _FIRST
+        if _decide(hyps, goal.right):
+            return _SECOND
     for h in ordered:
         if isinstance(h, Implies) and isinstance(h.left, Implies):
             d_e, e = _nested_premises(h)
             rest = hyps - {h}
             if _decide(rest | {d_e}, h.left) and _decide(rest | {e}, goal):
-                return True
+                return h
     return False
 
 
 def decide(s: Sequent) -> bool:
     """Total decision procedure for quantifier-free, App-free sequents."""
     require_plain(*s.hyps, s.concl)
-    return _decide(frozenset(s.hyps), s.concl)
+    return bool(_decide(frozenset(s.hyps), s.concl))
 
 
 # ---------------------------------------------------------------------------
-# Witness construction.  Follows the same schedule on exact multisets, using
-# `_decide` as the oracle at choice points, and emits Def-1.3-style trees.
+# Witness construction.  Replays on exact multisets the rule `_decide` recorded
+# for each node's set, and emits Def-1.3-style trees.  The record holds where a
+# principal's copy stays beside its replacements: a second (c -> d) -> e proves
+# c -> d iff d -> e does, and is redundant beside e (Dyckhoff, JSL 1992).
 
 def _plus(hyps: tuple, *fs: Formula) -> tuple:
     return hyps + tuple(fs)
@@ -146,31 +160,23 @@ def _plus(hyps: tuple, *fs: Formula) -> tuple:
 
 def _lemma_curry(h: Implies) -> ProofTree:
     """(A /\\ B) -> C |- A -> (B -> C)"""
-    a, b = h.left.left, h.left.right
-    c = h.right
+    a, b, c = h.left.left, h.left.right, h.right
     ta = t_andR(t_ax(a, extra=(b,)), t_ax(b, extra=(a,)))
     t = t_impL(ta, t_ax(c), c)  # A, B, (A/\B)->C |- C
     return t_impR(t_impR(t, b), a)
 
 
-def _lemma_or_part(h: Implies, which: str) -> ProofTree:
-    """(A \\/ B) -> C |- A -> C   (or B -> C)"""
+def _lemma_or_part(h: Implies, first: bool) -> ProofTree:
+    """(A \\/ B) -> C |- A -> C   (or B -> C when not `first`)"""
     a, b = h.left.left, h.left.right
-    c = h.right
-    if which == "left":
-        inj = t_orR1(t_ax(a), b)
-        part = a
-    else:
-        inj = t_orR2(t_ax(b), a)
-        part = b
-    t = t_impL(inj, t_ax(c), c)  # part, (A\/B)->C |- C
-    return t_impR(t, part)
+    inj = t_orR1(t_ax(a), b) if first else t_orR2(t_ax(b), a)
+    t = t_impL(inj, t_ax(h.right), h.right)  # A (or B), (A\/B)->C |- C
+    return t_impR(t, a if first else b)
 
 
 def _lemma_nested(h: Implies) -> ProofTree:
     """(A -> B) -> C |- B -> C"""
-    a, b = h.left.left, h.left.right
-    c = h.right
+    a, b, c = h.left.left, h.left.right, h.right
     tb = t_impR(t_ax(b, extra=(a,)), a)  # B |- A -> B
     t = t_impL(tb, t_ax(c), c)  # B, (A->B)->C |- C
     return t_impR(t, b)
@@ -184,53 +190,44 @@ def _derive(hyps: tuple, goal: Formula) -> ProofTree:
             return t_ax(goal, extra=_minus(hyps, h))
 
     base = frozenset(hyps)
-    ordered = _by_key(base)
-    step = _left_step(ordered, base)
-    if step is not None:
-        h, premises = step
-        rest = _minus(hyps, h)
-        ts = [_derive(_plus(rest, *replacement), goal) for replacement in premises]
-        # The rule's tree over its premises' trees.
-        if isinstance(h, And):
-            t = t_andL2(ts[0], h.right, h.left)
-            t = t_andL1(t, h.left, h.right)
-            return t_cl(t, h)
-        if isinstance(h, Or):
-            return t_orL_on(ts[0], h.left, ts[1], h.right)
-        a = h.left
-        if isinstance(a, Bottom):
-            return t_wl(ts[0], h)
-        if isinstance(a, Var):
-            t = t_impL(t_ax(a), ts[0], h.right)
-            return t_cl(t, a)
-        if isinstance(a, And):
-            return t_cut(_lemma_curry(h), ts[0])
-        t = t_cut(_lemma_or_part(h, "left"), ts[0])
-        t = t_cut(_lemma_or_part(h, "right"), t)
-        return t_cl(t, h)
-
-    if isinstance(goal, And):
-        return t_andR(_derive(hyps, goal.left), _derive(hyps, goal.right))
-    if isinstance(goal, Implies):
+    rule = _decide(base, goal)
+    if rule is _RIGHT:
+        if isinstance(goal, And):
+            return t_andR(_derive(hyps, goal.left), _derive(hyps, goal.right))
         return t_impR(_derive(_plus(hyps, goal.left), goal.right), goal.left)
+    if rule is _FIRST:
+        return t_orR1(_derive(hyps, goal.left), goal.right)
+    if rule is _SECOND:
+        return t_orR2(_derive(hyps, goal.right), goal.left)
 
-    if isinstance(goal, Or):
-        if _decide(base, goal.left):
-            return t_orR1(_derive(hyps, goal.left), goal.right)
-        if _decide(base, goal.right):
-            return t_orR2(_derive(hyps, goal.right), goal.left)
-    for h in ordered:
-        if isinstance(h, Implies) and isinstance(h.left, Implies):
-            d_e, e = _nested_premises(h)
-            rest = _minus(hyps, h)
-            s = frozenset(rest)
-            if _decide(s | {d_e}, h.left) and _decide(s | {e}, goal):
-                p1 = _derive(_plus(rest, d_e), h.left)
-                p2 = _derive(_plus(rest, e), goal)
-                q = t_cut(_lemma_nested(h), p1)  # hyps: rest + h |- A -> B
-                r = t_impL(q, p2, e)
-                return t_cl_to(r, hyps)
-    raise AssertionError(f"derive called on unprovable sequent {Sequent(hyps, goal)}")
+    h = rule
+    rest = _minus(hyps, h)
+    step = _left_step((h,), base)
+    if step is None:  # the (c -> d) -> e choice
+        d_e, e = _nested_premises(h)
+        # rest, h |- c -> d, then the implication left rule on h
+        q = t_cut(_lemma_nested(h), _derive(_plus(rest, d_e), h.left))
+        return t_cl_to(t_impL(q, _derive(_plus(rest, e), goal), e), hyps)
+
+    ts = [_derive(_plus(rest, *replacement), goal) for replacement in step[1]]
+    # The rule's tree over its premises' trees.
+    if isinstance(h, And):
+        t = t_andL2(ts[0], h.right, h.left)
+        t = t_andL1(t, h.left, h.right)
+        return t_cl(t, h)
+    if isinstance(h, Or):
+        return t_orL_on(ts[0], h.left, ts[1], h.right)
+    a = h.left
+    if isinstance(a, Bottom):
+        return t_wl(ts[0], h)
+    if isinstance(a, Var):
+        t = t_impL(t_ax(a), ts[0], h.right)
+        return t_cl(t, a)
+    if isinstance(a, And):
+        return t_cut(_lemma_curry(h), ts[0])
+    t = t_cut(_lemma_or_part(h, True), ts[0])
+    t = t_cut(_lemma_or_part(h, False), t)
+    return t_cl(t, h)
 
 
 @dataclass
@@ -266,7 +263,7 @@ def prove(s: Sequent, countermodel_bound: int = 6) -> Verdict:
 def equivalent(a: Formula, b: Formula) -> bool:
     """Mutual derivability."""
     require_plain(a, b)
-    return _decide(frozenset([a]), b) and _decide(frozenset([b]), a)
+    return bool(_decide(frozenset([a]), b) and _decide(frozenset([b]), a))
 
 
 def classical_tautology(f: Formula) -> bool:

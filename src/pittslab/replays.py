@@ -103,7 +103,8 @@ class ReplayReport:
     def ok(self) -> bool:
         return all(s.status == "ok" for s in self.scripts)
 
-    def to_json(self) -> str:
+    def payload(self) -> dict:
+        """The report as JSON-ready data; `details` only when there are any."""
         payload = {
             "name": self.name,
             "scripts": [
@@ -114,7 +115,10 @@ class ReplayReport:
         }
         if self.details:
             payload["details"] = self.details
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
 
 def script_root(override: str | None = None) -> Path:

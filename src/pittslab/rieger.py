@@ -20,7 +20,7 @@ from functools import lru_cache
 
 from .kernel import Sequent
 from .kripke import Grid, _lowest_bit, connective_mask, forcing_mask, grid, submodel
-from .prover import decide
+from .prover import decide, equivalent
 from .syntax import (
     And,
     BOT,
@@ -208,7 +208,7 @@ class RNLattice:
         if idx is None:
             raise LevelExceeded(f"{f} lies above the generated lattice portion")
         rep = self.reps[idx]
-        if certify and not (decide(Sequent((f,), rep)) and decide(Sequent((rep,), f))):
+        if certify and not equivalent(f, rep):
             raise AssertionError(f"classification of {f} failed prover certification")
         return RNClass(idx, rep)
 

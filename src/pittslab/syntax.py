@@ -117,17 +117,27 @@ class Formula:
 
     @property
     def free_vars(self) -> frozenset[Variable]:
-        try:
-            return self._free  # type: ignore[attr-defined]
-        except AttributeError:
-            free = self._free_vars()
-            object.__setattr__(self, "_free", free)
+        free = getattr(self, "_free", None)
+        if free is not None:
             return free
+        # Fill the nodes not yet computed, children first, over an explicit
+        # stack, so a deep formula needs no recursion.
+        stack = [self]
+        while stack:
+            g = stack[-1]
+            pending = [c for c in g.children() if getattr(c, "_free", None) is None]
+            if pending:
+                stack += pending
+            else:
+                stack.pop()
+                object.__setattr__(g, "_free", g._free_vars())
+        return self._free  # type: ignore[attr-defined]
 
     def _free_vars(self) -> frozenset[Variable]:
+        """From the children's computed `_free`."""
         out: frozenset[Variable] = frozenset()
         for c in self.children():
-            out |= c.free_vars
+            out |= c._free  # type: ignore[attr-defined]
         return out
 
     def children(self) -> tuple["Formula", ...]:
@@ -205,7 +215,7 @@ class _Binder(Formula):
         return (self.body,)
 
     def _free_vars(self):
-        return self.body.free_vars - {self.var}
+        return self.body._free - {self.var}  # type: ignore[attr-defined]
 
 
 @dataclass(frozen=True, eq=False, repr=False)

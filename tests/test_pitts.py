@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -201,3 +202,19 @@ def test_forall_gate_on_reference_bodies():
         probes = probe_corpus(atoms, 6)
         rep = validate_forall_interpolant(phi, Y, pita_forall(phi, Y), probes)
         assert rep.ok, (body, rep.failures[:3])
+
+
+@pytest.mark.parametrize(
+    "atoms, max_nodes, length, digest",
+    [
+        ((), 9, 505, "dbea1780308e7e8114486f4e8f1ca00e3cff8b35d5c743abaaa317365fc4d3bd"),
+        (("P",), 8, 942, "314ac6f16f102c1d73a34b91805cc33eb9c6eb4ecb19c9a63ea551cd4381fecb"),
+        (("P", "Q"), 7, 4203, "4dae555bfbf39db4813c15e8f35984465fe3b3b7e36843920c39020fc89c7d8c"),
+        (("X1", "X2", "Y"), 5, 616, "ebd8d802e8d814828b13794e9f3d1ecae51701c7703708ecde89416b0ea1e7d1"),
+    ],
+)
+def test_probe_corpus_is_pinned(atoms, max_nodes, length, digest):
+    # length and sha256 of the newline-joined keys, in corpus order
+    corpus = probe_corpus([Variable(a) for a in atoms], max_nodes)
+    assert len(corpus) == length
+    assert hashlib.sha256("\n".join(g.key for g in corpus).encode()).hexdigest() == digest

@@ -56,6 +56,18 @@ def test_equivalences():
     assert not equivalent(parse_formula("~~X"), parse_formula("X"))
 
 
+def test_decide_and_equivalent_return_exact_booleans():
+    # one sequent closed by each kind of rule the decision procedure records
+    cases = {
+        "P |- P": True, "P /\\ Q |- P": True, "|- P -> P": True, "P |- P \\/ Q": True,
+        "Q |- P \\/ Q": True, "(P -> Q) -> R, Q |- R": True, "|- P \\/ ~P": False,
+    }
+    for text, expected in cases.items():
+        assert decide(seq(text)) is expected, text
+    for a, b, expected in [("P /\\ Q", "Q /\\ P", True), ("~~P", "P", False), ("P", "Q", False)]:
+        assert equivalent(parse_formula(a), parse_formula(b)) is expected
+
+
 def test_classical_tautology():
     assert classical_tautology(parse_formula("P \\/ ~P"))
     assert not classical_tautology(parse_formula("bot"))

@@ -174,3 +174,12 @@ def test_deep_formula_attributes_need_no_recursion():
     assert not f.has_quantifier and not f.has_app
     assert hash(f) == hash(g) and f == g and f is not g
     require_plain(f)
+    assert f.free_vars == {Variable("X")}
+    # a chain whose lower half already knows its free variables
+    h = X
+    for i in range(3000):
+        h = Implies(var(f"X{i % 3}"), h)
+        if i == 1500:
+            assert h.free_vars == {Variable("X"), Variable("X0"), Variable("X1"), Variable("X2")}
+    assert h.free_vars == {Variable("X"), Variable("X0"), Variable("X1"), Variable("X2")}
+    assert And(h, h).free_vars == h.free_vars
