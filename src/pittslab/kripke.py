@@ -186,21 +186,49 @@ def grid(up: tuple[int, ...], col: int = 1) -> Grid:
     return Grid(col * ((1 << n) - 1), tuple((d, col * ws) for d, ws in sorted(offsets.items())))
 
 
-def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid) -> int:
-    """The mask of f on grid g, given the masks of its atoms by name (each
-    inside g.full)."""
-    def ev(h: Formula) -> int:
-        if isinstance(h, Var):
-            if h.var.name not in atoms:
-                raise UnsupportedFormula(f"unexpected atom {h.var}")
-            return atoms[h.var.name]
-        if isinstance(h, Bottom):
-            return 0
-        if isinstance(h, (And, Or, Implies)):
-            return connective_mask(type(h), ev(h.left), ev(h.right), g)
-        raise UnsupportedFormula(f"cannot evaluate {h}")
+_CONNECTIVES = (And, Or, Implies)
 
-    return ev(f)
+
+def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid, memo: dict | None = None) -> int:
+    """The mask of f on grid g, given the masks of its atoms by name (each
+    inside g.full).  Evaluated over an explicit stack, children first.  With
+    a `memo` dict, the masks of connectives are looked up in it by key and
+    left there, so a caller that passes the same dict (on the same grid)
+    reuses them."""
+    # A connective is pushed again below a None marker, under its operands;
+    # popping the marker combines the last two masks of `done`.  Nodes are
+    # told apart by their exact class: no node class has subclasses.
+    todo: list = [f]
+    done: list[int] = []
+    while todo:
+        h = todo.pop()
+        if h is None:
+            h = todo.pop()
+            b = done.pop()
+            a = done.pop()
+            op = type(h)
+            m = a & b if op is And else a | b if op is Or else connective_mask(op, a, b, g)
+            done.append(m)
+            if memo is not None:
+                memo[h.key] = m
+            continue
+        op = type(h)
+        if op is Var:
+            try:
+                done.append(atoms[h.var.name])
+            except KeyError:
+                raise UnsupportedFormula(f"unexpected atom {h.var}") from None
+        elif op is Bottom:
+            done.append(0)
+        elif op in _CONNECTIVES:
+            m = None if memo is None else memo.get(h.key)
+            if m is None:
+                todo += (h, None, h.right, h.left)
+            else:
+                done.append(m)
+        else:
+            raise UnsupportedFormula(f"cannot evaluate {h}")
+    return done[0]
 
 
 def connective_mask(op: type, a: int, b: int, g: Grid) -> int:
@@ -266,9 +294,20 @@ def first_failure(s: Sequent, max_worlds: int = 6):
 
 
 def _failures(s: Sequent, names, up) -> int:
-    """The (valuation, world) bits of one poset's grid at which s fails.
-    Valuation points are numbered with the last atom's upset varying
-    fastest, so the lowest bit is the first countermodel in that order."""
+    """The (valuation, world) bits of one poset's grid at which s fails."""
+    atoms, g = _atoms_grid(names, up)
+    fail = g.full
+    for h in s.hyps:
+        fail &= forcing_mask(h, atoms, g)
+    return fail ^ fail & forcing_mask(s.concl, atoms, g)
+
+
+def _atoms_grid(names, up) -> tuple[dict[str, int], Grid]:
+    """The masks of the atoms `names` (Variables) and the grid they span on
+    the poset with masks `up`: one valuation point for each way of giving
+    every atom an upset.  Points are numbered with the last atom's upset
+    varying fastest, so the sweep's lowest failing bit is the first
+    countermodel in that order."""
     n = len(up)
     us = upsets(n, up)
     k = len(names)
@@ -281,11 +320,7 @@ def _failures(s: Sequent, names, up) -> int:
         for j, mask in enumerate(us):
             runs |= (mask * run) << (j * inner * n)
         atoms[v.name] = _repeat(runs, len(us) * inner * n, len(us) ** i)
-    g = grid(up, _repeat(1, n, len(us) ** k))
-    fail = g.full
-    for h in s.hyps:
-        fail &= forcing_mask(h, atoms, g)
-    return fail ^ fail & forcing_mask(s.concl, atoms, g)
+    return atoms, grid(up, _repeat(1, n, len(us) ** k))
 
 
 def submodel(up: tuple[int, ...], keep, atoms: dict[str, int]) -> KripkeModel:

@@ -12,6 +12,14 @@ the result variable-free.
 
 The recursion is exponential in the implication nesting of the input;
 results are memoized per eliminated variable.
+
+The validation gate checks a candidate against a probe corpus, two sequents
+per probe.  A sequent whose forcing masks on the two-world chain (every
+valuation of the atoms at once) show a world forcing the hypothesis but not
+the conclusion is refuted by that Kripke model, so the gate records it as
+not derivable without calling `decide`; IPC is sound for Kripke semantics,
+so that is the verdict `decide` would give.  Only the other sequents reach
+`decide`.
 """
 from __future__ import annotations
 
@@ -33,7 +41,7 @@ from .syntax import (
     require_plain,
     substitute,
 )
-from . import prover
+from . import kripke, prover
 
 
 # Constructors that fold unit laws on the fly; raw outputs stay equivalent
@@ -213,6 +221,7 @@ class ValidationReport:
     consequence_holds: bool
     failures: list = field(default_factory=list)  # (probe, direction) pairs
     probes_run: int = 0
+    settled: int = 0  # sequents refuted on the 2-chain grid, without `decide`
 
 
 def validate_interpolant(
@@ -234,28 +243,51 @@ def validate_forall_interpolant(
     return _gate(phi, y, candidate, probes, forall=True)
 
 
+# The two-world chain (world 0 below world 1), as `kripke.posets` masks.
+_CHAIN = (0b11, 0b10)
+# The grid has 3 ** k points for k atoms.  Past this many atoms the later
+# ones are false at every point (still a persistent valuation, so every
+# refutation stays a countermodel), which keeps a mask within 2 * 3 ** 6 bits.
+_GRID_ATOMS = 6
+
+
 def _gate(
     phi: Formula, y: Variable, candidate: Formula, probes, forall: bool
 ) -> ValidationReport:
-    # The dual gate is the same check with every sequent turned around.
-    def entails(a: Formula, b: Formula) -> bool:
-        return prover.decide(Sequent((b,), a) if forall else Sequent((a,), b))
+    # Every sequent hyp |- concl is first evaluated on the 2-chain at every
+    # valuation of the atoms: if some (valuation, world) forces hyp but not
+    # concl, that is a Kripke countermodel, and since IPC is sound for Kripke
+    # semantics the sequent is refuted without `decide`.  Any other sequent
+    # goes to `decide`, so every verdict is the one `decide` would give.
+    # Masks are kept by key for this call; a probe built from earlier probes
+    # costs one connective step.  The dual gate turns every sequent around.
+    kept = [psi for psi in probes if y not in psi.free_vars]
+    require_plain(phi, candidate, *kept)
+    names = sorted(phi.free_vars.union(candidate.free_vars, *(psi.free_vars for psi in kept)))
+    atoms, g = kripke._atoms_grid(names[:_GRID_ATOMS], _CHAIN)
+    atoms.update((v.name, 0) for v in names[_GRID_ATOMS:])
+    masks: dict[str, int] = {}
+    settled = 0
 
-    require_plain(phi, candidate)
+    def entails(a: Formula, b: Formula) -> bool:
+        nonlocal settled
+        hyp, concl = (b, a) if forall else (a, b)
+        h = kripke.forcing_mask(hyp, atoms, g, masks)
+        if h & ~kripke.forcing_mask(concl, atoms, g, masks):
+            settled += 1
+            return False
+        return prover.decide(Sequent((hyp,), concl))
+
     variable_free = y not in candidate.free_vars
     consequence = entails(phi, candidate)
     failures = []
-    count = 0
-    for psi in probes:
-        if y in psi.free_vars:
-            continue
-        count += 1
+    for psi in kept:
         left = entails(candidate, psi)
         right = entails(phi, psi)
         if left != right:
             failures.append((psi, "candidate" if left else "input"))
     ok = variable_free and consequence and not failures
-    return ValidationReport(ok, variable_free, consequence, failures, count)
+    return ValidationReport(ok, variable_free, consequence, failures, len(kept), settled)
 
 
 def probe_corpus(variables, max_nodes: int = 8) -> list[Formula]:

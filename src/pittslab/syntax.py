@@ -5,9 +5,10 @@ which bound variables are replaced by binder indices, so ``==`` is
 alpha-equivalence throughout the package.  A node's key, size,
 has_quantifier and has_app are derived once, at construction, from its
 children's: connective and application keys are composed from the
-children's keys, and only a quantifier serializes its body (under its
-binder).  Free variables are computed on first use.  `INFIX` is the surface
-notation that the parser and the printer share.
+children's keys, and a quantifier's key is its body's key with the binder
+indices renumbered, so no key is computed by recursion.  Free variables are
+computed on first use.  `INFIX` is the surface notation that the parser and
+the printer share.
 """
 from __future__ import annotations
 
@@ -201,6 +202,12 @@ class Implies(_Binary):
     tag = ">"
 
 
+# In a key, the tokens that stand for variables: binder indices `#i` and free
+# variables `vNAME`.  Tokens are the runs between parentheses and commas, and
+# no other token starts with `#` or `v`.
+_VAR_TOKEN = re.compile(r"(?<![^(,])[#v][^(),]*")
+
+
 @dataclass(frozen=True, eq=False, repr=False)
 class _Binder(Formula):
     var: Variable
@@ -209,7 +216,17 @@ class _Binder(Formula):
     tag: ClassVar[str]
 
     def __post_init__(self):
-        self._derive(_serialize(self, {}, 0), quantifier=True)
+        # The body's key read under this binder: the body's free occurrences
+        # of var take index 0 and every binder inside moves one index up.
+        free = f"v{self.var.name}"
+
+        def renumber(m: re.Match) -> str:
+            token = m.group()
+            if token[0] == "#":
+                return f"#{int(token[1:]) + 1}"
+            return "#0" if token == free else token
+
+        self._derive(f"{self.tag}({_VAR_TOKEN.sub(renumber, self.body.key)})", quantifier=True)
 
     def children(self):
         return (self.body,)
@@ -244,24 +261,6 @@ class App(Formula):
 
     def children(self):
         return self.args
-
-
-def _serialize(f: Formula, env: dict[Variable, int], depth: int) -> str:
-    """f's key with each variable of env replaced by its binder index; the
-    next binder inside f takes index `depth`."""
-    if isinstance(f, Var):
-        idx = env.get(f.var)
-        return f"#{idx}" if idx is not None else f.key
-    if isinstance(f, Bottom):
-        return f.key
-    if isinstance(f, _Binary):
-        return f"{f.tag}({_serialize(f.left, env, depth)},{_serialize(f.right, env, depth)})"
-    if isinstance(f, _Binder):
-        return f"{f.tag}({_serialize(f.body, {**env, f.var: depth}, depth + 1)})"
-    if isinstance(f, App):
-        inner = ",".join(_serialize(a, env, depth) for a in f.args)
-        return f"@{f.symbol.name}/{f.symbol.arity}({inner})"
-    raise FormulaError(f"unknown node {f!r}")
 
 
 # Abbreviations.  Negation, biconditional and verum are derived forms, never

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -218,3 +219,152 @@ def test_probe_corpus_is_pinned(atoms, max_nodes, length, digest):
     corpus = probe_corpus([Variable(a) for a in atoms], max_nodes)
     assert len(corpus) == length
     assert hashlib.sha256("\n".join(g.key for g in corpus).encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# The gate settles on the 2-chain grid the sequents a two-world model already
+# refutes, and calls `decide` for the rest; none of that may show in a report.
+
+def _reference_gate(phi, y, candidate, probes, forall):
+    """The gate with `decide` on every sequent and no masks."""
+    def entails(a, b):
+        return decide(Sequent((b,), a) if forall else Sequent((a,), b))
+
+    consequence = entails(phi, candidate)
+    failures = []
+    count = 0
+    for psi in probes:
+        if y in psi.free_vars:
+            continue
+        count += 1
+        left, right = entails(candidate, psi), entails(phi, psi)
+        if left != right:
+            failures.append((psi, "candidate" if left else "input"))
+    variable_free = y not in candidate.free_vars
+    return variable_free, consequence, failures, count, variable_free and consequence and not failures
+
+
+def _gate_inputs():
+    """Seeded bodies over Y,P and Y,P,Q, each with its interpolant raw and
+    simplified and with three wrong candidates, for both gates."""
+    from pittslab.pitts import validate_forall_interpolant
+
+    rng = random.Random(41)
+    for atoms, probes in (
+        (["Y", "P"], probe_corpus([Variable("P")], 6)),
+        (["Y", "P", "Q"], probe_corpus([Variable("P"), Variable("Q")], 5)),
+    ):
+        for _ in range(4):
+            phi = random_formula(rng, atoms, rng.choice([5, 7, 9]))
+            wrong = random_formula(rng, atoms[1:], rng.choice([3, 5]))
+            for gate, interpolant, forall in (
+                (validate_interpolant, pite_exists, False),
+                (validate_forall_interpolant, pita_forall, True),
+            ):
+                raw = interpolant(phi, Y)
+                for candidate in (raw, simplify(raw), TOP, BOT, wrong):
+                    yield gate, phi, candidate, probes, forall
+
+
+def test_gate_report_matches_deciding_every_probe():
+    wrong_seen = settled = 0
+    for gate, phi, candidate, probes, forall in _gate_inputs():
+        rep = gate(phi, Y, candidate, probes)
+        variable_free, consequence, failures, count, ok = _reference_gate(phi, Y, candidate, probes, forall)
+        assert (rep.ok, rep.variable_free, rep.consequence_holds, rep.probes_run) == (
+            ok, variable_free, consequence, count), (phi, candidate, forall)
+        assert rep.failures == failures, (phi, candidate, forall)
+        wrong_seen += bool(failures)
+        settled += rep.settled
+    assert wrong_seen >= 10 and settled > 0
+
+
+def test_gate_past_the_grid_atoms_matches_deciding_every_probe():
+    # more atoms than the grid varies: the rest are false at every point
+    from pittslab.pitts import _GRID_ATOMS, validate_forall_interpolant
+
+    names = [f"A{i}" for i in range(_GRID_ATOMS + 2)]
+    phi = f("(Y \\/ ~Y) -> (" + " /\\ ".join(names) + ") \\/ ~~" + names[-1])
+    probes = probe_corpus([Variable(n) for n in names], 3)
+    settled = 0
+    for gate, interpolant, forall in (
+        (validate_interpolant, pite_exists, False),
+        (validate_forall_interpolant, pita_forall, True),
+    ):
+        for candidate in (simplify(interpolant(phi, Y)), TOP, BOT, f("~~" + names[-1])):
+            rep = gate(phi, Y, candidate, probes)
+            variable_free, consequence, failures, count, ok = _reference_gate(phi, Y, candidate, probes, forall)
+            assert (rep.ok, rep.variable_free, rep.consequence_holds, rep.failures, rep.probes_run) == (
+                ok, variable_free, consequence, failures, count), (candidate, forall)
+            settled += rep.settled
+    assert settled > 0
+
+
+def _chain_refutation(hyp, concl, names):
+    """The 2-chain model and world at the lowest bit where the masks of hyp
+    and concl refute hyp |- concl, or None."""
+    from pittslab import kripke
+    from pittslab.pitts import _CHAIN
+
+    atoms, g = kripke._atoms_grid(names, _CHAIN)
+    bad = kripke.forcing_mask(hyp, atoms, g) & ~kripke.forcing_mask(concl, atoms, g)
+    if not bad:
+        return None
+    point, world = divmod((bad & -bad).bit_length() - 1, len(_CHAIN))
+    points = {v.name: atoms[v.name] >> point * len(_CHAIN) & g.full for v in names}
+    return kripke.submodel(_CHAIN, range(len(_CHAIN)), points), world
+
+
+def test_every_mask_refutation_is_a_checked_countermodel():
+    from pittslab.kripke import submodel
+    from pittslab.pitts import _CHAIN
+
+    names = [Variable("P"), Variable("Q"), Variable("Y")]
+    # every persistent valuation of the three atoms on the 2-chain
+    upsets = (0b00, 0b10, 0b11)
+    models = [
+        submodel(_CHAIN, range(2), dict(zip("PQY", us)))
+        for us in itertools.product(upsets, repeat=3)
+    ]
+    rng = random.Random(42)
+    settled = 0
+    for _ in range(400):
+        s = Sequent(
+            (random_formula(rng, "PQY", rng.choice([3, 5, 7])),),
+            random_formula(rng, "PQY", rng.choice([1, 3, 5, 7])),
+        )
+        found = _chain_refutation(s.hyps[0], s.concl, names)
+        if found is not None:
+            settled += 1
+            model, world = found
+            assert model.refutes(world, s), s
+            assert not decide(s), s
+        else:  # then no two-world chain refutes it either
+            assert not any(m.refutes(w, s) for m in models for w in (0, 1)), s
+    assert 50 < settled < 350
+
+
+def test_gate_settles_exactly_the_chain_refuted_sequents():
+    from pittslab.pitts import validate_forall_interpolant
+
+    phi = f("(Y \\/ ~Y) -> (P /\\ Q)")
+    names = [Variable("P"), Variable("Q"), Variable("Y")]
+    probes = probe_corpus(names[:2], 5)
+    for gate, candidate, forall in (
+        (validate_interpolant, simplify(pite_exists(phi, Y)), False),
+        (validate_forall_interpolant, simplify(pita_forall(phi, Y)), True),
+        (validate_interpolant, TOP, False),
+    ):
+        pairs = [(phi, candidate)] + [(g, psi) for psi in probes for g in (candidate, phi)]
+        sequents = [(b, a) if forall else (a, b) for a, b in pairs]
+        expected = sum(_chain_refutation(h, c, names) is not None for h, c in sequents)
+        assert gate(phi, Y, candidate, probes).settled == expected > 0
+
+
+def test_reference_gate_settles_most_probes_without_decide():
+    # the simplified exists interpolant of P <-> (~Y \/ ~~Y) over the 942
+    # probes of P: 1,885 sequents, of which all but 1,035 fail on the 2-chain
+    phi = f("P <-> (~Y \\/ ~~Y)")
+    rep = validate_interpolant(phi, Y, simplify(pite_exists(phi, Y)), probe_corpus([Variable("P")], 8))
+    assert rep.ok and rep.probes_run == 942
+    assert rep.settled == 1885 - 1035

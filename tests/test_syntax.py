@@ -162,6 +162,65 @@ def test_pinned_keys(formula, key):
     assert formula.key == key
 
 
+def _reference_key(f, env=None, depth=0):
+    """A formula's key by the definition: one recursive serialization with
+    each bound variable replaced by its binder's nesting level."""
+    env = env or {}
+    if isinstance(f, Var):
+        return f"#{env[f.var]}" if f.var in env else f.key
+    if isinstance(f, (Exists, Forall)):
+        return f"{f.tag}({_reference_key(f.body, {**env, f.var: depth}, depth + 1)})"
+    if isinstance(f, App):
+        inner = ",".join(_reference_key(a, env, depth) for a in f.args)
+        return f"@{f.symbol.name}/{f.symbol.arity}({inner})"
+    if isinstance(f, (And, Or, Implies)):
+        return f"{f.tag}({_reference_key(f.left, env, depth)},{_reference_key(f.right, env, depth)})"
+    return f.key
+
+
+def _random_quantified(rng, size):
+    # names that share prefixes with each other and with the symbols, so a
+    # renumbering that matched part of a token would show
+    names = ["X", "X1", "vX", "Y"]
+    if size <= 1:
+        return rng.choice([BOT] + [var(n) for n in names])
+    kind = rng.randrange(5)
+    if kind < 2:
+        return rng.choice([Exists, Forall])(Variable(rng.choice(names)), _random_quantified(rng, size - 1))
+    if kind == 2:
+        sym = rng.choice([ConnectiveSymbol("vX", 1), ConnectiveSymbol("X", 1)])
+        return App(sym, (_random_quantified(rng, size - 1),))
+    left = rng.randrange(1, size - 1) if size > 2 else 1
+    ctor = rng.choice([And, Or, Implies])
+    return ctor(_random_quantified(rng, left), _random_quantified(rng, max(1, size - 1 - left)))
+
+
+def test_quantifier_keys_match_the_definition():
+    import random
+
+    rng = random.Random(12)
+    for _ in range(600):
+        f = _random_quantified(rng, rng.randrange(1, 16))
+        assert f.key == _reference_key(f), f
+
+
+def test_deep_binder_chain_needs_no_recursion():
+    x = Variable("X")
+    f = Var(x)
+    for _ in range(3000):
+        f = Exists(x, f)
+    # the innermost binder captures X, at nesting level 2999
+    assert f.key == "E(" * 3000 + "#2999" + ")" * 3000
+    assert f.free_vars == frozenset() and f.has_quantifier and f.size == 3001
+    # two variables bound in turn, each used right under its binder
+    g = var("P")
+    for i in range(1000):
+        g = Forall(Variable(f"X{i % 2}"), Implies(var(f"X{i % 2}"), g))
+    assert g.key.startswith("A(>(#0,A(>(#1,A(>(#2,")
+    assert g.key.endswith(">(#999,vP))" + "))" * 999)
+    assert g.free_vars == {Variable("P")}
+
+
 def test_deep_formula_attributes_need_no_recursion():
     f = X
     for _ in range(1500):
