@@ -18,7 +18,7 @@ from .connectives import (
     extract_auxiliary,
     is_auxiliary,
 )
-from .kernel import SchemaTheory
+from .kernel import SchemaTheory, Sequent
 from .parser import FormulaSyntaxError, Parser
 from .pitts import (
     pita_forall,
@@ -106,10 +106,33 @@ def _cmd_interpolate(args) -> int:
         payload["probes"] = rep.probes_run
         lines.append(f"probe gate: {'pass' if rep.ok else 'FAIL'} ({rep.probes_run} probes)")
         if not rep.ok:
-            _emit(payload, args.format, lines)
+            _emit(payload, args.format, lines + _gate_failures(f, y, shown, rep, args.exists))
             return 1
     _emit(payload, args.format, lines)
     return 0
+
+
+def _gate_failures(phi, y, candidate, rep, exists: bool) -> list[str]:
+    """Text lines naming the checks a failed probe gate did not pass: the
+    variable condition, the consequence, and the first failing probe with
+    its direction (the side whose sequent holds) and both verdicts."""
+
+    def entails(a, b) -> Sequent:
+        return Sequent((a,), b) if exists else Sequent((b,), a)
+
+    out = []
+    if not rep.variable_free:
+        out.append(f"  variable condition: candidate mentions {y}")
+    if not rep.consequence_holds:
+        out.append(f"  consequence: {entails(phi, candidate)} refuted")
+    if rep.failures:
+        psi, direction = rep.failures[0]
+        verdicts = ("provable", "refuted") if direction == "candidate" else ("refuted", "provable")
+        out.append(
+            f"  first failing probe: {psi}; direction: {direction}; "
+            f"{entails(candidate, psi)} {verdicts[0]}; {entails(phi, psi)} {verdicts[1]}"
+        )
+    return out
 
 
 def _load_theory(spec: str | None) -> SchemaTheory:

@@ -3,11 +3,17 @@
 The refutation oracle: posets are enumerated up to isomorphism (worlds are
 labeled along a linear extension, so `u <= v` implies `u <= v` as integers),
 and for each poset every persistent valuation of the sequent's atoms is
-examined.  `forcing_mask` evaluates a formula at every valuation and world
-at once, as one Python int with a bit per (valuation, world); the one-variable
-lattice in `rieger` uses the same evaluator on the one-atom universal model,
-and `prover.classical_tautology` is the mask-level sweep `first_failure` on
-one world (a one-world model is a classical valuation).
+examined.  The sweep visits only rooted posets: forcing is preserved in
+generated submodels, so a model failing at world w still fails at w when cut
+down to the worlds above w, and the first countermodel (fewest worlds) is
+rooted and fails at its root.  A rooted poset on n worlds is a bottom put
+under a poset on n - 1 worlds (`rooted_posets`), so a sweep to n worlds
+enumerates posets of at most n - 1.  `forcing_mask` evaluates a formula at
+every valuation and world at once, as one Python int with a bit per
+(valuation, world), on a grid built once per atom count and poset; the
+one-variable lattice in `rieger` uses the same evaluator on the one-atom
+universal model, and `prover.classical_tautology` is the mask-level sweep
+`first_failure` on one world (a one-world model is a classical valuation).
 """
 from __future__ import annotations
 
@@ -137,6 +143,15 @@ def posets(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(_downs_to_ups(n, down) for down in reps)
 
 
+@lru_cache(maxsize=None)
+def rooted_posets(n: int) -> tuple[tuple[int, ...], ...]:
+    """The posets of `posets(n)` with a least world (world 0), in the same
+    order and labeling: each is a new bottom under one of `posets(n - 1)`."""
+    if n == 1:
+        return ((1,),)
+    return tuple(((1 << n) - 1,) + tuple(u << 1 for u in q) for q in posets(n - 1))
+
+
 def _ups_to_downs(n: int, up: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(
         sum(1 << u for u in range(n) if u != w and up[u] >> w & 1) for w in range(n)
@@ -263,6 +278,9 @@ def _repeat(pattern: int, width: int, count: int) -> int:
 def find_countermodel(s: Sequent, max_worlds: int = 6):
     """Exhaustive search for a model and world forcing the hypotheses but not
     the conclusion.  Returns (KripkeModel, world) or None.
+
+    Only rooted posets are searched (see `first_failure`), so the model has
+    the fewest worlds of any countermodel and fails at its root, world 0.
     """
     hit = first_failure(s, max_worlds)
     if hit is None:
@@ -279,13 +297,21 @@ def find_countermodel(s: Sequent, max_worlds: int = 6):
 def first_failure(s: Sequent, max_worlds: int = 6):
     """The sweep behind `find_countermodel`, on masks only: the first poset
     (as `up` masks), valuation point and world at which the hypotheses hold
-    and the conclusion fails, or None."""
+    and the conclusion fails, or None.
+
+    Posets are tried by world count, and within a count in `posets` order,
+    but only the rooted ones (`rooted_posets`).  That finds the same first
+    failure as trying every poset: let n be the least world count with a
+    failure; a failure at a world w that is not the least world would also
+    occur on the upset of w, a rooted poset of fewer worlds, so every
+    failing poset at n is rooted and fails only at its root, and
+    `rooted_posets(n)` keeps the `posets(n)` order."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     require_plain(*s.hyps, s.concl)
     names = sorted(s.free_vars())
     for n in range(1, max_worlds + 1):
-        for up in posets(n):
+        for up in rooted_posets(n):
             fail = _failures(s, names, up)
             if fail:
                 point, world = divmod(_lowest_bit(fail), n)
@@ -302,25 +328,44 @@ def _failures(s: Sequent, names, up) -> int:
     return fail ^ fail & forcing_mask(s.concl, atoms, g)
 
 
+# A grid of at most this many bits is kept in `_grid_table` once built; a
+# larger one (five atoms on the bigger six-world posets, four on seven
+# worlds) is built on each call, so the table stays small: every three-atom
+# grid on the rooted posets of up to six worlds takes 1.6 MB, every
+# four-atom one 32 MB.
+_TABLE_BITS = 1 << 23
+
+
 def _atoms_grid(names, up) -> tuple[dict[str, int], Grid]:
     """The masks of the atoms `names` (Variables) and the grid they span on
     the poset with masks `up`: one valuation point for each way of giving
     every atom an upset.  Points are numbered with the last atom's upset
     varying fastest, so the sweep's lowest failing bit is the first
     countermodel in that order."""
+    k = len(names)
+    small = len(upsets(len(up), up)) ** k * len(up) <= _TABLE_BITS
+    masks, g = (_grid_table if small else _build_grid)(k, up)
+    return dict(zip((v.name for v in names), masks)), g
+
+
+def _build_grid(k: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], Grid]:
+    """The masks of atoms 0..k-1, by position, and the grid they span on the
+    poset with masks `up` (see `_atoms_grid`)."""
     n = len(up)
     us = upsets(n, up)
-    k = len(names)
     # atom i takes upset j on a run of `inner` consecutive points, j = 0, 1, ...
-    atoms = {}
-    for i, v in enumerate(names):
+    masks = []
+    for i in range(k):
         inner = len(us) ** (k - 1 - i)
         run = _repeat(1, n, inner)
         runs = 0
         for j, mask in enumerate(us):
             runs |= (mask * run) << (j * inner * n)
-        atoms[v.name] = _repeat(runs, len(us) * inner * n, len(us) ** i)
-    return atoms, grid(up, _repeat(1, n, len(us) ** k))
+        masks.append(_repeat(runs, len(us) * inner * n, len(us) ** i))
+    return tuple(masks), grid(up, _repeat(1, n, len(us) ** k))
+
+
+_grid_table = lru_cache(maxsize=None)(_build_grid)
 
 
 def submodel(up: tuple[int, ...], keep, atoms: dict[str, int]) -> KripkeModel:

@@ -257,3 +257,26 @@ def test_interpolate_forall_with_probe_gate(capsys):
     payload = json.loads(out)
     validate(payload, "interpolate_result.schema.json")
     assert payload["validated"] is True and payload["interpolant"] == "X"
+
+
+def test_failed_gate_names_its_first_failure(monkeypatch, capsys):
+    from pittslab.parser import parse_formula
+
+    argv = ["interpolate", "--exists", "--var", "Y", "--validate", "--probe-budget", "4",
+            "(Y \\/ ~Y) -> (P /\\ Q)"]
+    monkeypatch.setattr("pittslab.cli.simplify", lambda f: parse_formula("bot"))
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "bot",
+        "probe gate: FAIL (24 probes)",
+        "  consequence: Y \\/ ~Y -> P /\\ Q |- bot refuted",
+        "  first failing probe: bot; direction: candidate; "
+        "bot |- bot provable; Y \\/ ~Y -> P /\\ Q |- bot refuted",
+    ]
+    code, out, _ = run(capsys, *argv[:-1], "--format", "json", argv[-1])
+    assert code == 1
+    payload = json.loads(out)
+    validate(payload, "interpolate_result.schema.json")
+    assert payload == {"input": "Y \\/ ~Y -> P /\\ Q", "interpolant": "bot", "kind": "exists",
+                       "probes": 24, "validated": False, "var": "Y"}

@@ -1,11 +1,24 @@
+import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from pittslab.kripke import KripkeModel, find_countermodel, posets, upsets
+from pittslab import cli, kripke
+from pittslab.kernel import Sequent
+from pittslab.kripke import (
+    KripkeModel,
+    find_countermodel,
+    first_failure,
+    forcing_mask,
+    posets,
+    rooted_posets,
+    upsets,
+)
 from pittslab.parser import parse_formula, parse_sequent
+from pittslab.selftest import random_formula
 
 
 def test_poset_counts_match_known_sequence():
@@ -72,3 +85,115 @@ def test_package_imports_without_numpy():
     src = Path(__file__).resolve().parent.parent / "src"
     code = 'import pittslab, sys; assert "numpy" not in sys.modules'
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True, timeout=60)
+
+
+def test_rooted_posets_are_the_rooted_posets_in_order():
+    for n in range(1, 7):
+        full = (1 << n) - 1
+        assert list(rooted_posets(n)) == [up for up in posets(n) if up[0] == full]
+
+
+def _reference_failures(s, up):
+    """The failing bits of s on the poset `up`, on a grid built afresh."""
+    names = sorted(s.free_vars())
+    masks, g = kripke._build_grid(len(names), up)
+    atoms = {v.name: m for v, m in zip(names, masks)}
+    fail = g.full
+    for h in s.hyps:
+        fail &= forcing_mask(h, atoms, g)
+    return fail ^ fail & forcing_mask(s.concl, atoms, g)
+
+
+def _reference_first_failure(s, max_worlds):
+    """`first_failure` over every poset, rooted or not."""
+    for n in range(1, max_worlds + 1):
+        for up in posets(n):
+            fail = _reference_failures(s, up)
+            if fail:
+                point, world = divmod((fail & -fail).bit_length() - 1, n)
+                return up, point, world
+    return None
+
+
+# First countermodels of 3, 4 and 5 worlds over one to four atoms; the last
+# two fail on two rooted posets of their least world count, so they tell the
+# sweep's poset order apart.
+_DEEP = [
+    "|- ~P \\/ ~~P",
+    "|- (P -> Q) \\/ (Q -> P)",
+    "|- ((P -> Q) -> R) -> ((Q -> P) -> R) -> R",
+    "|- (P -> Q) \\/ (Q -> R) \\/ (R -> S) \\/ (S -> P)",
+    "|- ~~P \\/ (~~P -> P)",
+    "|- (~P -> Q \\/ R) -> (~P -> Q) \\/ (~P -> R)",
+    "|- (~~P -> P) \\/ ((~~P -> P) -> P \\/ ~P)",
+    "|- R \\/ (Q \\/ ~R) \\/ (Q -> R)",
+    "|- (P -> Q) \\/ (Q -> R) \\/ (R -> P)",
+]
+
+
+def _seeded_sequents():
+    """Sequents with their world bound: 4 for four atoms, where a full
+    all-posets sweep to 6 worlds would take seconds, else 6."""
+    rng = random.Random(10)
+    out = [parse_sequent(t) for t in _DEEP]
+    for i in range(160):
+        names = ["P", "Q", "R", "S"][: i % 4 + 1]
+        hyps = tuple(random_formula(rng, names, rng.choice([1, 3, 5])) for _ in range(rng.randint(0, 2)))
+        out.append(Sequent(hyps, random_formula(rng, names, rng.choice([3, 5, 7, 9]))))
+    return [(s, 4 if len(s.free_vars()) == 4 else 6) for s in out]
+
+
+def test_first_failure_matches_the_all_posets_sweep():
+    worlds = set()
+    for s, bound in _seeded_sequents():
+        hit = first_failure(s, bound)
+        assert hit == _reference_first_failure(s, bound), s
+        if hit is not None:
+            worlds.add(len(hit[0]))
+    assert {1, 2, 3, 4, 5} <= worlds
+
+
+def test_first_failing_world_count_fails_only_at_roots():
+    most = 0
+    for s, bound in _seeded_sequents():
+        hit = first_failure(s, bound)
+        if hit is None:
+            continue
+        n = len(hit[0])
+        failing = 0
+        for up in posets(n):
+            fail = _reference_failures(s, up)
+            world0 = kripke._repeat(1, n, fail.bit_length() // n + 1)
+            assert fail & ~world0 == 0, (s, up)
+            assert not fail or up[0] == (1 << n) - 1, (s, up)
+            failing += fail != 0
+        most = max(most, failing)
+    assert most >= 2
+
+
+
+def test_bound_seven_certifies_the_61_node_rieger_nishimura_formula(monkeypatch, capsys):
+    # not valid, and refuted by no model of 6 or fewer worlds
+    text = (
+        "|- (((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) \\/ "
+        "((((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) -> ~~X \\/ (~~X -> X))"
+    )
+    built = []
+    table = kripke.posets
+
+    def recording_posets(n):
+        built.append(n)
+        return table(n)
+
+    monkeypatch.setattr(kripke, "posets", recording_posets)
+    kripke.rooted_posets.cache_clear()
+    assert cli.main(["prove", "--bound", "7", "--format", "json", text]) == 1
+    found = json.loads(capsys.readouterr().out)["countermodel"]
+    model = KripkeModel(
+        tuple(found["worlds"]),
+        frozenset(tuple(p) for p in found["order"]),
+        tuple((int(w), frozenset(v)) for w, v in found["valuation"].items()),
+    )
+    assert len(model.worlds) == 7
+    assert model.refutes(found["world"], parse_sequent(text))
+    assert built and max(built) == 6
