@@ -105,9 +105,22 @@ class KripkeModel:
 # extension (every predecessor of w is numerically below w).
 
 def _canonical(n: int, down: tuple[int, ...]) -> int:
+    """The least adjacency code over the relabelings that keep cells in
+    order: worlds sorted by (worlds strictly below, strictly above), then the
+    sorted such pairs of the worlds comparable to them; equal values form a
+    cell.  An isomorphism maps cells onto cells, so isomorphic posets get the
+    same codes; a code determines its relabeled poset, so the least code is
+    a complete invariant."""
     edges = [(u, w) for w in range(n) for u in range(n) if down[w] >> u & 1]
+    degree = [(down[w].bit_count(), sum(d >> w & 1 for d in down)) for w in range(n)]
+    inv = [(degree[w], sorted(degree[u] for u in range(n) if down[w] >> u & 1 or down[u] >> w & 1))
+           for w in range(n)]
+    cells = itertools.groupby(sorted(range(n), key=inv.__getitem__), key=inv.__getitem__)
     best = None
-    for perm in itertools.permutations(range(n)):
+    for parts in itertools.product(*(itertools.permutations(c) for _, c in cells)):
+        perm = [0] * n
+        for pos, w in enumerate(itertools.chain.from_iterable(parts)):
+            perm[w] = pos
         bits = 0
         for (u, w) in edges:
             bits |= 1 << (perm[u] * n + perm[w])
@@ -121,6 +134,8 @@ def posets(n: int) -> tuple[tuple[int, ...], ...]:
     """All posets on n labeled-along-a-linear-extension worlds, up to iso.
 
     Returned as tuples of `up` masks: up[w] = bitmask of worlds >= w.
+    Each class keeps its first candidate and the list is sorted, so the table
+    depends only on the classes, not on the invariant (`_canonical`) naming them.
     """
     if n < 1:
         raise ValueError("need at least one world")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import subprocess
@@ -5,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pittslab import cli, kripke
 from pittslab.kernel import Sequent
@@ -23,6 +25,49 @@ from pittslab.selftest import random_formula
 
 def test_poset_counts_match_known_sequence():
     assert [len(posets(n)) for n in range(1, 7)] == [1, 2, 5, 16, 63, 318]
+    assert len(posets(7)) == 2045
+
+
+def _reference_canonical(n, down):
+    """The least adjacency code over all n! relabelings."""
+    edges = [(u, w) for w in range(n) for u in range(n) if down[w] >> u & 1]
+    return min(sum(1 << (p[u] * n + p[w]) for u, w in edges) for p in itertools.permutations(range(n)))
+
+
+def test_posets_match_the_tables_built_with_the_all_relabelings_key(monkeypatch):
+    # posets(n) extends the cached posets(n - 1), which the step before
+    # checked, so each table is compared with the reference-keyed one
+    for n in range(1, 7):
+        fast = posets(n)
+        with monkeypatch.context() as m:
+            m.setattr(kripke, "_canonical", _reference_canonical)
+            assert posets.__wrapped__(n) == fast, n
+
+
+def _linear_extension(data, n, down):
+    """A linear extension of `down`, drawn one minimal world at a time."""
+    placed, order = 0, []
+    while len(order) < n:
+        ready = [w for w in range(n) if not placed >> w & 1 and down[w] & ~placed == 0]
+        w = data.draw(st.sampled_from(ready))
+        placed |= 1 << w
+        order.append(w)
+    return order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_canonical_key_is_the_same_along_any_linear_extension(data):
+    n = data.draw(st.integers(1, 6))
+    down = kripke._ups_to_downs(n, data.draw(st.sampled_from(posets(n))))
+    order = _linear_extension(data, n, down)
+    label = {w: i for i, w in enumerate(order)}
+    relabeled = tuple(sum(1 << label[u] for u in range(n) if down[w] >> u & 1) for w in order)
+    assert kripke._canonical(n, relabeled) == kripke._canonical(n, down)
+
+
+def test_canonical_keys_tell_the_six_world_posets_apart():
+    assert len({kripke._canonical(6, kripke._ups_to_downs(6, up)) for up in posets(6)}) == 318
 
 
 def test_upsets_of_two_chain():
@@ -172,12 +217,10 @@ def test_first_failing_world_count_fails_only_at_roots():
 
 
 
-def test_bound_seven_certifies_the_61_node_rieger_nishimura_formula(monkeypatch, capsys):
-    # not valid, and refuted by no model of 6 or fewer worlds
-    text = (
-        "|- (((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) \\/ "
-        "((((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) -> ~~X \\/ (~~X -> X))"
-    )
+@pytest.fixture
+def posets_built(monkeypatch):
+    """The world counts `kripke.posets` is called with, from a cold
+    `rooted_posets` cache on."""
     built = []
     table = kripke.posets
 
@@ -187,6 +230,15 @@ def test_bound_seven_certifies_the_61_node_rieger_nishimura_formula(monkeypatch,
 
     monkeypatch.setattr(kripke, "posets", recording_posets)
     kripke.rooted_posets.cache_clear()
+    return built
+
+
+def test_bound_seven_certifies_the_61_node_rieger_nishimura_formula(posets_built, capsys):
+    # not valid, and refuted by no model of 6 or fewer worlds
+    text = (
+        "|- (((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) \\/ "
+        "((((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) -> ~~X \\/ (~~X -> X))"
+    )
     assert cli.main(["prove", "--bound", "7", "--format", "json", text]) == 1
     found = json.loads(capsys.readouterr().out)["countermodel"]
     model = KripkeModel(
@@ -196,4 +248,16 @@ def test_bound_seven_certifies_the_61_node_rieger_nishimura_formula(monkeypatch,
     )
     assert len(model.worlds) == 7
     assert model.refutes(found["world"], parse_sequent(text))
-    assert built and max(built) == 6
+    assert posets_built and max(posets_built) == 6
+
+
+def test_bound_past_the_cap_is_a_usage_error_that_builds_no_table(posets_built, capsys):
+    # refuted, so an accepted bound would sweep and build tables
+    assert cli.main(["prove", "--bound", "9", "|- P \\/ ~P"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--bound" in captured.err and "at most 8" in captured.err
+    assert posets_built == []
+
+
+def test_bound_eight_sweeps_the_seven_world_table():
+    assert find_countermodel(parse_sequent("|- P -> P"), 8) is None
