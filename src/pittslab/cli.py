@@ -19,6 +19,7 @@ from .connectives import (
     is_auxiliary,
 )
 from .kernel import SchemaTheory, Sequent
+from .kripke import DEFAULT_BOUND, MAX_BOUND
 from .parser import FormulaSyntaxError, Parser
 from .pitts import (
     pita_forall,
@@ -34,12 +35,6 @@ from .rieger import LevelExceeded, default_lattice
 from .scripts import ScriptError, check_script, parse_script, parse_theory
 from .syntax import FormulaError, Variable
 from .trees import parse_tree, print_tree
-
-# the largest `prove --bound`: its sweep builds the 2,045 posets of 7 worlds
-# in under a second, while the next table (16,999 posets of 8) takes seconds
-# and each further one grows several-fold
-MAX_BOUND = 8
-
 
 class UsageError(Exception):
     pass
@@ -279,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prove", help="decide a quantifier-free sequent")
     p.add_argument("sequent")
-    p.add_argument("--bound", type=_in_range(1, MAX_BOUND), default=6,
+    p.add_argument("--bound", type=_in_range(1, MAX_BOUND), default=DEFAULT_BOUND,
                    help=f"countermodel world bound (at most {MAX_BOUND})")
     add_format(p)
     p.set_defaults(fn=_cmd_prove)

@@ -38,7 +38,7 @@ from .kernel import (
     t_orR2,
     t_wl,
 )
-from .kripke import find_countermodel, first_failure
+from .kripke import DEFAULT_BOUND, find_countermodel, first_failure
 from .syntax import (
     And,
     BOT,
@@ -251,7 +251,7 @@ def derive(s: Sequent) -> ProofTree:
     return _derive(tuple(s.hyps), s.concl)
 
 
-def prove(s: Sequent, countermodel_bound: int = 6) -> Verdict:
+def prove(s: Sequent, countermodel_bound: int = DEFAULT_BOUND) -> Verdict:
     """Decide a sequent; attach a proof tree or a countermodel witness."""
     require_plain(*s.hyps, s.concl)
     if _decide(frozenset(s.hyps), s.concl):

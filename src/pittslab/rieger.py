@@ -188,8 +188,8 @@ class RNLattice:
             if not frontier:
                 break
 
-    def classify(self, f: Formula, certify: bool = True) -> RNClass:
-        """The unique generated class of `f`; prover-certified by default."""
+    def classify(self, f: Formula) -> RNClass:
+        """The unique generated class of `f`, certified by the prover."""
         if f.has_quantifier or f.has_app:
             raise UnsupportedFormula("classification needs quantifier-free input")
         fv = f.free_vars
@@ -208,7 +208,7 @@ class RNLattice:
         if idx is None:
             raise LevelExceeded(f"{f} lies above the generated lattice portion")
         rep = self.reps[idx]
-        if certify and not equivalent(f, rep):
+        if not equivalent(f, rep):
             raise AssertionError(f"classification of {f} failed prover certification")
         return RNClass(idx, rep)
 

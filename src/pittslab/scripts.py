@@ -7,10 +7,9 @@ with justifications
                                           prover after replacing each maximal
                                           uninterpreted subterm by a shared
                                           fresh atom
-    ax-schema <name> {X := f, ...}        axiom-schema instance (weakening ok)
+    ax-schema <name> {X := f, ...}        axiom-schema instance
     cut <i> <j> [<k> ...]                 chain of cuts against earlier lines,
-                                          both orientations tried, final
-                                          contraction/weakening allowed
+                                          both orientations tried
     rule <name> <i> [<j> ...]             one kernel rule application
     ext <context> <p> <p'>                extensionality line, discharged by a
                                           generated kernel tree (`_` marks the
@@ -18,19 +17,23 @@ with justifications
     subst <i> {X := f, ...}               substitution instance of a line
     ref <script>:<line>                   claim of a previously checked script
 
+A line is accepted when a sequent its justification derives
+(`derived_sequents`) has the line's conclusion and, taken as a set, only
+hypotheses of the line: the kernel's weakening and contraction close the gap.
+
 Exit-status convention for the CLI: 0 accepted, 1 rejected, 2 malformed.
 """
 from __future__ import annotations
 
+import itertools
 import re
-from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .kernel import (
     KernelError,
     SchemaTheory,
     Sequent,
-    _contains,
     check_rule,
     check_tree,
     derive_extensionality,
@@ -115,23 +118,9 @@ class ScriptReport:
 # Parsing.
 
 _BINDING_RE = re.compile(r"^\{(.*)\}$", re.S)
-
-
-def _split_top_commas(text: str) -> list[str]:
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if cur:
-        parts.append("".join(cur))
-    return parts
+# formulas never contain `:=`, so each binding opens the text or follows the
+# comma that precedes `NAME :=`
+_BINDING_HEAD_RE = re.compile(r"(?:^|,)\s*([A-Za-z][A-Za-z0-9_']*)\s*:=")
 
 
 def _parse_bindings(text: str, parser: Parser) -> dict[Variable, Formula]:
@@ -139,15 +128,14 @@ def _parse_bindings(text: str, parser: Parser) -> dict[Variable, Formula]:
     if not m:
         raise MalformedScript(f"expected {{X := ...}} bindings, got {text!r}")
     inner = m.group(1).strip()
-    out: dict[Variable, Formula] = {}
     if not inner:
-        return out
-    for part in _split_top_commas(inner):
-        if ":=" not in part:
-            raise MalformedScript(f"bad binding {part!r}")
-        name, rhs = part.split(":=", 1)
-        out[Variable(name.strip())] = parser.parse(rhs.strip())
-    return out
+        return {}
+    head, *pairs = _BINDING_HEAD_RE.split(inner)
+    if head:
+        raise MalformedScript(f"bad binding {inner!r}")
+    return {
+        Variable(name): parser.parse(rhs.strip()) for name, rhs in zip(pairs[::2], pairs[1::2])
+    }
 
 
 def _line_number(token: str) -> int:
@@ -264,24 +252,14 @@ def parse_theory(text: str, name: str = "") -> SchemaTheory:
 def atomize(seq: Sequent) -> Sequent:
     """Replace each maximal uninterpreted subterm by a fresh shared atom."""
     mapping: dict[str, Formula] = {}
-    taken = set(seq.free_vars())
-    counter = [0]
-
-    def fresh() -> Variable:
-        while True:
-            cand = Variable(f"u{counter[0]}")
-            counter[0] += 1
-            if cand not in taken:
-                taken.add(cand)
-                return cand
+    taken = seq.free_vars()
+    fresh = (v for v in (Variable(f"u{i}") for i in itertools.count()) if v not in taken)
 
     def walk(f: Formula) -> Formula:
         if isinstance(f, App):
-            got = mapping.get(f.key)
-            if got is None:
-                got = Var(fresh())
-                mapping[f.key] = got
-            return got
+            if f.key not in mapping:
+                mapping[f.key] = Var(next(fresh))
+            return mapping[f.key]
         if not f.has_app:
             return f
         if isinstance(f, (And, Or, Implies)):
@@ -291,14 +269,6 @@ def atomize(seq: Sequent) -> Sequent:
         return f
 
     return Sequent(tuple(walk(h) for h in seq.hyps), walk(seq.concl))
-
-
-def _weakened_match(target: Sequent, derived: Sequent) -> bool:
-    """`target` follows from `derived` by weakening plus contraction."""
-    if target.concl != derived.concl:
-        return False
-    tset = set(target.multiset)
-    return all(f in tset for f in derived.multiset)
 
 
 def _cut_candidates(a: Sequent, b: Sequent) -> list[Sequent]:
@@ -315,13 +285,16 @@ def _cut_candidates(a: Sequent, b: Sequent) -> list[Sequent]:
 _HOLE = Variable("HOLE")
 
 
-def check_line(
+def derived_sequents(
     line: ScriptLine,
     script: ProofScript,
     checked: dict[int, Sequent],
     registry: dict[str, ProofScript] | None,
-) -> None:
-    """Raise LineFailed unless the line is justified."""
+) -> tuple[list[Sequent], Callable[[], str]]:
+    """The sequents the line's justification derives, and a function giving
+    the reason to report if none covers the line (built only on rejection).
+    `ipc` and `rule` check and derive the line itself; a justification that
+    derives nothing raises LineFailed."""
     j = line.justification
     seq = line.sequent
 
@@ -332,22 +305,17 @@ def check_line(
 
     if j.kind == "ipc":
         flat = atomize(seq)
-        for f in flat.hyps + (flat.concl,):
-            if f.has_quantifier:
-                raise LineFailed(line.number, "ipc lines must be quantifier-free")
+        if any(f.has_quantifier for f in flat.hyps + (flat.concl,)):
+            raise LineFailed(line.number, "ipc lines must be quantifier-free")
         if not decide(flat):
             raise LineFailed(line.number, f"not an intuitionistic consequence: {flat}")
-        return
+        return [seq], lambda: ""
 
     if j.kind == "ax-schema":
         if j.name not in script.theory.schemas:
             raise LineFailed(line.number, f"unknown axiom schema {j.name!r}")
         inst = script.theory.instantiate(j.name, dict(j.bindings))
-        if seq.concl != inst.concl or not _contains(seq.multiset, inst.multiset):
-            raise LineFailed(
-                line.number, f"not an instance of schema {j.name!r}: wanted {inst}"
-            )
-        return
+        return [inst], lambda: f"not an instance of schema {j.name!r}: wanted {inst}"
 
     if j.kind == "cut":
         frontier = [cited(j.lines[0])]
@@ -356,9 +324,7 @@ def check_line(
             frontier = [c for s in frontier for c in _cut_candidates(s, nxt)]
             if not frontier:
                 raise LineFailed(line.number, f"no cut applies against line {n}")
-        if not any(_weakened_match(seq, c) for c in frontier):
-            raise LineFailed(line.number, "cut chain does not yield this sequent")
-        return
+        return frontier, lambda: "cut chain does not yield this sequent"
 
     if j.kind == "rule":
         prems = tuple(cited(n) for n in j.lines)
@@ -368,53 +334,55 @@ def check_line(
             check_rule(j.name, seq, prems, None, script.theory, path=(line.number,))
         except KernelError as e:
             raise LineFailed(line.number, str(e)) from None
-        return
+        return [seq], lambda: ""
 
     if j.kind == "ext":
         ctx, p, p2 = j.formulas
         hole = _HOLE
         if hole in (p.free_vars | p2.free_vars):
-            fresh = fresh_variable(hole, p.free_vars | p2.free_vars | ctx.free_vars)
-            ctx = substitute(ctx, {hole: Var(fresh)})
-            hole = fresh
-        left = substitute(ctx, {hole: p})
-        right = substitute(ctx, {hole: p2})
-        need = (Implies(p, p2), Implies(p2, p), left)
-        if seq.concl != right or not _contains(seq.multiset, Counter(need)):
-            raise LineFailed(
-                line.number,
-                f"extensionality line must contain {need[0]}, {need[1]}, {need[2]} and conclude {right}",
-            )
-        tree = derive_extensionality(ctx, hole, p, p2, allow_app=True)
+            hole = fresh_variable(hole, p.free_vars | p2.free_vars | ctx.free_vars)
+            ctx = substitute(ctx, {_HOLE: Var(hole)})
+        try:
+            tree = derive_extensionality(ctx, hole, p, p2, allow_app=True)
+        except KernelError as e:
+            raise LineFailed(line.number, str(e)) from None
         rep = check_tree(tree, script.theory)
         if not rep.ok:
             raise LineFailed(line.number, f"generated extensionality tree failed: {rep.message}")
-        return
+        return [tree.conclusion], lambda: f"extensionality tree concludes {tree.conclusion}"
 
     if j.kind == "subst":
         inst = cited(j.lines[0]).substitute(dict(j.bindings))
-        if not _weakened_match(seq, inst):
-            raise LineFailed(line.number, f"not the substitution instance {inst}")
-        return
+        return [inst], lambda: f"not the substitution instance {inst}"
 
-    if j.kind == "ref":
-        if registry is None:
-            raise LineFailed(line.number, "no script registry supplied")
-        sname, claim = j.ref
-        other = registry.get(sname)
-        if other is None:
-            raise LineFailed(line.number, f"unknown script {sname!r}")
-        if not script.theory.extends(other.theory):
-            raise LineFailed(line.number, f"theory does not extend that of {sname!r}")
-        try:
-            target = other.sequent(claim)
-        except KeyError:
-            raise LineFailed(line.number, f"no line {claim} in {sname!r}") from None
-        if not _weakened_match(seq, target):
-            raise LineFailed(line.number, f"cited claim is {target}")
-        return
+    # ref, the one kind left that parse_justification admits
+    if registry is None:
+        raise LineFailed(line.number, "no script registry supplied")
+    sname, claim = j.ref
+    other = registry.get(sname)
+    if other is None:
+        raise LineFailed(line.number, f"unknown script {sname!r}")
+    if not script.theory.extends(other.theory):
+        raise LineFailed(line.number, f"theory does not extend that of {sname!r}")
+    try:
+        target = other.sequent(claim)
+    except KeyError:
+        raise LineFailed(line.number, f"no line {claim} in {sname!r}") from None
+    return [target], lambda: f"cited claim is {target}"
 
-    raise UnknownJustification(j.kind)
+
+def check_line(
+    line: ScriptLine,
+    script: ProofScript,
+    checked: dict[int, Sequent],
+    registry: dict[str, ProofScript] | None,
+) -> None:
+    """Raise LineFailed unless a sequent the line's justification derives
+    covers the line (see the module docstring)."""
+    derived, reason = derived_sequents(line, script, checked, registry)
+    hyps = set(line.sequent.hyps)
+    if not any(d.concl == line.sequent.concl and hyps.issuperset(d.hyps) for d in derived):
+        raise LineFailed(line.number, reason())
 
 
 def check_script(

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from .kernel import Sequent, check_tree
-from .kripke import find_countermodel
+from .kripke import DEFAULT_BOUND, find_countermodel
 from .parser import parse_formula
 from .pitts import pita_forall, pite_exists
 from .printer import print_formula
@@ -41,7 +41,7 @@ def _sizes(rng, max_nodes):
 
 
 def soundness_battery(count: int = 500, seed: int = 0, atoms=("P", "Q", "R"),
-                      max_nodes: int = 12, bound: int = 6) -> dict:
+                      max_nodes: int = 12, bound: int = DEFAULT_BOUND) -> dict:
     """Prover vs exhaustive countermodel search.
 
     Provable formulas must admit no countermodel within the bound; refuted

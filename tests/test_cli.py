@@ -135,6 +135,26 @@ def test_check_bundled_script(capsys, tmp_path):
     assert payload["failure"]["line"] == 1
 
 
+def test_check_rejects_an_extensionality_line_that_would_capture(capsys, tmp_path):
+    # substituting X for the hole under `exists X` would capture it; the tree
+    # builder's error is a rejection of the line, not a crash
+    theory = tmp_path / "unary.thy"
+    theory.write_text("connective t 1\n")
+    script = tmp_path / "capture.pfs"
+    script.write_text(
+        "1 | X -> P, P -> X, exists X'. X /\\ X' |- exists X. P /\\ X"
+        " | ext (exists X. (_ /\\ X)) X P\n"
+    )
+    argv = ["check", str(script), "--theory", str(theory)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "rejected at line 1: variables ['X'] would be captured\n", "")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    validate(payload, "check_result.schema.json")
+    assert payload["failure"] == {"line": 1, "reason": "variables ['X'] would be captured"}
+
+
 # In place of a file's text: the path given is a directory.
 DIRECTORY = object()
 

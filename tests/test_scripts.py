@@ -1,7 +1,8 @@
 import pytest
 
+from pittslab.cli import main
 from pittslab.kernel import Sequent, check_tree, substitute_tree
-from pittslab.parser import parse_sequent
+from pittslab.parser import Parser, parse_sequent
 from pittslab.prover import derive
 from pittslab.replays import load_suite
 from pittslab.scripts import (
@@ -9,10 +10,11 @@ from pittslab.scripts import (
     ScriptLine,
     atomize,
     check_script,
+    parse_justification,
     parse_script,
     parse_theory,
 )
-from pittslab.syntax import var
+from pittslab.syntax import Variable, var
 
 THEORY_TEXT = """
 connective t 2
@@ -196,3 +198,39 @@ def test_exit_semantics_of_checker():
     bad = parse_script("1 | |- bot | ipc", th)
     rep = check_script(bad)
     assert not rep.ok and rep.failure[0] == 1
+
+
+def test_schema_instance_may_contract_a_repeated_hypothesis():
+    # every justification derives a sequent, and a line covers it when it has
+    # the same conclusion and, taken as a set, at least its hypotheses
+    th = parse_theory("schema dup: P, P |- Q\n", name="dup")
+    assert check_script(parse_script("1 | P |- Q | ax-schema dup {P := P}", th)).ok
+    rep = check_script(parse_script("1 | P |- R | ax-schema dup {P := P}", th))
+    assert rep.failure == (1, "not an instance of schema 'dup': wanted P, P |- Q")
+
+
+def test_extensionality_line_may_contract_a_repeated_hypothesis():
+    # the tree concludes P, P -> P, P -> P |- P
+    assert check_script(parse_script("1 | P -> P, P |- P | ext _ P P", theory())).ok
+    rep = check_script(parse_script("1 | P |- P | ext _ P P", theory()))
+    assert rep.failure == (1, "extensionality tree concludes P, P -> P, P -> P |- P")
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("{}", {}),
+    ("{X := t(P, Q), Y := ~t(Q, P)}", {"X": "t(P, Q)", "Y": "~t(Q, P)"}),
+    ("{P' := Q, Q'' := t(P', P)}", {"P'": "Q", "Q''": "t(P', P)"}),
+])
+def test_bindings_parse(text, expected):
+    th = theory()
+    parser = Parser(th.signature)
+    got = dict(parse_justification(f"subst 1 {text}", th).bindings)
+    assert got == {Variable(k): parser.parse(v) for k, v in expected.items()}
+
+
+def test_binding_with_a_trailing_comma_is_malformed(tmp_path, capsys):
+    script = tmp_path / "trailing.pfs"
+    script.write_text("1 | P |- P | ipc\n2 | Q |- Q | subst 1 {P := Q,}\n")
+    assert main(["check", str(script)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
