@@ -20,6 +20,7 @@ from .syntax import (
     FormulaError,
     Or,
     Variable,
+    require_plain,
     subformulas,
     substitute,
 )
@@ -52,8 +53,7 @@ class RegularConnective:
         if not self.body.free_vars <= allowed:
             extra = sorted(v.name for v in self.body.free_vars - allowed)
             raise FormulaError(f"body uses undeclared variables: {extra}")
-        if self.body.has_quantifier:
-            raise FormulaError("body must be quantifier-free")
+        require_plain(self.body)
 
     def quantified(self) -> Exists:
         return Exists(self.bound_var, self.body)
@@ -79,8 +79,7 @@ def is_auxiliary(c: RegularConnective, candidate: Formula) -> AuxiliaryReport:
     is the interpolant property, the backward one goes through the witness
     and one exists-right inference (the returned tree, kernel-checked).
     """
-    if candidate.has_quantifier or candidate.has_app:
-        raise FormulaError("candidate must be quantifier-free")
+    require_plain(candidate)
     if not candidate.free_vars <= set(c.params):
         raise FormulaError("candidate may only use the connective parameters")
     interpolant = pite_exists(c.body, c.bound_var)

@@ -350,11 +350,11 @@ def _failures(s: Sequent, names, up) -> int:
     return fail ^ fail & forcing_mask(s.concl, atoms, g)
 
 
-# A grid of at most this many bits is kept in `_grid_table` once built; a
-# larger one (five atoms on the bigger six-world posets, four on seven
-# worlds) is built on each call, so the table stays small: every three-atom
-# grid on the rooted posets of up to six worlds takes 1.6 MB, every
-# four-atom one 32 MB.
+# A grid on at most DEFAULT_BOUND worlds and of at most this many bits is
+# kept in `_grid_table` once built; any other (five atoms on the bigger
+# six-world posets, every grid on seven or eight worlds) is built on each
+# call, so the table stays small: every three-atom grid on the rooted posets
+# of up to six worlds takes 1.6 MB, every four-atom one 32 MB.
 _TABLE_BITS = 1 << 23
 
 
@@ -365,7 +365,7 @@ def _atoms_grid(names, up) -> tuple[dict[str, int], Grid]:
     varying fastest, so the sweep's lowest failing bit is the first
     countermodel in that order."""
     k = len(names)
-    small = len(upsets(len(up), up)) ** k * len(up) <= _TABLE_BITS
+    small = len(up) <= DEFAULT_BOUND and len(upsets(len(up), up)) ** k * len(up) <= _TABLE_BITS
     masks, g = (_grid_table if small else _build_grid)(k, up)
     return dict(zip((v.name for v in names), masks)), g
 

@@ -89,6 +89,22 @@ def _disj(parts) -> Formula:
     return out
 
 
+def _guards(p: Variable, ctx: frozenset, ordered):
+    """For each implication hypothesis h of the irreducible context `ctx`
+    (`ordered` by key) that can fire, its p-free guard and the context after
+    it fires: an atom antecedent other than p guards itself, and
+    (c -> d) -> e is guarded by the weakest antecedent of c -> d from d -> e."""
+    for h in ordered:
+        if isinstance(h, Implies):
+            a = h.left
+            if isinstance(a, Var):
+                if a.var != p:
+                    yield a, ctx - {h} | {a, h.right}
+            else:  # (c -> d) -> e
+                d_e, e = prover._nested_premises(h)
+                yield _A(p, ctx - {h} | {d_e}, a), ctx - {h} | {e}
+
+
 @lru_cache(maxsize=None)
 def _E(p: Variable, ctx: frozenset) -> Formula:
     ordered = prover._by_key(ctx)
@@ -97,22 +113,10 @@ def _E(p: Variable, ctx: frozenset) -> Formula:
         h, premises = step
         rest = ctx - {h}
         return _disj(_E(p, rest.union(replacement)) for replacement in premises)
-    # irreducible: conjoin one clause per usable hypothesis
-    parts = []
-    for h in ordered:
-        if isinstance(h, Var):
-            if h.var != p:
-                parts.append(h)
-        elif isinstance(h, Implies):
-            a = h.left
-            if isinstance(a, Var):
-                if a.var != p:
-                    parts.append(_imp(a, _E(p, ctx - {h} | {a, h.right})))
-            else:  # (c -> d) -> e
-                d_e, e = prover._nested_premises(h)
-                alpha = _A(p, ctx - {h} | {d_e}, a)
-                parts.append(_imp(alpha, _E(p, ctx - {h} | {e})))
-    return _conj(parts)
+    # irreducible: one clause per usable hypothesis, in key order (every
+    # implication key sorts before every atom key)
+    parts = [_imp(guard, _E(p, after)) for guard, after in _guards(p, ctx, ordered)]
+    return _conj(parts + [h for h in ordered if isinstance(h, Var) and h.var != p])
 
 
 @lru_cache(maxsize=None)
@@ -137,16 +141,7 @@ def _A(p: Variable, ctx: frozenset, goal: Formula) -> Formula:
     if isinstance(goal, Or):
         parts.append(_A(p, ctx, goal.left))
         parts.append(_A(p, ctx, goal.right))
-    for h in ordered:
-        if isinstance(h, Implies):
-            a = h.left
-            if isinstance(a, Var):
-                if a.var != p:
-                    parts.append(_and(a, _A(p, ctx - {h} | {a, h.right}, goal)))
-            else:  # (c -> d) -> e
-                d_e, e = prover._nested_premises(h)
-                first = _A(p, ctx - {h} | {d_e}, a)
-                parts.append(_and(first, _A(p, ctx - {h} | {e}, goal)))
+    parts += [_and(guard, _A(p, after, goal)) for guard, after in _guards(p, ctx, ordered)]
     return _imp(_E(p, ctx), _disj(parts))
 
 

@@ -9,7 +9,6 @@ concrete instance, which is what makes the replay uniform in the instance.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from importlib import resources
@@ -18,15 +17,6 @@ from pathlib import Path
 from .parser import parse_formula
 from .rieger import check_rieger_lower_facts
 from .scripts import ProofScript, check_script, parse_script, parse_theory
-
-REPLAY_NAMES = (
-    "tara",
-    "kreisel",
-    "polacik",
-    "polacik-wlem",
-    "tara-props",
-    "polacik-disjunction",
-)
 
 _SUITES = {
     "tara": {
@@ -74,6 +64,7 @@ _SUITES = {
         "derived": [("polacik/disjunction", 9)],
     },
 }
+REPLAY_NAMES = tuple(_SUITES)
 
 
 class ScriptFailed(Exception):
@@ -86,29 +77,20 @@ class ScriptFailed(Exception):
 
 
 @dataclass
-class ScriptStatus:
-    file: str
-    lines: int
-    status: str
-
-
-@dataclass
 class ReplayReport:
+    """A replay that ran to the end: every script in `scripts` was accepted."""
+
     name: str
-    scripts: list[ScriptStatus] = field(default_factory=list)
+    scripts: list[ProofScript]
     derived: list[str] = field(default_factory=list)
     details: dict = field(default_factory=dict)
-
-    @property
-    def ok(self) -> bool:
-        return all(s.status == "ok" for s in self.scripts)
 
     def payload(self) -> dict:
         """The report as JSON-ready data; `details` only when there are any."""
         payload = {
             "name": self.name,
             "scripts": [
-                {"file": s.file, "lines": s.lines, "status": s.status}
+                {"file": s.name, "lines": len(s.lines), "status": "ok"}
                 for s in self.scripts
             ],
             "derived": self.derived,
@@ -117,12 +99,10 @@ class ReplayReport:
             payload["details"] = self.details
         return payload
 
-    def to_json(self) -> str:
-        return json.dumps(self.payload(), indent=2, sort_keys=True)
 
-
-def script_root(override: str | None = None) -> Path:
-    env = override or os.environ.get("PITTSLAB_SCRIPT_DIR")
+def script_root() -> Path:
+    """The bundled scripts, or the directory `PITTSLAB_SCRIPT_DIR` names."""
+    env = os.environ.get("PITTSLAB_SCRIPT_DIR")
     if env:
         return Path(env)
     return Path(str(resources.files("pittslab") / "data" / "scripts"))
@@ -132,12 +112,12 @@ def _read(root: Path, rel: str) -> str:
     return (root / rel).read_text(encoding="utf-8")
 
 
-def load_suite(name: str, script_dir: str | None = None):
+def load_suite(name: str):
     """Theory and parsed scripts of a bundled suite, in checking order."""
     if name not in _SUITES:
         raise KeyError(f"unknown replay {name!r}; choose from {', '.join(REPLAY_NAMES)}")
     suite = _SUITES[name]
-    root = script_root(script_dir)
+    root = script_root()
     theory = parse_theory(_read(root, suite["theory"]), name=name)
     scripts = []
     for rel in suite["scripts"]:
@@ -146,16 +126,14 @@ def load_suite(name: str, script_dir: str | None = None):
     return theory, scripts
 
 
-def replay(name: str, script_dir: str | None = None) -> ReplayReport:
+def replay(name: str) -> ReplayReport:
     """Check a bundled suite; raise ScriptFailed on the first broken line."""
-    _, scripts = load_suite(name, script_dir)
+    _, scripts = load_suite(name)
     suite = _SUITES[name]
-    report = ReplayReport(name)
+    report = ReplayReport(name, scripts)
     registry: dict[str, ProofScript] = {}
     for script in scripts:
         result = check_script(script, registry)
-        status = ScriptStatus(script.name, len(script.lines), "ok" if result.ok else "failed")
-        report.scripts.append(status)
         if not result.ok:
             line, reason = result.failure
             raise ScriptFailed(script.name, line, reason)

@@ -31,6 +31,7 @@ from .syntax import (
     Var,
     Variable,
     neg,
+    require_plain,
     substitute,
 )
 
@@ -103,35 +104,35 @@ def _imp_depth(f: Formula) -> int:
     return isinstance(f, Implies) + max((_imp_depth(c) for c in f.children()), default=0)
 
 
-def _forced(fs, atom: Variable, depth: int) -> list[int]:
+def _forced(fs, depth: int) -> list[int]:
     """The worlds of the depth-`depth` truncation that force each of fs."""
     true_at, _, g = _universal_model(depth)
-    return [forcing_mask(f, {atom.name: true_at}, g) for f in fs]
+    return [forcing_mask(f, {X.name: true_at}, g) for f in fs]
 
 
-def refuting_model(f: Formula, g: Formula, atom: Variable = X):
-    """A concrete finite model refuting f |- g, or None (independent witness).
+def refuting_model(f: Formula, g: Formula):
+    """A finite model refuting f |- g over X, or None (independent witness).
 
     The truncation depth follows the refuting-model depth bound: an
     unprovable one-variable sequent has a countermodel whose depth is at
     most the implication nesting degree of the formulas involved.
     """
     depth = _imp_depth(f) + _imp_depth(g) + 2
-    fa, ga = _forced((f, g), atom, depth)
+    fa, ga = _forced((f, g), depth)
     fail = fa & ~ga
     if not fail:
         return None
     true_at, up, _ = _universal_model(depth)
     w0 = _lowest_bit(fail)
     keep = [w for w in range(len(up)) if up[w0] >> w & 1]
-    return submodel(up, keep, {atom.name: true_at}), keep.index(w0)
+    return submodel(up, keep, {X.name: true_at}), keep.index(w0)
 
 
 # ---------------------------------------------------------------------------
 # Lattice enumeration.
 
 class RNLattice:
-    """Generated portion of the one-variable lattice, up to a given level.
+    """Generated portion of the lattice of formulas over X, up to a given level.
 
     Each level is one closure round; a round only combines classes found in
     the previous round with everything older (older pairs cannot produce new
@@ -145,11 +146,10 @@ class RNLattice:
     a candidate's mask is one connective step on its operands' masks.
     """
 
-    def __init__(self, level: int = 12, variable: Variable = X):
+    def __init__(self, level: int = 12):
         if level < 0:
             raise ValueError("level must be >= 0")
         self.level = level
-        self.variable = variable
         self.depth = 2 * level + 2
         self.reps: list[Formula] = []
         self._masks: list[int] = []
@@ -170,7 +170,7 @@ class RNLattice:
     def _grow(self):
         true_at, _, g = _universal_model(self.depth)
         self._add(BOT, 0)
-        self._add(Var(self.variable), true_at)
+        self._add(Var(X), true_at)
         frontier = list(range(len(self.reps)))
         for _round in range(self.level):
             fset = set(frontier)
@@ -190,21 +190,20 @@ class RNLattice:
 
     def classify(self, f: Formula) -> RNClass:
         """The unique generated class of `f`, certified by the prover."""
-        if f.has_quantifier or f.has_app:
-            raise UnsupportedFormula("classification needs quantifier-free input")
+        require_plain(f)
         fv = f.free_vars
-        if not fv <= {self.variable}:
+        if not fv <= {X}:
             if len(fv) == 1:
-                f = substitute(f, {next(iter(fv)): Var(self.variable)})
+                f = substitute(f, {next(iter(fv)): Var(X)})
             else:
                 raise UnsupportedFormula("at most one free variable allowed")
         # compare at depth >= imp(f) + imp(rep) + 2; a shallower truncation
         # can give an inequivalent formula the mask of a class
         depth = max(self.depth, _imp_depth(f) + self.level + 2)
         classes = self._classes if depth == self.depth else {
-            mask: idx for idx, mask in enumerate(_forced(self.reps, self.variable, depth))
+            mask: idx for idx, mask in enumerate(_forced(self.reps, depth))
         }
-        idx = classes.get(_forced((f,), self.variable, depth)[0])
+        idx = classes.get(_forced((f,), depth)[0])
         if idx is None:
             raise LevelExceeded(f"{f} lies above the generated lattice portion")
         rep = self.reps[idx]
@@ -251,17 +250,17 @@ class RiegerFactsReport:
         )
 
 
-def check_rieger_lower_facts(psi: Formula, y: Variable = Y) -> RiegerFactsReport:
+def check_rieger_lower_facts(psi: Formula) -> RiegerFactsReport:
     """Verify the four consequences of  ~Y \\/ ~~Y |- psi(Y)  mechanically."""
-    if not psi.free_vars <= {y}:
-        raise UnsupportedFormula(f"psi must use only {y.name}")
-    wlem = Or(neg(Var(y)), neg(neg(Var(y))))
+    if not psi.free_vars <= {Y}:
+        raise UnsupportedFormula("psi must use only Y")
+    wlem = Or(neg(Var(Y)), neg(neg(Var(Y))))
     if not decide(Sequent((wlem,), psi)):
-        raise HypothesisFails(f"~{y.name} \\/ ~~{y.name} does not prove {psi}")
+        raise HypothesisFails(f"~Y \\/ ~~Y does not prove {psi}")
     return RiegerFactsReport(
         psi=psi,
         double_negated=decide(Sequent((), neg(neg(psi)))),
-        follows_from_truth=decide(Sequent((Var(y),), psi)),
-        self_instance=decide(Sequent((), substitute(psi, {y: psi}))),
-        reflection=decide(Sequent((Implies(psi, Var(y)),), Var(y))),
+        follows_from_truth=decide(Sequent((Var(Y),), psi)),
+        self_instance=decide(Sequent((), substitute(psi, {Y: psi}))),
+        reflection=decide(Sequent((Implies(psi, Var(Y)),), Var(Y))),
     )

@@ -47,6 +47,7 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    FormulaError,
     Implies,
     Or,
     Signature,
@@ -62,10 +63,6 @@ class ScriptError(Exception):
 
 
 class MalformedScript(ScriptError):
-    pass
-
-
-class UnknownJustification(ScriptError):
     pass
 
 
@@ -108,9 +105,7 @@ class ProofScript:
 
 @dataclass
 class ScriptReport:
-    name: str
     ok: bool
-    lines_checked: int
     failure: tuple[int, str] | None = None
 
 
@@ -189,7 +184,7 @@ def parse_justification(text: str, theory: SchemaTheory) -> Justification:
         if not script:
             raise MalformedScript(f"bad reference {rest!r}")
         return Justification("ref", ref=(script.strip(), _line_number(claim)))
-    raise UnknownJustification(f"unknown justification {head!r}")
+    raise MalformedScript(f"unknown justification {head!r}")
 
 
 def parse_script(text: str, theory: SchemaTheory, name: str = "") -> ProofScript:
@@ -209,9 +204,9 @@ def parse_script(text: str, theory: SchemaTheory, name: str = "") -> ProofScript
         last = number
         try:
             seq = parser.parse_sequent(fields[1].strip())
-        except FormulaSyntaxError as e:
+            just = parse_justification(fields[2], theory)
+        except (FormulaSyntaxError, FormulaError, ScriptError) as e:
             raise MalformedScript(f"line {number}: {e}") from None
-        just = parse_justification(fields[2], theory)
         for cited in just.lines:
             if cited >= number:
                 raise MalformedScript(f"line {number} cites a later line {cited}")
@@ -394,6 +389,6 @@ def check_script(
         try:
             check_line(line, script, checked, registry)
         except LineFailed as e:
-            return ScriptReport(script.name, False, len(checked), (e.line_no, e.reason))
+            return ScriptReport(False, (e.line_no, e.reason))
         checked[line.number] = line.sequent
-    return ScriptReport(script.name, True, len(checked))
+    return ScriptReport(True)

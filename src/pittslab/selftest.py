@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from .kernel import Sequent, check_tree
-from .kripke import DEFAULT_BOUND, find_countermodel
+from .kripke import find_countermodel
 from .parser import parse_formula
 from .pitts import pita_forall, pite_exists
 from .printer import print_formula
@@ -40,26 +40,25 @@ def _sizes(rng, max_nodes):
     return rng.choice(range(1, max_nodes + 1, 2))
 
 
-def soundness_battery(count: int = 500, seed: int = 0, atoms=("P", "Q", "R"),
-                      max_nodes: int = 12, bound: int = DEFAULT_BOUND) -> dict:
-    """Prover vs exhaustive countermodel search.
+def soundness_battery(count: int = 500, seed: int = 0) -> dict:
+    """Prover vs exhaustive countermodel search, on formulas over P, Q, R.
 
-    Provable formulas must admit no countermodel within the bound; refuted
-    ones must be refuted by some model within it (checked independently by
-    the model's own forcing).
+    Provable formulas must admit no countermodel within the default bound;
+    refuted ones must be refuted by some model within it (checked
+    independently by the model's own forcing).
     """
     rng = random.Random(seed)
     failures = []
     provable = 0
     for i in range(count):
-        f = random_formula(rng, atoms, _sizes(rng, max_nodes))
+        f = random_formula(rng, ("P", "Q", "R"), _sizes(rng, 12))
         s = Sequent((), f)
         if decide(s):
             provable += 1
-            if find_countermodel(s, bound) is not None:
+            if find_countermodel(s) is not None:
                 failures.append(("soundness", str(f)))
         else:
-            hit = find_countermodel(s, bound)
+            hit = find_countermodel(s)
             if hit is None:
                 failures.append(("no-countermodel", str(f)))
             else:
@@ -69,25 +68,23 @@ def soundness_battery(count: int = 500, seed: int = 0, atoms=("P", "Q", "R"),
     return {"checked": count, "provable": provable, "failures": failures}
 
 
-def glivenko_battery(count: int = 200, seed: int = 0, atoms=("P", "Q", "R"),
-                     max_nodes: int = 12) -> dict:
+def glivenko_battery(count: int = 200, seed: int = 0) -> dict:
     rng = random.Random(seed)
     failures = []
     for _ in range(count):
-        f = random_formula(rng, atoms, _sizes(rng, max_nodes))
+        f = random_formula(rng, ("P", "Q", "R"), _sizes(rng, 12))
         if decide(Sequent((), neg(neg(f)))) != classical_tautology(f):
             failures.append(("glivenko", str(f)))
     return {"checked": count, "failures": failures}
 
 
-def witness_battery(count: int = 60, seed: int = 0, atoms=("P", "Q"),
-                    max_nodes: int = 9) -> dict:
+def witness_battery(count: int = 60, seed: int = 0) -> dict:
     """Emitted witness trees always pass the kernel."""
     rng = random.Random(seed)
     failures = []
     emitted = 0
     for _ in range(count):
-        f = random_formula(rng, atoms, _sizes(rng, max_nodes))
+        f = random_formula(rng, ("P", "Q"), _sizes(rng, 9))
         s = Sequent((), f)
         if decide(s):
             emitted += 1

@@ -70,9 +70,6 @@ class Signature:
     def get(self, name: str) -> ConnectiveSymbol | None:
         return self.symbols.get(name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.symbols
-
     def __iter__(self):
         return iter(sorted(self.symbols.values(), key=lambda s: s.name))
 

@@ -190,6 +190,18 @@ def test_check_malformed_is_exit_two(capsys, tmp_path, script, theory):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("line, message", [
+    pytest.param("2 | Q |- Q | subst 1 {P := Q /\\}", "unexpected 'end of input' at offset 4",
+                 id="binding-syntax"),
+    pytest.param("2 | P |- P | cut 1", "cut needs at least two cited lines", id="cut-arity"),
+    pytest.param("2 | P |- P | frobnicate 1", "unknown justification 'frobnicate'", id="unknown"),
+])
+def test_malformed_justification_names_its_line(capsys, tmp_path, line, message):
+    script = _input_file(tmp_path, "malformed.pfs", f"1 | P |- P | ipc\n{line}\n")
+    code, out, err = run(capsys, "check", str(script))
+    assert code == 2 and out == "" and err.startswith(f"error: line 2: {message}")
+
+
 @pytest.mark.parametrize("text", [
     pytest.param('(ax "P |- P"', id="truncated"),
     pytest.param('(foo "P |- P")', id="unknown-rule"),

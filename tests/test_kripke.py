@@ -261,3 +261,13 @@ def test_bound_past_the_cap_is_a_usage_error_that_builds_no_table(posets_built, 
 
 def test_bound_eight_sweeps_the_seven_world_table():
     assert find_countermodel(parse_sequent("|- P -> P"), 8) is None
+
+
+def test_grid_table_keeps_no_grid_past_the_default_bound():
+    # grids on seven or eight worlds are built per call, not kept
+    sizes = []
+    for bound in (6, 8):
+        kripke._grid_table.cache_clear()
+        assert find_countermodel(parse_sequent("|- P -> P"), bound) is None
+        sizes.append(kripke._grid_table.cache_info().currsize)
+    assert sizes[0] == sizes[1] == 88

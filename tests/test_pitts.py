@@ -14,13 +14,16 @@ from pittslab.pitts import (
     simplify,
     validate_interpolant,
 )
+from pittslab import prover
 from pittslab.prover import decide, equivalent
 from pittslab.selftest import random_formula
 from pittslab.syntax import (
     And,
     BOT,
+    Implies,
     TOP,
     UnsupportedFormula,
+    Var,
     Variable,
     neg,
     substitute,
@@ -368,3 +371,27 @@ def test_reference_gate_settles_most_probes_without_decide():
     rep = validate_interpolant(phi, Y, simplify(pite_exists(phi, Y)), probe_corpus([Variable("P")], 8))
     assert rep.ok and rep.probes_run == 942
     assert rep.settled == 1885 - 1035
+
+
+def test_irreducible_contexts_list_implications_before_atoms():
+    # `pitts._E` conjoins the clauses of `_guards` before the atom clauses;
+    # that is key order only if, in a context no invertible left rule
+    # reduces, every implication key sorts before every atom key
+    rng = random.Random(13)
+    mixed = 0  # irreducible contexts with both an implication and an atom
+    for _ in range(300):
+        todo = [frozenset(random_formula(rng, ["P", "Q", "Y"], rng.choice([1, 3, 5, 7]))
+                          for _ in range(rng.randint(1, 4)))]
+        while todo:
+            ctx = todo.pop()
+            ordered = prover._by_key(ctx)
+            step = prover._left_step(ordered, ctx)
+            if step is not None:
+                h, premises = step
+                todo += [ctx - {h} | set(replacement) for replacement in premises]
+                continue
+            assert all(isinstance(h, (Implies, Var)) for h in ordered), ordered
+            atoms = [isinstance(h, Var) for h in ordered]
+            assert atoms == sorted(atoms), ordered
+            mixed += len(set(atoms)) == 2
+    assert mixed >= 50

@@ -17,9 +17,7 @@ from pittslab.rieger import (
     rn_classify,
 )
 from pittslab.selftest import random_formula
-from pittslab.syntax import Variable, var
-
-X = Variable("X")
+from pittslab.syntax import var
 
 
 def f(text):
@@ -31,7 +29,7 @@ def test_universal_model_oracle_agrees_with_prover():
     for _ in range(600):
         a = random_formula(rng, ["X"], rng.choice([1, 3, 5, 7, 9]))
         b = random_formula(rng, ["X"], rng.choice([1, 3, 5, 7, 9]))
-        assert (refuting_model(a, b, X) is None) == decide(Sequent((a,), b)), (a, b)
+        assert (refuting_model(a, b) is None) == decide(Sequent((a,), b)), (a, b)
 
 
 def test_classify_idempotent_conjunction():
@@ -109,7 +107,7 @@ def test_deep_formula_does_not_inherit_a_shallow_class():
     assert deep.size == 97
     lattice = RNLattice(1)
     assert lattice.depth == 4
-    assert _forced((deep,), X, 4) == _forced((f("top"),), X, 4)
+    assert _forced((deep,), 4) == _forced((f("top"),), 4)
     with pytest.raises(LevelExceeded):
         lattice.classify(deep)
     assert default_lattice(12).classify(deep).level == 16
