@@ -22,6 +22,7 @@ from .kernel import SchemaTheory, Sequent
 from .kripke import DEFAULT_BOUND, MAX_BOUND
 from .parser import FormulaSyntaxError, Parser
 from .pitts import (
+    MAX_PROBE_NODES,
     pita_forall,
     pite_exists,
     probe_corpus,
@@ -288,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--validate", action="store_true", help="run the probe gate")
     # below 3 nodes the probe corpus is only the leaves
-    p.add_argument("--probe-budget", type=_in_range(3), default=8, dest="probe_budget",
-                   help="max probe size in AST nodes")
+    p.add_argument("--probe-budget", type=_in_range(3, MAX_PROBE_NODES), default=8,
+                   dest="probe_budget", help=f"max probe size in AST nodes (at most {MAX_PROBE_NODES})")
     add_format(p)
     p.set_defaults(fn=_cmd_interpolate)
 

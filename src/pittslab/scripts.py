@@ -105,8 +105,11 @@ class ProofScript:
 
 @dataclass
 class ScriptReport:
-    ok: bool
-    failure: tuple[int, str] | None = None
+    failure: tuple[int, str] | None = None  # (line number, reason) of the first rejected line
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
 
 
 # ---------------------------------------------------------------------------
@@ -389,6 +392,6 @@ def check_script(
         try:
             check_line(line, script, checked, registry)
         except LineFailed as e:
-            return ScriptReport(False, (e.line_no, e.reason))
+            return ScriptReport((e.line_no, e.reason))
         checked[line.number] = line.sequent
-    return ScriptReport(True)
+    return ScriptReport()

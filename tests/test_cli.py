@@ -76,6 +76,19 @@ def test_option_below_its_bound_is_a_usage_error(capsys, argv, option):
     assert code == 2 and out == "" and option in err
 
 
+def test_probe_budget_past_the_cap_is_a_usage_error_that_builds_no_corpus(monkeypatch, capsys):
+    import pittslab.cli as cli
+
+    budgets = []
+    monkeypatch.setattr(cli, "probe_corpus", lambda atoms, budget: budgets.append(budget) or ())
+    argv = ["interpolate", "--exists", "--var", "Y", "--validate", "--probe-budget"]
+    code, out, err = run(capsys, *argv, "10", "Y /\\ X")
+    assert code == 2 and out == "" and "--probe-budget" in err and "must be at most 9" in err
+    assert budgets == []
+    # the cap itself is accepted (the stub stands in for its corpus)
+    assert run(capsys, *argv, "9", "Y /\\ X")[0] == 0 and budgets == [9]
+
+
 def test_interpolate_matches_reference_value(capsys):
     code, out, _ = run(
         capsys, "interpolate", "--exists", "--var", "Y", "(~Y -> X1) /\\ (~~Y -> X2)"

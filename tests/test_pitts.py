@@ -21,6 +21,7 @@ from pittslab.syntax import (
     And,
     BOT,
     Implies,
+    Or,
     TOP,
     UnsupportedFormula,
     Var,
@@ -372,6 +373,60 @@ def test_reference_gate_settles_most_probes_without_decide():
     assert rep.ok and rep.probes_run == 942
     assert rep.settled == 1885 - 1035
 
+
+def test_gate_caches_across_calls_keep_every_report():
+    # Corpora and probe masks outlive a gate call; interleave both gates over
+    # three atom sets (one past the grid atoms), with corpora in reverse order
+    # and without the operands of their conjunctions and disjunctions, where
+    # no verdict can be composed and every open probe goes to `decide`.
+    from pittslab import kripke, pitts
+    from pittslab.pitts import _GRID_ATOMS, validate_forall_interpolant
+
+    pitts._corpus.cache_clear()
+    pitts._chain_grid.cache_clear()
+    wide = [f"A{i}" for i in range(_GRID_ATOMS + 2)]
+    atom_sets = (["P"], 6), (["P", "Q"], 5), (wide, 3)
+    corpus = probe_corpus([Variable(a) for a in reversed(atom_sets[1][0])], 5)
+    assert probe_corpus([Variable("P"), Variable("Q")], 5) is corpus
+    assert isinstance(corpus, tuple)
+    with pytest.raises(TypeError):
+        corpus[0] = BOT
+
+    def variants(atoms, budget):
+        full = probe_corpus([Variable(a) for a in atoms], budget)
+        operands = {g.key for psi in full if isinstance(psi, (And, Or)) for g in (psi.left, psi.right)}
+        return full, full[::-1], [psi for psi in full if psi.key not in operands]
+
+    rng = random.Random(14)
+    plan = list(itertools.product(atom_sets, range(3), (False, True))) * 2
+    rng.shuffle(plan)
+    wrong_seen = 0
+    for (atoms, budget), variant, forall in plan:
+        probes = variants(atoms, budget)[variant]
+        phi = random_formula(rng, ["Y"] + rng.sample(atoms, min(len(atoms), 2)), rng.choice([5, 7]))
+        if atoms is wide:  # some atom past the grid's always reaches phi
+            phi = And(phi, Implies(var(wide[-1]), var("Y")))
+        gate, interpolant = (
+            (validate_forall_interpolant, pita_forall) if forall else (validate_interpolant, pite_exists)
+        )
+        candidate = rng.choice([simplify(interpolant(phi, Y)), TOP, BOT, random_formula(rng, atoms, 3)])
+        rep = gate(phi, Y, candidate, probes)
+        variable_free, consequence, failures, count, ok = _reference_gate(phi, Y, candidate, probes, forall)
+        assert (rep.ok, rep.variable_free, rep.consequence_holds, rep.failures, rep.probes_run) == (
+            ok, variable_free, consequence, failures, count), (phi, candidate, forall)
+        wrong_seen += bool(failures)
+    assert wrong_seen >= 5
+    assert pitts._corpus.cache_info().hits > 0 and pitts._chain_grid.cache_info().hits > 0
+    # every mask kept is the probe's mask on its grid
+    checked = 0
+    for atoms, budget in atom_sets:
+        corpus = probe_corpus([Variable(a) for a in atoms], budget)
+        atoms_masks, g, masks = pitts._chain_grid(tuple(sorted(map(Variable, ["Y"] + atoms))))
+        for psi in corpus:
+            if psi.key in masks:
+                assert masks[psi.key] == kripke.forcing_mask(psi, atoms_masks, g), psi
+                checked += 1
+    assert checked > 0
 
 def test_irreducible_contexts_list_implications_before_atoms():
     # `pitts._E` conjoins the clauses of `_guards` before the atom clauses;
