@@ -18,14 +18,18 @@ per probe.  A sequent whose forcing masks on the two-world chain (every
 valuation of the atoms at once) show a world forcing the hypothesis but not
 the conclusion is refuted by that Kripke model, so the gate records it as
 not derivable without calling `decide`; IPC is sound for Kripke semantics,
-so that is the verdict `decide` would give.  A conjunction or disjunction
-probe the masks leave open takes its verdict from its operands' where a
-rule of the calculus allows (the corpus lists operands first), and only the
-other sequents reach `decide`.
+so that is the verdict `decide` would give.  A probe the masks leave open
+takes its verdict from its operands' where a rule of the calculus allows
+(the corpus lists operands first): conjunctions and disjunctions, and
+implications through weakening, botL and modus ponens (see `_composed`).
+Only the other sequents reach `decide`.  Each sequent on the candidate side
+is decided on a stand-in: the first probe smaller than the candidate that
+the prover certifies equivalent to it (`_minimize`), if there is one.  By
+cut, it has the candidate's consequences and antecedents.
 
-The corpus of an atom set and the probes' masks on its grid are built once
-and kept in small module-level `lru_cache`s; the verdicts are kept for one
-gate call only.
+The corpus of an atom set, its probes free of the eliminated variable and
+the probes' masks on its grid are built once and kept in small
+module-level `lru_cache`s; the verdicts are kept for one gate call only.
 """
 from __future__ import annotations
 
@@ -260,18 +264,21 @@ def _gate(
     # concl, that is a Kripke countermodel, and since IPC is sound for Kripke
     # semantics the sequent is refuted without `decide`.  A probe's mask is
     # kept by key in the dict `_chain_grid` holds for these atoms, so across
-    # calls it is computed once.  A conjunction or disjunction probe that the
-    # masks leave open takes its verdict from its operands' (see `_composed`);
-    # only the rest go to `decide`, so every verdict is the one `decide` would
-    # give.  The dual gate turns every sequent around.
-    kept = [psi for psi in probes if y not in psi.free_vars]
-    require_plain(phi, candidate, *kept)
-    names = sorted(phi.free_vars.union(candidate.free_vars, *(psi.free_vars for psi in kept)))
-    atoms, g, masks = _chain_grid(tuple(names))
+    # calls it is computed once.  A probe that the masks leave open may take
+    # its verdict from its operands' (see `_composed`); only the rest go to
+    # `decide`, so every verdict is the one `decide` would give.  The dual
+    # gate turns every sequent around.
+    require_plain(phi, candidate)
+    kept, probe_atoms = _kept(tuple(probes), y)
+    names = sorted(probe_atoms.union(phi.free_vars, candidate.free_vars))
+    atoms, g, memo = _chain_grid(tuple(names))
+    masks = []
+    for psi in kept:
+        m = memo.get(psi.key)
+        if m is None:
+            m = memo[psi.key] = kripke.forcing_mask(psi, atoms, g, memo)
+        masks.append(m)
     settled = 0
-    # the connective whose rule is invertible where the probe sits: on the
-    # right (andR), or on the left in the dual gate (orL)
-    both = Or if forall else And
 
     def entails(a: Formula, b: Formula, ma: int, mb: int, known: dict) -> bool:
         # a |- b (b |- a in the dual gate), kept in `known` by b's key
@@ -281,7 +288,7 @@ def _gate(
             settled += 1
             verdict = False
         else:
-            verdict = _composed(b, known, both)
+            verdict = _composed(b, known, forall)
             if verdict is None:
                 verdict = prover.decide(Sequent((hyp,), concl))
         known[b.key] = verdict
@@ -290,20 +297,40 @@ def _gate(
     m_phi = kripke.forcing_mask(phi, atoms, g)
     m_candidate = kripke.forcing_mask(candidate, atoms, g)
     variable_free = y not in candidate.free_vars
-    consequence = entails(phi, candidate, m_phi, m_candidate, {})
+    # By cut, candidate |- psi iff stand_in |- psi (and so in the dual), so
+    # a smaller equivalent probe decides every sequent the candidate is in.
+    stand_in = _minimize(candidate, kept, masks, m_candidate)
+    consequence = entails(phi, stand_in, m_phi, m_candidate, {})
     failures = []
     by_candidate: dict[str, bool] = {}
     by_input: dict[str, bool] = {}
-    for psi in kept:
-        m = masks.get(psi.key)
-        if m is None:
-            m = masks[psi.key] = kripke.forcing_mask(psi, atoms, g, masks)
-        left = entails(candidate, psi, m_candidate, m, by_candidate)
+    for psi, m in zip(kept, masks):
+        left = entails(stand_in, psi, m_candidate, m, by_candidate)
         right = entails(phi, psi, m_phi, m, by_input)
         if left != right:
             failures.append((psi, "candidate" if left else "input"))
     ok = variable_free and consequence and not failures
     return ValidationReport(ok, variable_free, consequence, failures, len(kept), settled)
+
+
+@lru_cache(maxsize=4)
+def _kept(probes: tuple, y: Variable) -> tuple[tuple[Formula, ...], frozenset]:
+    """The probes free of y, in order, and the atoms they mention."""
+    kept = tuple(psi for psi in probes if y not in psi.free_vars)
+    require_plain(*kept)
+    return kept, frozenset().union(*(psi.free_vars for psi in kept))
+
+
+def _minimize(f: Formula, probes, masks, m_f: int) -> Formula:
+    """The first of `probes`, in their order, that is strictly smaller than f
+    and certified prover-equivalent to f, or f when there is none.  `masks`
+    lists the probes' 2-chain masks and m_f is f's: equivalent formulas have
+    equal masks, so only probes with mask m_f reach the prover, which tests
+    the small probe as the hypothesis first."""
+    for psi, m in zip(probes, masks):
+        if m == m_f and psi.size < f.size and prover.equivalent(psi, f):
+            return psi
+    return f
 
 
 @lru_cache(maxsize=4)
@@ -315,18 +342,33 @@ def _chain_grid(names: tuple) -> tuple[dict[str, int], kripke.Grid, dict[str, in
     return atoms, g, {}
 
 
-def _composed(psi: Formula, known: dict, both: type) -> bool | None:
+def _composed(psi: Formula, known: dict, forall: bool) -> bool | None:
     """The verdict of a gate sequent on the probe psi, composed from the
     verdicts in `known` of the same sequent on psi's operands, or None when
-    they do not settle it.  For psi = a `both` b (And on the right, Or on the
-    left: invertible rules) it holds iff it holds on a and on b.  For the
-    other of And and Or it holds if it holds on a or on b (orR, andL); else
-    only `decide` can tell."""
+    they do not settle it.  Write X for the candidate or the input.
+
+    - psi = a /\\ b on the right, a \\/ b on the left (andR, orL: invertible):
+      it holds iff it holds on a and on b.
+    - psi = a \\/ b on the right, a /\\ b on the left (orR, andL): it holds
+      if it holds on a or on b.
+    - X |- a -> b holds if X |- b does (weakening, impR) or X |- ~a does
+      (botL), and fails if X |- a holds and X |- b fails (cut with modus
+      ponens).
+    - a -> b |- X fails if b |- X fails, since b |- a -> b.
+
+    Otherwise only `decide` can tell."""
     op = type(psi)
+    if op is Implies:
+        b = known.get(psi.right.key)
+        if forall:
+            return False if b is False else None
+        if b or known.get(f"{Implies.tag}({psi.left.key},{BOT.key})"):
+            return True
+        return False if b is False and known.get(psi.left.key) else None
     if op is not And and op is not Or:
         return None
     a, b = known.get(psi.left.key), known.get(psi.right.key)
-    if op is both:
+    if (op is And) is not forall:
         return None if a is None or b is None else a and b
     return True if a or b else None
 

@@ -99,7 +99,7 @@ def test_criterion_6_interpolation_probe_gate():
         assert rep.ok, (body, rep.failures[:3])
     invariants = interpolation_battery(count=100, seed=0)
     assert invariants["failures"] == []
-    _report(6, "probe gate on five bodies plus 100 randomized invariant cases", t0, 600)
+    _report(6, "probe gate on five bodies plus 100 randomized invariant cases", t0, 60)
 
 
 def test_criterion_7_rieger_nishimura():

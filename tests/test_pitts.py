@@ -365,25 +365,109 @@ def test_gate_settles_exactly_the_chain_refuted_sequents():
         assert gate(phi, Y, candidate, probes).settled == expected > 0
 
 
-def test_reference_gate_settles_most_probes_without_decide():
+def test_reference_gate_settles_most_probes_without_decide(monkeypatch):
     # the simplified exists interpolant of P <-> (~Y \/ ~~Y) over the 942
-    # probes of P: 1,885 sequents, of which all but 1,035 fail on the 2-chain
+    # probes of P: 1,885 sequents, of which all but 1,035 fail on the 2-chain;
+    # of those, all but 272 are composed, and none of the 272 `decide` calls
+    # holds the 239-node candidate: the gate puts its stand-in ~~P there
     phi = f("P <-> (~Y \\/ ~~Y)")
-    rep = validate_interpolant(phi, Y, simplify(pite_exists(phi, Y)), probe_corpus([Variable("P")], 8))
+    candidate = simplify(pite_exists(phi, Y))
+    assert candidate.size == 239
+    decided = []
+    monkeypatch.setattr(prover, "decide", lambda s: decided.append(s) or decide(s))
+    rep = validate_interpolant(phi, Y, candidate, probe_corpus([Variable("P")], 8))
     assert rep.ok and rep.probes_run == 942
     assert rep.settled == 1885 - 1035
+    assert len(decided) == 272
+    assert max(g.size for s in decided for g in s.hyps + (s.concl,)) < candidate.size
+
+
+def test_gate_stand_in_matches_deciding_every_probe(monkeypatch):
+    # The gate decides a candidate's sequents on the first smaller probe the
+    # prover certifies equivalent to it: by cut, the two have the same
+    # consequences and antecedents.  The variable condition stays on the
+    # candidate.  Both orders of the corpus, both gates.
+    from pittslab import pitts
+    from pittslab.pitts import validate_forall_interpolant
+
+    stand_ins = set()
+    minimize = pitts._minimize
+
+    def spy(candidate, *rest):
+        out = minimize(candidate, *rest)
+        stand_ins.add((str(candidate), str(out)))
+        return out
+
+    monkeypatch.setattr(pitts, "_minimize", spy)
+    refused = []  # probes with the candidate's mask that are not equivalent
+    equivalent_ = prover.equivalent
+    monkeypatch.setattr(prover, "equivalent", lambda a, b: equivalent_(a, b) or refused.append((str(a), str(b))))
+
+    phi = f("P <-> (~Y \\/ ~~Y)")
+    probes = probe_corpus([Variable("P")], 5)
+    cases = []
+    for gate, interpolant, forall, disguised in (
+        (validate_interpolant, pite_exists, False, "(Y -> Y) -> ~~P"),
+        (validate_forall_interpolant, pita_forall, True, "(Y -> Y) /\\ ~P /\\ P"),
+    ):
+        raw = interpolant(phi, Y)
+        cases += [(gate, forall, c) for c in (raw, simplify(raw), f(disguised))]
+    # no probe of at most 5 nodes is equivalent to ~~P -> P
+    cases.append((validate_interpolant, False, f("~~P -> P")))
+    for gate, forall, candidate in cases:
+        for order in (probes, probes[::-1]):
+            rep = gate(phi, Y, candidate, order)
+            variable_free, consequence, failures, count, ok = _reference_gate(phi, Y, candidate, order, forall)
+            assert (rep.ok, rep.variable_free, rep.consequence_holds, rep.failures, rep.probes_run) == (
+                ok, variable_free, consequence, failures, count), (candidate, forall)
+    assert ("(Y -> Y) -> ~~P", "~~P") in stand_ins
+    assert ("(Y -> Y) /\\ ~P /\\ P", "bot") in stand_ins
+    assert ("~~P -> P", "~~P -> P") in stand_ins and ("P \\/ ~P", "~~P -> P") in refused
+    shown = simplify(pite_exists(phi, Y))
+    assert shown.size == 239 and (str(shown), "~~P") in stand_ins
+
+
+def test_composed_verdicts_are_the_ones_decide_gives():
+    # with no masks in the way: every verdict `_composed` takes from the
+    # decided verdicts of a probe's operands is the probe's own, on both sides
+    from pittslab import pitts
+
+    rng = random.Random(15)
+    probes = probe_corpus([Variable("P"), Variable("Q")], 5)
+    composed = set()  # (connective, dual gate, verdict)
+    for _ in range(30):
+        x = random_formula(rng, ["P", "Q"], rng.choice([1, 3, 5, 7]))
+        for forall in (False, True):
+            known = {}
+            for psi in probes:
+                verdict = decide(Sequent((psi,), x) if forall else Sequent((x,), psi))
+                got = pitts._composed(psi, known, forall)
+                assert got in (None, verdict), (x, psi, forall)
+                if got is not None:
+                    composed.add((type(psi).__name__, forall, got))
+                known[psi.key] = verdict
+    # every rule gave its verdicts: andR, orL and the implication rules on the
+    # right both, orR and andL successes, the implication rule on the left
+    # failures
+    assert composed == {
+        ("And", False, False), ("And", False, True), ("Or", False, True),
+        ("Implies", False, False), ("Implies", False, True),
+        ("Or", True, False), ("Or", True, True), ("And", True, True), ("Implies", True, False),
+    }
 
 
 def test_gate_caches_across_calls_keep_every_report():
     # Corpora and probe masks outlive a gate call; interleave both gates over
     # three atom sets (one past the grid atoms), with corpora in reverse order
-    # and without the operands of their conjunctions and disjunctions, where
-    # no verdict can be composed and every open probe goes to `decide`.
+    # and without the operands of their connectives or the negated
+    # antecedents of their implications, where no verdict can be composed and
+    # every open probe goes to `decide`.
     from pittslab import kripke, pitts
     from pittslab.pitts import _GRID_ATOMS, validate_forall_interpolant
 
     pitts._corpus.cache_clear()
     pitts._chain_grid.cache_clear()
+    pitts._kept.cache_clear()
     wide = [f"A{i}" for i in range(_GRID_ATOMS + 2)]
     atom_sets = (["P"], 6), (["P", "Q"], 5), (wide, 3)
     corpus = probe_corpus([Variable(a) for a in reversed(atom_sets[1][0])], 5)
@@ -394,7 +478,12 @@ def test_gate_caches_across_calls_keep_every_report():
 
     def variants(atoms, budget):
         full = probe_corpus([Variable(a) for a in atoms], budget)
-        operands = {g.key for psi in full if isinstance(psi, (And, Or)) for g in (psi.left, psi.right)}
+        operands = {
+            g.key
+            for psi in full
+            if isinstance(psi, (And, Or, Implies))
+            for g in (psi.left, psi.right) + ((neg(psi.left),) if isinstance(psi, Implies) else ())
+        }
         return full, full[::-1], [psi for psi in full if psi.key not in operands]
 
     rng = random.Random(14)
@@ -416,7 +505,7 @@ def test_gate_caches_across_calls_keep_every_report():
             ok, variable_free, consequence, failures, count), (phi, candidate, forall)
         wrong_seen += bool(failures)
     assert wrong_seen >= 5
-    assert pitts._corpus.cache_info().hits > 0 and pitts._chain_grid.cache_info().hits > 0
+    assert all(c.cache_info().hits > 0 for c in (pitts._corpus, pitts._chain_grid, pitts._kept))
     # every mask kept is the probe's mask on its grid
     checked = 0
     for atoms, budget in atom_sets:
