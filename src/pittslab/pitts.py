@@ -362,7 +362,7 @@ def _composed(psi: Formula, known: dict, forall: bool) -> bool | None:
         b = known.get(psi.right.key)
         if forall:
             return False if b is False else None
-        if b or known.get(f"{Implies.tag}({psi.left.key},{BOT.key})"):
+        if b or known.get(Implies.key_of(psi.left.key, BOT.key)):
             return True
         return False if b is False and known.get(psi.left.key) else None
     if op is not And and op is not Or:
@@ -406,7 +406,7 @@ def _corpus(variables: tuple, max_nodes: int) -> tuple[Formula, ...]:
                 for b, kb in by_size[size - 1 - lsize]:
                     lo, hi = (ka, kb) if ka <= kb else (kb, ka)
                     for ctor, kl, kr in ((And, lo, hi), (Or, lo, hi), (Implies, ka, kb)):
-                        k = f"{ctor.tag}({kl},{kr})"
+                        k = ctor.key_of(kl, kr)
                         if k not in seen:
                             seen.add(k)
                             bucket.append((ctor(a, b), k))

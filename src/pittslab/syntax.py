@@ -180,6 +180,13 @@ class _Binary(Formula):
     def __post_init__(self):
         self._derive(f"{self.tag}({self.left.key},{self.right.key})")
 
+    @classmethod
+    def key_of(cls, left_key: str, right_key: str) -> str:
+        """The key `cls(left, right)` gets, from its operands' keys, without
+        building the formula.  `__post_init__` spells the same format out
+        rather than calling this, since every prover path builds formulas."""
+        return f"{cls.tag}({left_key},{right_key})"
+
     def children(self):
         return (self.left, self.right)
 

@@ -454,6 +454,14 @@ def test_composed_verdicts_are_the_ones_decide_gives():
         ("Implies", False, False), ("Implies", False, True),
         ("Or", True, False), ("Or", True, True), ("And", True, True), ("Implies", True, False),
     }
+    # botL alone: ~P |- ~P holds and ~P |- Q fails, so only the verdict on
+    # ~P, looked up by its key, gives ~P |- P -> Q
+    p, q = var("P"), var("Q")
+    known = {neg(p).key: True, q.key: False}
+    assert pitts._composed(Implies(p, q), known, False) is True
+    assert decide(Sequent((neg(p),), Implies(p, q)))
+    del known[neg(p).key]
+    assert pitts._composed(Implies(p, q), known, False) is None
 
 
 def test_gate_caches_across_calls_keep_every_report():

@@ -204,6 +204,17 @@ def test_quantifier_keys_match_the_definition():
         assert f.key == _reference_key(f), f
 
 
+def test_key_of_is_the_key_the_constructor_gives():
+    # the probe gate looks verdicts up by keys it composes with `key_of`
+    import random
+
+    rng = random.Random(16)
+    for _ in range(200):
+        a, b = (_random_quantified(rng, rng.randrange(1, 8)) for _ in range(2))
+        for ctor in (And, Or, Implies):
+            assert ctor.key_of(a.key, b.key) == ctor(a, b).key
+
+
 def test_deep_binder_chain_needs_no_recursion():
     x = Variable("X")
     f = Var(x)
