@@ -21,8 +21,6 @@ from .kernel import (
 from .kripke import KripkeModel, find_countermodel
 from .parser import parse_formula, parse_sequent
 from .pitts import (
-    InterpolationResult,
-    interpolate,
     pita_forall,
     pite_exists,
     probe_corpus,

@@ -66,9 +66,6 @@ class KripkeModel:
             if not val.get(a, frozenset()) <= val.get(b, frozenset()):
                 raise ValueError("valuation must be persistent along the order")
 
-    def atoms_at(self, w) -> frozenset:
-        return dict(self.valuation).get(w, frozenset())
-
     def forces(self, w, f: Formula) -> bool:
         return self._forcing()(w, f)
 

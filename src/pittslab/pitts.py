@@ -14,22 +14,19 @@ The recursion is exponential in the implication nesting of the input;
 results are memoized per eliminated variable.
 
 The validation gate checks a candidate against a probe corpus, two sequents
-per probe.  A sequent whose forcing masks on the two-world chain (every
-valuation of the atoms at once) show a world forcing the hypothesis but not
-the conclusion is refuted by that Kripke model, so the gate records it as
-not derivable without calling `decide`; IPC is sound for Kripke semantics,
-so that is the verdict `decide` would give.  A probe the masks leave open
-takes its verdict from its operands' where a rule of the calculus allows
-(the corpus lists operands first): conjunctions and disjunctions, and
-implications through weakening, botL and modus ponens (see `_composed`).
-Only the other sequents reach `decide`.  Each sequent on the candidate side
-is decided on a stand-in: the first probe smaller than the candidate that
-the prover certifies equivalent to it (`_minimize`), if there is one.  By
-cut, it has the candidate's consequences and antecedents.
+per probe, but decides them once per class of prover-equivalent probes, on
+the class's representative (`_classes`); by cut, equivalent probes have the
+same antecedents and consequences.  A sequent whose forcing masks on the
+two-world chain (every valuation of the atoms at once) show a world forcing
+the hypothesis but not the conclusion is refuted by that Kripke model, so
+the gate records it as not derivable without calling `decide`; IPC is sound
+for Kripke semantics, so that is the verdict `decide` would give.  The
+candidate's sequents are decided on the representative of its class when
+that is smaller than the candidate.
 
 The corpus of an atom set, its probes free of the eliminated variable and
-the probes' masks on its grid are built once and kept in small
-module-level `lru_cache`s; the verdicts are kept for one gate call only.
+their class table are built once and kept in small module-level
+`lru_cache`s.
 """
 from __future__ import annotations
 
@@ -49,7 +46,6 @@ from .syntax import (
     Variable,
     is_top,
     require_plain,
-    substitute,
 )
 from . import kripke, prover
 
@@ -259,54 +255,36 @@ _GRID_ATOMS = 6
 def _gate(
     phi: Formula, y: Variable, candidate: Formula, probes, forall: bool
 ) -> ValidationReport:
-    # Every sequent hyp |- concl is first evaluated on the 2-chain at every
-    # valuation of the atoms: if some (valuation, world) forces hyp but not
-    # concl, that is a Kripke countermodel, and since IPC is sound for Kripke
-    # semantics the sequent is refuted without `decide`.  A probe's mask is
-    # kept by key in the dict `_chain_grid` holds for these atoms, so across
-    # calls it is computed once.  A probe that the masks leave open may take
-    # its verdict from its operands' (see `_composed`); only the rest go to
-    # `decide`, so every verdict is the one `decide` would give.  The dual
-    # gate turns every sequent around.
+    # Each probe takes the verdicts of its class's representative; each of
+    # those sequents is refuted on the 2-chain grid where the masks allow, and
+    # decided otherwise.  The dual gate turns every sequent around.
     require_plain(phi, candidate)
     kept, probe_atoms = _kept(tuple(probes), y)
-    names = sorted(probe_atoms.union(phi.free_vars, candidate.free_vars))
-    atoms, g, memo = _chain_grid(tuple(names))
-    masks = []
-    for psi in kept:
-        m = memo.get(psi.key)
-        if m is None:
-            m = memo[psi.key] = kripke.forcing_mask(psi, atoms, g, memo)
-        masks.append(m)
-    settled = 0
+    names = tuple(sorted(probe_atoms.union(phi.free_vars, candidate.free_vars)))
+    atoms, g = _chain_grid(names)
+    reps, masks, of = _classes(kept, names)
 
-    def entails(a: Formula, b: Formula, ma: int, mb: int, known: dict) -> bool:
-        # a |- b (b |- a in the dual gate), kept in `known` by b's key
-        nonlocal settled
+    def entails(a: Formula, b: Formula, ma: int, mb: int) -> tuple[bool, int]:
+        # a |- b (b |- a in the dual gate), and 1 when the 2-chain refutes it
         hyp, concl, mh, mc = (b, a, mb, ma) if forall else (a, b, ma, mb)
         if mh & ~mc:
-            settled += 1
-            verdict = False
-        else:
-            verdict = _composed(b, known, forall)
-            if verdict is None:
-                verdict = prover.decide(Sequent((hyp,), concl))
-        known[b.key] = verdict
-        return verdict
+            return False, 1
+        return prover.decide(Sequent((hyp,), concl)), 0
 
     m_phi = kripke.forcing_mask(phi, atoms, g)
     m_candidate = kripke.forcing_mask(candidate, atoms, g)
     variable_free = y not in candidate.free_vars
-    # By cut, candidate |- psi iff stand_in |- psi (and so in the dual), so
-    # a smaller equivalent probe decides every sequent the candidate is in.
-    stand_in = _minimize(candidate, kept, masks, m_candidate)
-    consequence = entails(phi, stand_in, m_phi, m_candidate, {})
+    # By cut, candidate |- psi iff stand_in |- psi, and so in the dual gate.
+    smaller = (r for r, m in zip(reps, masks) if m == m_candidate and r.size < candidate.size)
+    stand_in = next((r for r in smaller if prover.equivalent(r, candidate)), candidate)
+    consequence, settled = entails(phi, stand_in, m_phi, m_candidate)
+    verdicts = [  # per class: the candidate's side and the input's, each with its settled count
+        entails(stand_in, r, m_candidate, m) + entails(phi, r, m_phi, m) for r, m in zip(reps, masks)
+    ]
     failures = []
-    by_candidate: dict[str, bool] = {}
-    by_input: dict[str, bool] = {}
-    for psi, m in zip(kept, masks):
-        left = entails(stand_in, psi, m_candidate, m, by_candidate)
-        right = entails(phi, psi, m_phi, m, by_input)
+    for psi, c in zip(kept, of):
+        left, n_left, right, n_right = verdicts[c]
+        settled += n_left + n_right
         if left != right:
             failures.append((psi, "candidate" if left else "input"))
     ok = variable_free and consequence and not failures
@@ -321,56 +299,49 @@ def _kept(probes: tuple, y: Variable) -> tuple[tuple[Formula, ...], frozenset]:
     return kept, frozenset().union(*(psi.free_vars for psi in kept))
 
 
-def _minimize(f: Formula, probes, masks, m_f: int) -> Formula:
-    """The first of `probes`, in their order, that is strictly smaller than f
-    and certified prover-equivalent to f, or f when there is none.  `masks`
-    lists the probes' 2-chain masks and m_f is f's: equivalent formulas have
-    equal masks, so only probes with mask m_f reach the prover, which tests
-    the small probe as the hypothesis first."""
-    for psi, m in zip(probes, masks):
-        if m == m_f and psi.size < f.size and prover.equivalent(psi, f):
-            return psi
-    return f
+@lru_cache(maxsize=4)
+def _chain_grid(names: tuple) -> tuple[dict[str, int], kripke.Grid]:
+    """The atom masks and grid of the 2-chain over `names` (sorted Variables)."""
+    atoms, g = kripke._atoms_grid(names[:_GRID_ATOMS], _CHAIN)
+    atoms.update((v.name, 0) for v in names[_GRID_ATOMS:])
+    return atoms, g
 
 
 @lru_cache(maxsize=4)
-def _chain_grid(names: tuple) -> tuple[dict[str, int], kripke.Grid, dict[str, int]]:
-    """The atom masks and grid of the 2-chain over `names` (sorted Variables),
-    and the dict in which the gate keeps probe masks by key on that grid."""
-    atoms, g = kripke._atoms_grid(names[:_GRID_ATOMS], _CHAIN)
-    atoms.update((v.name, 0) for v in names[_GRID_ATOMS:])
-    return atoms, g, {}
+def _classes(kept: tuple, names: tuple) -> tuple[list[Formula], list[int], list[int]]:
+    """The probes `kept` grouped into classes of prover-equivalent formulas:
+    the classes' representatives (each class's first probe), their 2-chain
+    masks on the grid of `names`, and each probe's class.
 
-
-def _composed(psi: Formula, known: dict, forall: bool) -> bool | None:
-    """The verdict of a gate sequent on the probe psi, composed from the
-    verdicts in `known` of the same sequent on psi's operands, or None when
-    they do not settle it.  Write X for the candidate or the input.
-
-    - psi = a /\\ b on the right, a \\/ b on the left (andR, orL: invertible):
-      it holds iff it holds on a and on b.
-    - psi = a \\/ b on the right, a /\\ b on the left (orR, andL): it holds
-      if it holds on a or on b.
-    - X |- a -> b holds if X |- b does (weakening, impR) or X |- ~a does
-      (botL), and fails if X |- a holds and X |- b fails (cut with modus
-      ponens).
-    - a -> b |- X fails if b |- X fails, since b |- a -> b.
-
-    Otherwise only `decide` can tell."""
-    op = type(psi)
-    if op is Implies:
-        b = known.get(psi.right.key)
-        if forall:
-            return False if b is False else None
-        if b or known.get(Implies.key_of(psi.left.key, BOT.key)):
-            return True
-        return False if b is False and known.get(psi.left.key) else None
-    if op is not And and op is not Or:
-        return None
-    a, b = known.get(psi.left.key), known.get(psi.right.key)
-    if (op is And) is not forall:
-        return None if a is None or b is None else a and b
-    return True if a or b else None
+    A compound probe joins the class an earlier probe with the same connective
+    and operands of the same classes joined, since IPC equivalence is a
+    congruence.  Any other probe is compared, by `prover.equivalent`, with
+    the representatives that have its mask (equivalent formulas have equal
+    masks); it joins the first that matches, or starts a class."""
+    atoms, g = _chain_grid(names)
+    reps: list[Formula] = []
+    masks: list[int] = []
+    by_mask: dict[int, list[int]] = {}
+    of: list[int] = []
+    table: dict = {}  # classes by probe key, and by connective and operand classes
+    for psi in kept:
+        key = psi.key
+        if isinstance(psi, (And, Or, Implies)):
+            # an operand that is not a probe stands for itself
+            key = (type(psi),) + tuple(table.get(h.key, h.key) for h in (psi.left, psi.right))
+        c = table.get(key)
+        if c is None:
+            m = kripke.forcing_mask(psi, atoms, g)
+            same = by_mask.setdefault(m, [])
+            c = next((i for i in same if prover.equivalent(reps[i], psi)), None)
+            if c is None:
+                c = len(reps)
+                reps.append(psi)
+                masks.append(m)
+                same.append(c)
+        table[key] = table[psi.key] = c
+        of.append(c)
+    return reps, masks, of
 
 
 # The largest probe size `interpolate --probe-budget` accepts.  On atoms
@@ -411,30 +382,3 @@ def _corpus(variables: tuple, max_nodes: int) -> tuple[Formula, ...]:
                             seen.add(k)
                             bucket.append((ctor(a, b), k))
     return tuple(g for bucket in by_size.values() for g, _ in bucket)
-
-
-@dataclass
-class InterpolationResult:
-    input: Formula
-    bound_var: Variable
-    existential: Formula
-    universal: Formula
-    certificate_checks: list = field(default_factory=list)  # (probe, bool)
-
-
-def interpolate(phi: Formula, y: Variable, probe_substitutions=None) -> InterpolationResult:
-    """Both interpolants plus certificate checks on probe substitutions.
-
-    Each probe T exercises the two halves: phi[T/y] follows from the
-    universal interpolant, and the existential one follows from phi[T/y].
-    """
-    ex = pite_exists(phi, y)
-    un = pita_forall(phi, y)
-    checks = []
-    for t in probe_substitutions or []:
-        inst = substitute(phi, {y: t})
-        ok = prover.decide(Sequent((un,), inst)) and prover.decide(
-            Sequent((inst,), ex)
-        )
-        checks.append((t, ok))
-    return InterpolationResult(phi, y, ex, un, checks)

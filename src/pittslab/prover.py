@@ -108,6 +108,12 @@ def _decide(hyps: frozenset, goal: Formula):
     # Success leaves: falsum on the left, or the goal among the hypotheses.
     if goal in hyps or BOT in hyps:
         return True
+    # A disjunct among the hypotheses closes a disjunctive goal at once.
+    if isinstance(goal, Or):
+        if goal.left in hyps:
+            return _FIRST
+        if goal.right in hyps:
+            return _SECOND
 
     # Invertible left rules: every premise must hold.  A plain loop, because
     # all() over a generator adds a generator frame on the hottest path.

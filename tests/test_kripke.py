@@ -115,7 +115,7 @@ def test_classical_one_world_countermodel():
     assert hit is not None
     model, world = hit
     assert len(model.worlds) == 1
-    assert model.atoms_at(world) == frozenset({"X2"})
+    assert dict(model.valuation)[world] == frozenset({"X2"})
     assert model.refutes(world, s)
 
 

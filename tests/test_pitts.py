@@ -7,7 +7,6 @@ import pytest
 from pittslab.kernel import Sequent
 from pittslab.parser import parse_formula
 from pittslab.pitts import (
-    interpolate,
     pita_forall,
     pite_exists,
     probe_corpus,
@@ -158,9 +157,14 @@ def test_idempotence_on_variable_free_input():
 
 
 def test_interpolate_bundles_certificates():
-    res = interpolate(f("(Y \\/ ~Y) -> (P /\\ Q)"), Y, [BOT, TOP, f("P /\\ Q")])
-    assert res.certificate_checks and all(ok for _, ok in res.certificate_checks)
-    assert equivalent(res.existential, f("~~(P /\\ Q)"))
+    # each substitution instance of the body lies between the two
+    # interpolants: forall |- phi[T/Y] and phi[T/Y] |- exists
+    phi = f("(Y \\/ ~Y) -> (P /\\ Q)")
+    ex, un = pite_exists(phi, Y), pita_forall(phi, Y)
+    for t in (BOT, TOP, f("P /\\ Q")):
+        inst = substitute(phi, {Y: t})
+        assert decide(Sequent((un,), inst)) and decide(Sequent((inst,), ex))
+    assert equivalent(ex, f("~~(P /\\ Q)"))
 
 
 def test_probe_biconditional_on_random_small_bodies():
@@ -368,8 +372,9 @@ def test_gate_settles_exactly_the_chain_refuted_sequents():
 def test_reference_gate_settles_most_probes_without_decide(monkeypatch):
     # the simplified exists interpolant of P <-> (~Y \/ ~~Y) over the 942
     # probes of P: 1,885 sequents, of which all but 1,035 fail on the 2-chain;
-    # of those, all but 272 are composed, and none of the 272 `decide` calls
-    # holds the 239-node candidate: the gate puts its stand-in ~~P there
+    # the 942 probes fall into 7 classes, so the rest take 8 `decide` calls,
+    # and none of them holds the 239-node candidate: the gate puts its
+    # class's representative ~~P there
     phi = f("P <-> (~Y \\/ ~~Y)")
     candidate = simplify(pite_exists(phi, Y))
     assert candidate.size == 239
@@ -378,28 +383,21 @@ def test_reference_gate_settles_most_probes_without_decide(monkeypatch):
     rep = validate_interpolant(phi, Y, candidate, probe_corpus([Variable("P")], 8))
     assert rep.ok and rep.probes_run == 942
     assert rep.settled == 1885 - 1035
-    assert len(decided) == 272
+    assert len(decided) == 8
     assert max(g.size for s in decided for g in s.hyps + (s.concl,)) < candidate.size
 
 
 def test_gate_stand_in_matches_deciding_every_probe(monkeypatch):
-    # The gate decides a candidate's sequents on the first smaller probe the
-    # prover certifies equivalent to it: by cut, the two have the same
-    # consequences and antecedents.  The variable condition stays on the
-    # candidate.  Both orders of the corpus, both gates.
-    from pittslab import pitts
+    # The gate decides a candidate's sequents on the representative of its
+    # class when that is smaller: by cut, the two have the same consequences
+    # and antecedents.  The variable condition stays on the candidate.  Both
+    # orders of the corpus, both gates; the stand-in is read off the
+    # candidate's side of the sequents that reach `decide`.
     from pittslab.pitts import validate_forall_interpolant
 
-    stand_ins = set()
-    minimize = pitts._minimize
-
-    def spy(candidate, *rest):
-        out = minimize(candidate, *rest)
-        stand_ins.add((str(candidate), str(out)))
-        return out
-
-    monkeypatch.setattr(pitts, "_minimize", spy)
-    refused = []  # probes with the candidate's mask that are not equivalent
+    decided = []
+    monkeypatch.setattr(prover, "decide", lambda s: decided.append(s) or decide(s))
+    refused = []  # representatives with the candidate's mask that are not equivalent
     equivalent_ = prover.equivalent
     monkeypatch.setattr(prover, "equivalent", lambda a, b: equivalent_(a, b) or refused.append((str(a), str(b))))
 
@@ -414,9 +412,16 @@ def test_gate_stand_in_matches_deciding_every_probe(monkeypatch):
         cases += [(gate, forall, c) for c in (raw, simplify(raw), f(disguised))]
     # no probe of at most 5 nodes is equivalent to ~~P -> P
     cases.append((validate_interpolant, False, f("~~P -> P")))
+    stand_ins = set()
     for gate, forall, candidate in cases:
         for order in (probes, probes[::-1]):
+            decided.clear()
             rep = gate(phi, Y, candidate, order)
+            # the candidate's side: the hypothesis, or in the dual gate the
+            # conclusion, of every decided sequent that is not phi
+            sides = {s.concl if forall else s.hyps[0] for s in decided} - {phi}
+            assert len(sides) == 1, (candidate, forall, sides)
+            stand_ins.add((str(candidate), str(sides.pop())))
             variable_free, consequence, failures, count, ok = _reference_gate(phi, Y, candidate, order, forall)
             assert (rep.ok, rep.variable_free, rep.consequence_holds, rep.failures, rep.probes_run) == (
                 ok, variable_free, consequence, failures, count), (candidate, forall)
@@ -427,55 +432,18 @@ def test_gate_stand_in_matches_deciding_every_probe(monkeypatch):
     assert shown.size == 239 and (str(shown), "~~P") in stand_ins
 
 
-def test_composed_verdicts_are_the_ones_decide_gives():
-    # with no masks in the way: every verdict `_composed` takes from the
-    # decided verdicts of a probe's operands is the probe's own, on both sides
-    from pittslab import pitts
-
-    rng = random.Random(15)
-    probes = probe_corpus([Variable("P"), Variable("Q")], 5)
-    composed = set()  # (connective, dual gate, verdict)
-    for _ in range(30):
-        x = random_formula(rng, ["P", "Q"], rng.choice([1, 3, 5, 7]))
-        for forall in (False, True):
-            known = {}
-            for psi in probes:
-                verdict = decide(Sequent((psi,), x) if forall else Sequent((x,), psi))
-                got = pitts._composed(psi, known, forall)
-                assert got in (None, verdict), (x, psi, forall)
-                if got is not None:
-                    composed.add((type(psi).__name__, forall, got))
-                known[psi.key] = verdict
-    # every rule gave its verdicts: andR, orL and the implication rules on the
-    # right both, orR and andL successes, the implication rule on the left
-    # failures
-    assert composed == {
-        ("And", False, False), ("And", False, True), ("Or", False, True),
-        ("Implies", False, False), ("Implies", False, True),
-        ("Or", True, False), ("Or", True, True), ("And", True, True), ("Implies", True, False),
-    }
-    # botL alone: ~P |- ~P holds and ~P |- Q fails, so only the verdict on
-    # ~P, looked up by its key, gives ~P |- P -> Q
-    p, q = var("P"), var("Q")
-    known = {neg(p).key: True, q.key: False}
-    assert pitts._composed(Implies(p, q), known, False) is True
-    assert decide(Sequent((neg(p),), Implies(p, q)))
-    del known[neg(p).key]
-    assert pitts._composed(Implies(p, q), known, False) is None
-
-
 def test_gate_caches_across_calls_keep_every_report():
-    # Corpora and probe masks outlive a gate call; interleave both gates over
-    # three atom sets (one past the grid atoms), with corpora in reverse order
-    # and without the operands of their connectives or the negated
-    # antecedents of their implications, where no verdict can be composed and
-    # every open probe goes to `decide`.
+    # Corpora and class tables outlive a gate call; interleave both gates
+    # over three atom sets (one past the grid atoms), with corpora in reverse
+    # order and without the operands of their connectives or the negated
+    # antecedents of their implications, where the congruence table finds no
+    # operand class and every probe goes to the mask and `equivalent`.
     from pittslab import kripke, pitts
     from pittslab.pitts import _GRID_ATOMS, validate_forall_interpolant
 
-    pitts._corpus.cache_clear()
-    pitts._chain_grid.cache_clear()
-    pitts._kept.cache_clear()
+    caches = (pitts._corpus, pitts._chain_grid, pitts._kept, pitts._classes)
+    for c in caches:
+        c.cache_clear()
     wide = [f"A{i}" for i in range(_GRID_ATOMS + 2)]
     atom_sets = (["P"], 6), (["P", "Q"], 5), (wide, 3)
     corpus = probe_corpus([Variable(a) for a in reversed(atom_sets[1][0])], 5)
@@ -513,17 +481,42 @@ def test_gate_caches_across_calls_keep_every_report():
             ok, variable_free, consequence, failures, count), (phi, candidate, forall)
         wrong_seen += bool(failures)
     assert wrong_seen >= 5
-    assert all(c.cache_info().hits > 0 for c in (pitts._corpus, pitts._chain_grid, pitts._kept))
-    # every mask kept is the probe's mask on its grid
+    assert all(c.cache_info().hits > 0 for c in caches)
+    # every mask kept is its representative's mask on its grid
     checked = 0
     for atoms, budget in atom_sets:
+        names = tuple(sorted(map(Variable, ["Y"] + atoms)))
         corpus = probe_corpus([Variable(a) for a in atoms], budget)
-        atoms_masks, g, masks = pitts._chain_grid(tuple(sorted(map(Variable, ["Y"] + atoms))))
-        for psi in corpus:
-            if psi.key in masks:
-                assert masks[psi.key] == kripke.forcing_mask(psi, atoms_masks, g), psi
-                checked += 1
+        atoms_masks, g = pitts._chain_grid(names)
+        reps, masks, _ = pitts._classes(corpus, names)
+        for psi, m in zip(reps, masks):
+            assert m == kripke.forcing_mask(psi, atoms_masks, g), psi
+            checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("atoms, budget, classes", [(["P"], 8, 7), (["P", "Q"], 7, 83)])
+def test_class_table_partitions_the_corpus_by_equivalence(atoms, budget, classes):
+    # each probe is equivalent to its class's representative, the first
+    # probe of the class, and no two representatives are equivalent; the
+    # reversed corpus is split the same way
+    from pittslab import pitts
+
+    names = tuple(sorted(map(Variable, ["Y"] + atoms)))
+    corpus = probe_corpus([Variable(a) for a in atoms], budget)
+    partitions = []
+    for order in (corpus, corpus[::-1]):
+        reps, _, of = pitts._classes(order, names)
+        assert len(reps) == classes
+        assert [order[of.index(c)] for c in range(classes)] == reps
+        assert all(equivalent(reps[c], psi) for psi, c in zip(order, of))
+        assert not any(equivalent(a, b) for a, b in itertools.combinations(reps, 2))
+        members = {}
+        for psi, c in zip(order, of):
+            members.setdefault(c, set()).add(psi.key)
+        partitions.append({frozenset(keys) for keys in members.values()})
+    assert partitions[0] == partitions[1]
+
 
 def test_irreducible_contexts_list_implications_before_atoms():
     # `pitts._E` conjoins the clauses of `_guards` before the atom clauses;

@@ -1,4 +1,8 @@
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -130,3 +134,22 @@ def test_refutation_beyond_bound_reports_unknown():
     assert not v.provable
     assert isinstance(v.witness, Unknown)
     assert v.witness.bound == 1
+
+
+def test_disjunct_among_the_hypotheses_closes_the_goal_at_once():
+    # raw is the 305-node exists interpolant of P <-> (~Y \/ ~~Y); after impR
+    # P is a hypothesis, so orR closes the goal before any left rule takes
+    # raw apart (which took some 20 s and 600 MB).  A fresh process, so no
+    # memo of another test helps.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = textwrap.dedent(r"""
+        import time
+        from pittslab import Sequent, Variable, check_tree, decide, derive, parse_formula, pite_exists
+        raw = pite_exists(parse_formula("P <-> (~Y \\/ ~~Y)"), Variable("Y"))
+        s = Sequent((raw,), parse_formula("P -> bot \\/ P"))
+        t = time.perf_counter()
+        assert raw.size == 305 and decide(s)
+        assert time.perf_counter() - t < 1.0
+        assert check_tree(derive(s)).ok
+    """)
+    subprocess.run([sys.executable, "-c", code], cwd=src, check=True, timeout=60)
