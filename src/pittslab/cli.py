@@ -152,33 +152,26 @@ def _load_theory(spec: str | None) -> SchemaTheory:
 def _cmd_check(args) -> int:
     theory = _load_theory(args.theory)
     registry = {}
-    for extra in args.with_scripts or []:
-        path = Path(extra)
+    extras = args.with_scripts or []
+    for i, name in enumerate(extras + [args.script]):
+        path = Path(name)
         script = parse_script(path.read_text(encoding="utf-8"), theory, name=path.stem)
         result = check_script(script, registry)
+        payload = {"script": name, "ok": result.ok, "lines": len(script.lines)}
         if not result.ok:
             line, reason = result.failure
-            print(f"{extra}: rejected at line {line}: {reason}", file=sys.stderr)
+            payload["failure"] = {"line": line, "reason": reason}
+            if i < len(extras) and args.format != "json":
+                print(f"{name}: rejected at line {line}: {reason}", file=sys.stderr)
+            else:
+                _emit(payload, args.format, [f"rejected at line {line}: {reason}"])
             return 1
         # register under both the bare stem and the suite-qualified name that
         # bundled ref lines use
         registry[path.stem] = script
         registry[f"{path.parent.name}/{path.stem}"] = script
-    text = Path(args.script).read_text(encoding="utf-8")
-    script = parse_script(text, theory, name=Path(args.script).stem)
-    result = check_script(script, registry)
-    payload = {
-        "script": args.script,
-        "ok": result.ok,
-        "lines": len(script.lines),
-    }
-    if result.ok:
-        _emit(payload, args.format, [f"accepted ({len(script.lines)} lines)"])
-        return 0
-    line, reason = result.failure
-    payload["failure"] = {"line": line, "reason": reason}
-    _emit(payload, args.format, [f"rejected at line {line}: {reason}"])
-    return 1
+    _emit(payload, args.format, [f"accepted ({len(script.lines)} lines)"])
+    return 0
 
 
 def _cmd_extract_aux(args) -> int:

@@ -110,10 +110,6 @@ class Sequent:
         return f"<Sequent {self}>"
 
 
-def sequent(hyps, concl) -> Sequent:
-    return Sequent(tuple(hyps), concl)
-
-
 def _contains(ms: Counter, other: Counter) -> bool:
     return all(ms[f] >= n for f, n in other.items())
 

@@ -223,12 +223,9 @@ def grid(up: tuple[int, ...], col: int = 1) -> Grid:
 _CONNECTIVES = (And, Or, Implies)
 
 
-def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid, memo: dict | None = None) -> int:
+def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid) -> int:
     """The mask of f on grid g, given the masks of its atoms by name (each
-    inside g.full).  Evaluated over an explicit stack, children first.  With
-    a `memo` dict, the masks of connectives are looked up in it by key and
-    left there, so a caller that passes the same dict (on the same grid)
-    reuses them."""
+    inside g.full).  Evaluated over an explicit stack, children first."""
     # A connective is pushed again below a None marker, under its operands;
     # popping the marker combines the last two masks of `done`.  Nodes are
     # told apart by their exact class: no node class has subclasses.
@@ -241,10 +238,7 @@ def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid, memo: dict | None =
             b = done.pop()
             a = done.pop()
             op = type(h)
-            m = a & b if op is And else a | b if op is Or else connective_mask(op, a, b, g)
-            done.append(m)
-            if memo is not None:
-                memo[h.key] = m
+            done.append(a & b if op is And else a | b if op is Or else connective_mask(op, a, b, g))
             continue
         op = type(h)
         if op is Var:
@@ -255,11 +249,7 @@ def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid, memo: dict | None =
         elif op is Bottom:
             done.append(0)
         elif op in _CONNECTIVES:
-            m = None if memo is None else memo.get(h.key)
-            if m is None:
-                todo += (h, None, h.right, h.left)
-            else:
-                done.append(m)
+            todo += (h, None, h.right, h.left)
         else:
             raise UnsupportedFormula(f"cannot evaluate {h}")
     return done[0]

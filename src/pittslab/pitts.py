@@ -15,7 +15,7 @@ results are memoized per eliminated variable.
 
 The validation gate checks a candidate against a probe corpus, two sequents
 per probe, but decides them once per class of prover-equivalent probes, on
-the class's representative (`_classes`); by cut, equivalent probes have the
+the class's representative (`_table`); by cut, equivalent probes have the
 same antecedents and consequences.  A sequent whose forcing masks on the
 two-world chain (every valuation of the atoms at once) show a world forcing
 the hypothesis but not the conclusion is refuted by that Kripke model, so
@@ -24,9 +24,10 @@ for Kripke semantics, so that is the verdict `decide` would give.  The
 candidate's sequents are decided on the representative of its class when
 that is smaller than the candidate.
 
-The corpus of an atom set, its probes free of the eliminated variable and
-their class table are built once and kept in small module-level
-`lru_cache`s.
+Two small module-level `lru_cache`s keep what outlives a gate call: one
+corpus per atom set and budget (`_corpus`), and one table per corpus,
+eliminated variable and set of input atoms (`_table`), which holds the
+probes free of that variable, their 2-chain grid and their classes.
 """
 from __future__ import annotations
 
@@ -259,10 +260,9 @@ def _gate(
     # those sequents is refuted on the 2-chain grid where the masks allow, and
     # decided otherwise.  The dual gate turns every sequent around.
     require_plain(phi, candidate)
-    kept, probe_atoms = _kept(tuple(probes), y)
-    names = tuple(sorted(probe_atoms.union(phi.free_vars, candidate.free_vars)))
-    atoms, g = _chain_grid(names)
-    reps, masks, of = _classes(kept, names)
+    kept, atoms, g, reps, masks, of, size = _table(
+        tuple(probes), y, phi.free_vars | candidate.free_vars
+    )
 
     def entails(a: Formula, b: Formula, ma: int, mb: int) -> tuple[bool, int]:
         # a |- b (b |- a in the dual gate), and 1 when the 2-chain refutes it
@@ -278,47 +278,34 @@ def _gate(
     smaller = (r for r, m in zip(reps, masks) if m == m_candidate and r.size < candidate.size)
     stand_in = next((r for r in smaller if prover.equivalent(r, candidate)), candidate)
     consequence, settled = entails(phi, stand_in, m_phi, m_candidate)
-    verdicts = [  # per class: the candidate's side and the input's, each with its settled count
-        entails(stand_in, r, m_candidate, m) + entails(phi, r, m_phi, m) for r, m in zip(reps, masks)
-    ]
-    failures = []
-    for psi, c in zip(kept, of):
-        left, n_left, right, n_right = verdicts[c]
-        settled += n_left + n_right
-        if left != right:
-            failures.append((psi, "candidate" if left else "input"))
+    direction = []  # per class: the side whose sequent holds where the two disagree
+    for r, m, n in zip(reps, masks, size):
+        left, n_left = entails(stand_in, r, m_candidate, m)
+        right, n_right = entails(phi, r, m_phi, m)
+        settled += n * (n_left + n_right)
+        direction.append(None if left == right else "candidate" if left else "input")
+    failures = [(psi, direction[c]) for psi, c in zip(kept, of) if direction[c]]
     ok = variable_free and consequence and not failures
     return ValidationReport(ok, variable_free, consequence, failures, len(kept), settled)
 
 
 @lru_cache(maxsize=4)
-def _kept(probes: tuple, y: Variable) -> tuple[tuple[Formula, ...], frozenset]:
-    """The probes free of y, in order, and the atoms they mention."""
-    kept = tuple(psi for psi in probes if y not in psi.free_vars)
-    require_plain(*kept)
-    return kept, frozenset().union(*(psi.free_vars for psi in kept))
-
-
-@lru_cache(maxsize=4)
-def _chain_grid(names: tuple) -> tuple[dict[str, int], kripke.Grid]:
-    """The atom masks and grid of the 2-chain over `names` (sorted Variables)."""
-    atoms, g = kripke._atoms_grid(names[:_GRID_ATOMS], _CHAIN)
-    atoms.update((v.name, 0) for v in names[_GRID_ATOMS:])
-    return atoms, g
-
-
-@lru_cache(maxsize=4)
-def _classes(kept: tuple, names: tuple) -> tuple[list[Formula], list[int], list[int]]:
-    """The probes `kept` grouped into classes of prover-equivalent formulas:
-    the classes' representatives (each class's first probe), their 2-chain
-    masks on the grid of `names`, and each probe's class.
+def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
+    """The probes free of y, in order; the atom masks and grid of the 2-chain
+    over their atoms and `inputs`; and the probes grouped into classes of
+    prover-equivalent formulas: the classes' representatives (each class's
+    first probe), their masks, each probe's class and each class's size.
 
     A compound probe joins the class an earlier probe with the same connective
     and operands of the same classes joined, since IPC equivalence is a
     congruence.  Any other probe is compared, by `prover.equivalent`, with
     the representatives that have its mask (equivalent formulas have equal
     masks); it joins the first that matches, or starts a class."""
-    atoms, g = _chain_grid(names)
+    kept = tuple(psi for psi in probes if y not in psi.free_vars)
+    require_plain(*kept)
+    names = sorted(inputs.union(*(psi.free_vars for psi in kept)))
+    atoms, g = kripke._atoms_grid(names[:_GRID_ATOMS], _CHAIN)
+    atoms.update((v.name, 0) for v in names[_GRID_ATOMS:])
     reps: list[Formula] = []
     masks: list[int] = []
     by_mask: dict[int, list[int]] = {}
@@ -341,7 +328,10 @@ def _classes(kept: tuple, names: tuple) -> tuple[list[Formula], list[int], list[
                 same.append(c)
         table[key] = table[psi.key] = c
         of.append(c)
-    return reps, masks, of
+    size = [0] * len(reps)
+    for c in of:
+        size[c] += 1
+    return kept, atoms, g, reps, masks, of, size
 
 
 # The largest probe size `interpolate --probe-budget` accepts.  On atoms

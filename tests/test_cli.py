@@ -168,6 +168,28 @@ def test_check_rejects_an_extensionality_line_that_would_capture(capsys, tmp_pat
     assert payload["failure"] == {"line": 1, "reason": "variables ['X'] would be captured"}
 
 
+def test_check_reports_a_rejected_with_script_in_either_format(capsys, tmp_path):
+    # the main script is never read: the first rejected --with script ends
+    # the check, on stderr in text and as its own check_result in JSON
+    good = tmp_path / "good.pfs"
+    good.write_text("1 | P |- P | ipc\n")
+    bad = tmp_path / "bad.pfs"
+    bad.write_text("1 | |- P | ipc\n")
+    argv = ["check", str(tmp_path / "absent.pfs"), "--with", str(good), "--with", str(bad)]
+    reason = "not an intuitionistic consequence: |- P"
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"{bad}: rejected at line 1: {reason}\n")
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (1, "")
+    payload = json.loads(out)
+    validate(payload, "check_result.schema.json")
+    assert payload == {"script": str(bad), "ok": False, "lines": 1,
+                       "failure": {"line": 1, "reason": reason}}
+    # with every --with script accepted, the main script is checked as before
+    code, out, _ = run(capsys, "check", str(good), "--with", str(good), "--format", "json")
+    assert code == 0 and json.loads(out) == {"script": str(good), "ok": True, "lines": 1}
+
+
 # In place of a file's text: the path given is a directory.
 DIRECTORY = object()
 

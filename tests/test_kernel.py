@@ -10,7 +10,6 @@ from pittslab.kernel import (
     VariableClash,
     check_tree,
     derive_extensionality,
-    sequent,
     t_ax,
     t_schema,
 )
@@ -35,27 +34,27 @@ HOLE = Variable("HOLE")
 
 
 def test_single_ax_node_accepted():
-    t = ProofTree("ax", sequent([P], P))
+    t = ProofTree("ax", Sequent([P], P))
     assert check_tree(t).ok
 
 
 def test_ax_with_wrong_hypotheses_rejected():
-    t = ProofTree("ax", sequent([P, Q], P))
+    t = ProofTree("ax", Sequent([P, Q], P))
     rep = check_tree(t)
     assert not rep.ok and rep.kind == "MalformedRule"
 
 
 def test_botl_then_nothing_else_proves_excluded_middle_from_bottom():
     goal = parse_formula("P \\/ ~P")
-    t = ProofTree("botL", sequent([BOT], goal))
+    t = ProofTree("botL", Sequent([BOT], goal))
     assert check_tree(t).ok
 
 
 def test_forall_r_side_condition_violated():
     # X free in the context: forall R must be rejected
     X = Variable("X")
-    prem = ProofTree("ax", sequent([var("X")], var("X")))
-    concl = sequent([var("X")], Forall(X, var("X")))
+    prem = ProofTree("ax", Sequent([var("X")], var("X")))
+    concl = Sequent([var("X")], Forall(X, var("X")))
     t = ProofTree("allR", concl, (prem,))
     rep = check_tree(t)
     assert not rep.ok and rep.kind == "SideConditionViolated"
@@ -63,9 +62,9 @@ def test_forall_r_side_condition_violated():
 
 def test_forall_r_accepted_when_context_clean():
     X = Variable("X")
-    prem = ProofTree("ax", sequent([var("X")], var("X")))
-    inner = ProofTree("impR", sequent([], Implies(var("X"), var("X"))), (prem,))
-    t = ProofTree("allR", sequent([], Forall(X, Implies(var("X"), var("X")))), (inner,))
+    prem = ProofTree("ax", Sequent([var("X")], var("X")))
+    inner = ProofTree("impR", Sequent([], Implies(var("X"), var("X"))), (prem,))
+    t = ProofTree("allR", Sequent([], Forall(X, Implies(var("X"), var("X")))), (inner,))
     assert check_tree(t).ok
 
 
@@ -102,19 +101,19 @@ def test_congruence_rule_shape():
 
 def test_extensionality_hole_absent():
     t = derive_extensionality(Z, HOLE, P, Q)
-    assert t.conclusion == sequent([Implies(P, Q), Implies(Q, P), Z], Z)
+    assert t.conclusion == Sequent([Implies(P, Q), Implies(Q, P), Z], Z)
     assert check_tree(t).ok
 
 
 def test_extensionality_hole_itself():
     t = derive_extensionality(var("HOLE"), HOLE, P, Q)
-    assert t.conclusion == sequent([Implies(P, Q), Implies(Q, P), P], Q)
+    assert t.conclusion == Sequent([Implies(P, Q), Implies(Q, P), P], Q)
     assert check_tree(t).ok
 
 
 def test_extensionality_negated_hole_contraposition():
     t = derive_extensionality(neg(var("HOLE")), HOLE, P, Q)
-    assert t.conclusion == sequent([Implies(P, Q), Implies(Q, P), neg(P)], neg(Q))
+    assert t.conclusion == Sequent([Implies(P, Q), Implies(Q, P), neg(P)], neg(Q))
     assert check_tree(t).ok
 
 
@@ -141,7 +140,7 @@ def test_extensionality_through_apps_needs_congruence():
     t = derive_extensionality(ctx, HOLE, var("A"), var("B"), allow_app=True)
     want_l = substitute(ctx, {HOLE: var("A")})
     want_r = substitute(ctx, {HOLE: var("B")})
-    assert t.conclusion == sequent(
+    assert t.conclusion == Sequent(
         [Implies(var("A"), var("B")), Implies(var("B"), var("A")), want_l], want_r
     )
     assert not check_tree(t).ok  # congruence nodes need the theory
@@ -167,7 +166,7 @@ def test_extensionality_random_contexts_always_check():
         p = _random_ctx(rng, 1)
         q = _random_ctx(rng, 1)
         t = derive_extensionality(ctx, HOLE, p, q)
-        want = sequent(
+        want = Sequent(
             [Implies(p, q), Implies(q, p), substitute(ctx, {HOLE: p})],
             substitute(ctx, {HOLE: q}),
         )
@@ -177,8 +176,8 @@ def test_extensionality_random_contexts_always_check():
 
 def test_check_report_pinpoints_first_failing_node():
     good = t_ax(P)
-    bad = ProofTree("ax", sequent([P, Q], P))
-    tree = ProofTree("andR", sequent([P, Q], And(P, P)), (ProofTree("ax", sequent([P, Q], P)), bad))
+    bad = ProofTree("ax", Sequent([P, Q], P))
+    tree = ProofTree("andR", Sequent([P, Q], And(P, P)), (ProofTree("ax", Sequent([P, Q], P)), bad))
     rep = check_tree(tree)
     assert not rep.ok
     assert rep.path == (0,)  # leftmost failure reported first
@@ -191,11 +190,11 @@ def test_check_report_pinpoints_failure_deep_in_a_chain():
     tree = t_ax(P)
     for depth in range(1200, 0, -1):
         hyps = [P, Q] if depth == 900 else [P, P] if depth % 2 else [P]
-        tree = ProofTree("wL" if depth % 2 else "cL", sequent(hyps, P), (tree,))
+        tree = ProofTree("wL" if depth % 2 else "cL", Sequent(hyps, P), (tree,))
     rep = check_tree(tree)
     assert not rep.ok and rep.path == (0,) * 898
-    bad_sibling = ProofTree("ax", sequent([P, P], P))
-    both = ProofTree("andR", sequent([P, P], And(P, P)), (tree, bad_sibling))
+    bad_sibling = ProofTree("ax", Sequent([P, P], P))
+    both = ProofTree("andR", Sequent([P, P], And(P, P)), (tree, bad_sibling))
     assert check_tree(both).path == (0,) * 899
     assert sum(1 for _ in tree.nodes()) == 1201
 
@@ -205,21 +204,21 @@ def test_cut_with_wrong_merge_rejected():
 
     p1 = t_ax(P)
     p2 = t_ax(Q, extra=(P,))
-    bad = ProofTree("cut", sequent([Q], Q), (p1.conclusion and p1, p2), P)
+    bad = ProofTree("cut", Sequent([Q], Q), (p1.conclusion and p1, p2), P)
     assert not check_tree(bad).ok  # dropped premise-one context
 
 
 def test_orl_with_mismatched_branches_rejected():
-    t1 = ProofTree("ax", sequent([P], P))
-    t2 = ProofTree("ax", sequent([Q], Q))
-    bad = ProofTree("orL", sequent([Or(P, Q)], P), (t1, t2))
+    t1 = ProofTree("ax", Sequent([P], P))
+    t2 = ProofTree("ax", Sequent([Q], Q))
+    bad = ProofTree("orL", Sequent([Or(P, Q)], P), (t1, t2))
     assert not check_tree(bad).ok
 
 
 def test_impl_with_wrong_split_rejected():
-    t1 = ProofTree("ax", sequent([P], P))
-    t2 = ProofTree("ax", sequent([Q], Q))
-    bad = ProofTree("impL", sequent([P, Implies(P, Q), Z], Q), (t1, t2))
+    t1 = ProofTree("ax", Sequent([P], P))
+    t2 = ProofTree("ax", Sequent([Q], Q))
+    bad = ProofTree("impL", Sequent([P, Implies(P, Q), Z], Q), (t1, t2))
     assert not check_tree(bad).ok  # Z appears from nowhere
 
 
@@ -227,12 +226,12 @@ def test_exr_with_wrong_witness_rejected():
     from pittslab.syntax import Exists
 
     X = Variable("X")
-    prem = ProofTree("ax", sequent([Q], Q))
-    node = ProofTree("exR", sequent([Q], Exists(X, var("X"))), (prem,), P)
+    prem = ProofTree("ax", Sequent([Q], Q))
+    node = ProofTree("exR", Sequent([Q], Exists(X, var("X"))), (prem,), P)
     assert not check_tree(node).ok  # declared witness P but premise proves Q
 
 
 def test_wr_needs_bot_premise():
-    prem = ProofTree("ax", sequent([P], P))
-    bad = ProofTree("wR", sequent([P], Q), (prem,))
+    prem = ProofTree("ax", Sequent([P], P))
+    bad = ProofTree("wR", Sequent([P], Q), (prem,))
     assert not check_tree(bad).ok

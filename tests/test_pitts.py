@@ -254,13 +254,16 @@ def _reference_gate(phi, y, candidate, probes, forall):
 
 def _gate_inputs():
     """Seeded bodies over Y,P and Y,P,Q, each with its interpolant raw and
-    simplified and with three wrong candidates, for both gates."""
+    simplified and with four wrong candidates, one of them over an atom R
+    that neither the corpus nor the body has, for both gates; the last
+    corpus is built over Y as well, so the gate drops its probes with Y."""
     from pittslab.pitts import validate_forall_interpolant
 
     rng = random.Random(41)
     for atoms, probes in (
         (["Y", "P"], probe_corpus([Variable("P")], 6)),
         (["Y", "P", "Q"], probe_corpus([Variable("P"), Variable("Q")], 5)),
+        (["Y", "P"], probe_corpus([Y, Variable("P")], 5)),
     ):
         for _ in range(4):
             phi = random_formula(rng, atoms, rng.choice([5, 7, 9]))
@@ -270,7 +273,7 @@ def _gate_inputs():
                 (validate_forall_interpolant, pita_forall, True),
             ):
                 raw = interpolant(phi, Y)
-                for candidate in (raw, simplify(raw), TOP, BOT, wrong):
+                for candidate in (raw, simplify(raw), TOP, BOT, wrong, Or(var("R"), wrong)):
                     yield gate, phi, candidate, probes, forall
 
 
@@ -441,7 +444,7 @@ def test_gate_caches_across_calls_keep_every_report():
     from pittslab import kripke, pitts
     from pittslab.pitts import _GRID_ATOMS, validate_forall_interpolant
 
-    caches = (pitts._corpus, pitts._chain_grid, pitts._kept, pitts._classes)
+    caches = (pitts._corpus, pitts._table)
     for c in caches:
         c.cache_clear()
     wide = [f"A{i}" for i in range(_GRID_ATOMS + 2)]
@@ -485,10 +488,8 @@ def test_gate_caches_across_calls_keep_every_report():
     # every mask kept is its representative's mask on its grid
     checked = 0
     for atoms, budget in atom_sets:
-        names = tuple(sorted(map(Variable, ["Y"] + atoms)))
         corpus = probe_corpus([Variable(a) for a in atoms], budget)
-        atoms_masks, g = pitts._chain_grid(names)
-        reps, masks, _ = pitts._classes(corpus, names)
+        _, atoms_masks, g, reps, masks, _, _ = pitts._table(corpus, Y, frozenset([Y]))
         for psi, m in zip(reps, masks):
             assert m == kripke.forcing_mask(psi, atoms_masks, g), psi
             checked += 1
@@ -498,16 +499,16 @@ def test_gate_caches_across_calls_keep_every_report():
 @pytest.mark.parametrize("atoms, budget, classes", [(["P"], 8, 7), (["P", "Q"], 7, 83)])
 def test_class_table_partitions_the_corpus_by_equivalence(atoms, budget, classes):
     # each probe is equivalent to its class's representative, the first
-    # probe of the class, and no two representatives are equivalent; the
-    # reversed corpus is split the same way
+    # probe of the class, and no two representatives are equivalent; each
+    # class's size counts its probes; the reversed corpus is split the same way
     from pittslab import pitts
 
-    names = tuple(sorted(map(Variable, ["Y"] + atoms)))
     corpus = probe_corpus([Variable(a) for a in atoms], budget)
     partitions = []
     for order in (corpus, corpus[::-1]):
-        reps, _, of = pitts._classes(order, names)
-        assert len(reps) == classes
+        kept, _, _, reps, _, of, size = pitts._table(order, Y, frozenset([Y]))
+        assert kept == order and len(reps) == classes
+        assert size == [of.count(c) for c in range(classes)]
         assert [order[of.index(c)] for c in range(classes)] == reps
         assert all(equivalent(reps[c], psi) for psi, c in zip(order, of))
         assert not any(equivalent(a, b) for a, b in itertools.combinations(reps, 2))
