@@ -2,18 +2,20 @@
 
 Rules: ax, cut, wL, cL, wR, orL, orR1, orR2, andR, andL1, andL2, impL,
 impR, botL, allL, allR, exR, exL, plus `schema` and `congruence`, which are
-admitted only when a SchemaTheory is in force.  Hypotheses are multisets;
-formulas compare up to alpha-equivalence.
+admitted only when a SchemaTheory is in force.  Formulas compare up to
+alpha-equivalence, and a sequent's hypothesis multiset is one sorted tuple
+of their keys, `Sequent.hyp_keys`, built with the sequent; every multiset
+check compares, slices or merges these tuples.
 
 `check_rule` checks each rule shape in one place.  The `_PREMISES` table
 holds every premise count, and `_SAME_GOAL` and `_RIGHT` the conclusion
 checks that rules share.  `_principals` is the one matcher of a left rule's
 principal hypothesis and the rest of its context, and `_one_extra` finds the
-one hypothesis by which two contexts differ.
+one key by which two contexts differ.
 """
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .syntax import (
@@ -69,23 +71,20 @@ class VariableClash(KernelError):
 class Sequent:
     hyps: tuple[Formula, ...]
     concl: Formula
+    hyp_keys: tuple[str, ...] = field(init=False, repr=False)  # the multiset: sorted keys
 
     def __post_init__(self):
         object.__setattr__(self, "hyps", tuple(self.hyps))
+        object.__setattr__(self, "hyp_keys", tuple(sorted([h.key for h in self.hyps])))
 
-    @property
-    def multiset(self) -> Counter:
-        try:
-            return self._ms  # type: ignore[attr-defined]
-        except AttributeError:
-            ms = Counter(self.hyps)
-            object.__setattr__(self, "_ms", ms)
-            return ms
+    def hyp(self, key: str) -> Formula:
+        """The first hypothesis with this key."""
+        return next(h for h in self.hyps if h.key == key)
 
     def __eq__(self, other):
         if not isinstance(other, Sequent):
             return NotImplemented
-        return self.concl == other.concl and self.multiset == other.multiset
+        return self.concl == other.concl and self.hyp_keys == other.hyp_keys
 
     def free_vars(self) -> frozenset[Variable]:
         out = self.concl.free_vars
@@ -110,17 +109,11 @@ class Sequent:
         return f"<Sequent {self}>"
 
 
-def _contains(ms: Counter, other: Counter) -> bool:
-    return all(ms[f] >= n for f, n in other.items())
-
-
 def _minus(hyps: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
     """Remove one occurrence of `f` (alpha-equality)."""
-    out = list(hyps)
-    for i, h in enumerate(out):
+    for i, h in enumerate(hyps):
         if h == f:
-            del out[i]
-            return tuple(out)
+            return hyps[:i] + hyps[i + 1:]
     raise KernelError(f"{f} not among hypotheses")
 
 
@@ -222,14 +215,9 @@ def match_single(pattern: Formula, x: Variable, target: Formula) -> Formula | No
             return p.symbol == t.symbol and all(go(a, b) for a, b in zip(p.args, t.args))  # type: ignore[union-attr]
         return False
 
-    if not go(pattern, target):
+    if not go(pattern, target) or any(s != sols[0] for s in sols[1:]):
         return None
-    if not sols:
-        return BOT
-    first = sols[0]
-    if any(s != first for s in sols[1:]):
-        return None
-    return first
+    return sols[0] if sols else BOT
 
 
 # Premises each rule takes.  Congruence takes one per argument of its
@@ -280,28 +268,28 @@ def _fault(rule, concl, premises, data, theory, path) -> str | None:
         return f"conclusion must be {right[1]}"
 
     if rule == "wL":
-        if _one_extra(concl.multiset, premises[0].multiset) is None:
+        if _one_extra(concl.hyp_keys, premises[0].hyp_keys) is None:
             return "conclusion must add exactly one hypothesis"
     elif rule == "ax":
         if len(concl.hyps) != 1 or concl.hyps[0] != goal:
             return "conclusion must be phi |- phi"
     elif rule == "cL":
-        cm = concl.multiset
-        phi = _one_extra(premises[0].multiset, cm)
-        if phi is None:
+        keys = concl.hyp_keys
+        extra = _one_extra(premises[0].hyp_keys, keys)
+        if extra is None:
             return "premise must have exactly one extra copy"
-        if cm[phi] < 1:
+        if extra not in keys:
             return "contracted formula must remain present"
     elif rule == "impR":
         s = premises[0]
         if s.concl != goal.right:
             return "premise must conclude the consequent"
-        if _one_extra(s.multiset, concl.multiset) != goal.left:
+        if _one_extra(s.hyp_keys, concl.hyp_keys) != goal.left.key:
             return "premise must add the antecedent as a hypothesis"
     elif rule in ("andL1", "andL2"):
-        sm = premises[0].multiset
+        keys = premises[0].hyp_keys
         for principal, rest in _principals(concl, And):
-            if _one_extra(sm, rest) == (principal.left if rule == "andL1" else principal.right):
+            if _one_extra(keys, rest) == (principal.left if rule == "andL1" else principal.right).key:
                 return None
         return "no conjunction hypothesis matches the premise"
     elif rule == "botL":
@@ -312,11 +300,8 @@ def _fault(rule, concl, premises, data, theory, path) -> str | None:
         if s2.concl != goal:
             return "second premise must conclude the goal"
         for principal, rest in _principals(concl, Implies):
-            if principal.left != s1.concl or s2.multiset[principal.right] < 1:
-                continue
-            expect = s1.multiset + s2.multiset
-            expect[principal.right] -= 1
-            if expect == rest:
+            if (principal.left == s1.concl
+                    and merge_keys(s1.hyp_keys, s2.hyp_keys, principal.right.key) == rest):
                 return None
         return "no implication hypothesis matches the premises"
     elif rule == "orL":
@@ -324,39 +309,38 @@ def _fault(rule, concl, premises, data, theory, path) -> str | None:
         if s1.concl != goal or s2.concl != goal:
             return "premise conclusions must match"
         for principal, rest in _principals(concl, Or):
-            if (_one_extra(s1.multiset, rest) == principal.left
-                    and _one_extra(s2.multiset, rest) == principal.right):
+            if (_one_extra(s1.hyp_keys, rest) == principal.left.key
+                    and _one_extra(s2.hyp_keys, rest) == principal.right.key):
                 return None
         return "no disjunction hypothesis matches the premises"
     elif rule in ("orR1", "orR2"):
         s = premises[0]
         part = goal.left if rule == "orR1" else goal.right
-        if s.concl != part or s.multiset != concl.multiset:
+        if s.concl != part or s.hyp_keys != concl.hyp_keys:
             return "premise must prove the chosen disjunct in the same context"
     elif rule == "cut":
         s1, s2 = premises
         phi = data if isinstance(data, Formula) else s1.concl
         if s1.concl != phi:
             return "first premise must conclude the cut formula"
-        if s2.multiset[phi] < 1:
+        merged = merge_keys(s1.hyp_keys, s2.hyp_keys, phi.key)
+        if merged is None:
             return "cut formula missing from second premise hypotheses"
         if goal != s2.concl:
             return "conclusion formula mismatch"
-        expect = s1.multiset + s2.multiset
-        expect[phi] -= 1
-        if expect != concl.multiset:
+        if merged != concl.hyp_keys:
             return "hypotheses are not the merge of the premises"
     elif rule == "andR":
         s1, s2 = premises
         if s1.concl != goal.left or s2.concl != goal.right:
             return "premises must prove the two conjuncts"
-        if s1.multiset != concl.multiset or s2.multiset != concl.multiset:
+        if s1.hyp_keys != concl.hyp_keys or s2.hyp_keys != concl.hyp_keys:
             return "premises must share the conclusion context"
     elif rule in ("wR", "allR", "exR"):
         s = premises[0]
         if rule == "wR" and not isinstance(s.concl, Bottom):
             return "premise must have empty (bot) right side"
-        if s.multiset != concl.multiset:
+        if s.hyp_keys != concl.hyp_keys:
             return "hypotheses must match"
         if rule == "allR" and not _eigen(rule, goal, s.concl, data, concl.hyps, path):
             return "premise does not match the quantified body"
@@ -367,11 +351,12 @@ def _fault(rule, concl, premises, data, theory, path) -> str | None:
             elif match_single(goal.body, goal.var, s.concl) is None:
                 return "premise does not instantiate the quantified body"
     elif rule == "allL":
-        sm = premises[0].multiset
+        s = premises[0]
         for principal, rest in _principals(concl, Forall):
-            inst = _one_extra(sm, rest)
-            if inst is None:
+            extra = _one_extra(s.hyp_keys, rest)
+            if extra is None:
                 continue
+            inst = s.hyp(extra)
             if isinstance(data, Formula):
                 if substitute(principal.body, {principal.var: data}) == inst:
                     return None
@@ -379,10 +364,11 @@ def _fault(rule, concl, premises, data, theory, path) -> str | None:
                 return None
         return "no universal hypothesis matches the premise"
     elif rule == "exL":
-        sm = premises[0].multiset
+        s = premises[0]
         for principal, rest in _principals(concl, Exists):
-            inst = _one_extra(sm, rest)
-            if inst is not None and _eigen(rule, principal, inst, data, (goal, *+rest), path):
+            extra = _one_extra(s.hyp_keys, rest)
+            if extra is not None and _eigen(rule, principal, s.hyp(extra), data,
+                                            (goal, *_minus(concl.hyps, principal)), path):
                 return None
         return "no existential hypothesis matches the premise"
     elif rule == "schema":
@@ -396,12 +382,12 @@ def _fault(rule, concl, premises, data, theory, path) -> str | None:
         if premises:
             return "axiom schema takes no premises"
         inst = theory.instantiate(label, bindings)
-        if goal != inst.concl or not _contains(concl.multiset, inst.multiset):
+        if goal != inst.concl or _excess(concl.hyp_keys, inst.hyp_keys) is None:
             return f"conclusion is not an instance of schema {label!r} (up to weakening)"
     elif rule == "congruence":
         for principal, rest in _principals(concl, App):
             if principal.symbol == goal.symbol and all(
-                prem.multiset == rest and prem.concl == iff(a, b)
+                prem.hyp_keys == rest and prem.concl == iff(a, b)
                 for prem, a, b in zip(premises, principal.args, goal.args)
             ):
                 return None
@@ -412,20 +398,40 @@ def _fault(rule, concl, premises, data, theory, path) -> str | None:
 
 
 def _principals(concl: Sequent, kind):
-    """Each distinct hypothesis of type `kind`, with the rest of the context:
-    a fresh multiset of the hypotheses less one copy of it."""
-    for principal in set(f for f in concl.hyps if isinstance(f, kind)):
-        rest = concl.multiset.copy()
-        rest[principal] -= 1
-        yield principal, rest
+    """Each distinct `kind` hypothesis (its first copy), and the keys less one copy of it."""
+    distinct = {h.key: h for h in reversed(concl.hyps) if isinstance(h, kind)}
+    return ((h, _less(concl.hyp_keys, key)) for key, h in distinct.items())
 
 
-def _one_extra(big: Counter, small: Counter) -> Formula | None:
-    """The formula `big` holds one more copy of than `small`, when that is
-    all they differ by; else None."""
-    if big.total() != small.total() + 1 or not _contains(big, small):
+def _less(keys: tuple[str, ...], key: str) -> tuple[str, ...] | None:
+    """Sorted `keys` less one copy of `key`, or None when they hold none."""
+    i = bisect_left(keys, key)
+    if i == len(keys) or keys[i] != key:
         return None
-    return next(f for f, n in big.items() if n > small[f])
+    return keys[:i] + keys[i + 1:]
+
+
+def _excess(big: tuple[str, ...], small: tuple[str, ...]) -> tuple[str, ...] | None:
+    """Sorted `big` less sorted `small`, or None when `small` is not a sub-multiset."""
+    for key in small:
+        if (big := _less(big, key)) is None:
+            break
+    return big
+
+
+def _one_extra(big: tuple[str, ...], small: tuple[str, ...]) -> str | None:
+    """The one key sorted `big` holds beyond sorted `small`, or None if they differ otherwise."""
+    if len(big) != len(small) + 1:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(big, small)) if a != b), len(small))
+    return big[i] if big[i + 1:] == small[i:] else None
+
+
+def merge_keys(first: tuple[str, ...], second: tuple[str, ...], key: str) -> tuple[str, ...] | None:
+    """The hypothesis keys of a cut or impL conclusion: `first` and `second`
+    less one copy of `key`, sorted; None when `second` holds no copy."""
+    rest = _less(second, key)
+    return None if rest is None else tuple(sorted(first + rest))
 
 
 def _eigen(rule, quantified, instance: Formula, data, context, path) -> bool:
@@ -530,12 +536,12 @@ def t_cl(t: ProofTree, f: Formula) -> ProofTree:
 
 def t_cl_to(t: ProofTree, target_hyps) -> ProofTree:
     """Contract duplicates until the hypothesis multiset equals the target."""
-    target = Counter(target_hyps)
-    while (cur := t.conclusion.multiset) != target:
-        excess = cur - target
-        if not excess or target - cur:
+    target = tuple(sorted([h.key for h in target_hyps]))
+    while (cur := t.conclusion).hyp_keys != target:
+        excess = _excess(cur.hyp_keys, target)
+        if not excess:
             raise KernelError("cannot reach target hypotheses by contraction")
-        t = t_cl(t, next(iter(excess)))
+        t = t_cl(t, next(h for h in cur.hyps if h.key in excess))
     return t
 
 

@@ -160,10 +160,6 @@ def decide(s: Sequent) -> bool:
 # principal's copy stays beside its replacements: a second (c -> d) -> e proves
 # c -> d iff d -> e does, and is redundant beside e (Dyckhoff, JSL 1992).
 
-def _plus(hyps: tuple, *fs: Formula) -> tuple:
-    return hyps + tuple(fs)
-
-
 def _lemma_curry(h: Implies) -> ProofTree:
     """(A /\\ B) -> C |- A -> (B -> C)"""
     a, b, c = h.left.left, h.left.right, h.right
@@ -200,7 +196,7 @@ def _derive(hyps: tuple, goal: Formula) -> ProofTree:
     if rule is _RIGHT:
         if isinstance(goal, And):
             return t_andR(_derive(hyps, goal.left), _derive(hyps, goal.right))
-        return t_impR(_derive(_plus(hyps, goal.left), goal.right), goal.left)
+        return t_impR(_derive(hyps + (goal.left,), goal.right), goal.left)
     if rule is _FIRST:
         return t_orR1(_derive(hyps, goal.left), goal.right)
     if rule is _SECOND:
@@ -212,10 +208,10 @@ def _derive(hyps: tuple, goal: Formula) -> ProofTree:
     if step is None:  # the (c -> d) -> e choice
         d_e, e = _nested_premises(h)
         # rest, h |- c -> d, then the implication left rule on h
-        q = t_cut(_lemma_nested(h), _derive(_plus(rest, d_e), h.left))
-        return t_cl_to(t_impL(q, _derive(_plus(rest, e), goal), e), hyps)
+        q = t_cut(_lemma_nested(h), _derive(rest + (d_e,), h.left))
+        return t_cl_to(t_impL(q, _derive(rest + (e,), goal), e), hyps)
 
-    ts = [_derive(_plus(rest, *replacement), goal) for replacement in step[1]]
+    ts = [_derive(rest + replacement, goal) for replacement in step[1]]
     # The rule's tree over its premises' trees.
     if isinstance(h, And):
         t = t_andL2(ts[0], h.right, h.left)
@@ -251,17 +247,15 @@ class Verdict:
 
 def derive(s: Sequent) -> ProofTree:
     """Kernel-checkable tree for a provable sequent."""
-    require_plain(*s.hyps, s.concl)
-    if not _decide(frozenset(s.hyps), s.concl):
+    if not decide(s):
         raise ValueError(f"not provable: {s}")
-    return _derive(tuple(s.hyps), s.concl)
+    return _derive(s.hyps, s.concl)
 
 
 def prove(s: Sequent, countermodel_bound: int = DEFAULT_BOUND) -> Verdict:
     """Decide a sequent; attach a proof tree or a countermodel witness."""
-    require_plain(*s.hyps, s.concl)
-    if _decide(frozenset(s.hyps), s.concl):
-        return Verdict(True, _derive(tuple(s.hyps), s.concl))
+    if decide(s):
+        return Verdict(True, _derive(s.hyps, s.concl))
     found = find_countermodel(s, countermodel_bound)
     return Verdict(False, found if found is not None else Unknown(countermodel_bound))
 

@@ -37,6 +37,7 @@ from .kernel import (
     check_rule,
     check_tree,
     derive_extensionality,
+    merge_keys,
 )
 from .parser import FormulaSyntaxError, Parser
 from .prover import decide
@@ -272,11 +273,10 @@ def atomize(seq: Sequent) -> Sequent:
 def _cut_candidates(a: Sequent, b: Sequent) -> list[Sequent]:
     out = []
     for first, second in ((a, b), (b, a)):
-        if second.multiset[first.concl] >= 1:
-            merged = first.multiset + second.multiset
-            merged[first.concl] -= 1
-            hyps = tuple(f for f, n in sorted(merged.items(), key=lambda kv: kv[0].key) for _ in range(n))
-            out.append(Sequent(hyps, second.concl))
+        merged = merge_keys(first.hyp_keys, second.hyp_keys, first.concl.key)
+        if merged is not None:
+            both = Sequent(first.hyps + second.hyps, second.concl)
+            out.append(Sequent(tuple(map(both.hyp, merged)), second.concl))
     return out
 
 

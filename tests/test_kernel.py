@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,17 +9,21 @@ from pittslab.kernel import (
     SchemaTheory,
     Sequent,
     VariableClash,
+    _one_extra,
     check_tree,
     derive_extensionality,
     t_ax,
     t_schema,
 )
 from pittslab.parser import parse_formula, parse_sequent
+from pittslab.prover import decide, derive
+from pittslab.selftest import random_formula
 from pittslab.syntax import (
     And,
     App,
     BOT,
     ConnectiveSymbol,
+    Exists,
     Forall,
     Implies,
     Or,
@@ -76,6 +81,20 @@ def test_schema_requires_theory():
     assert not check_tree(node).ok
     assert not check_tree(node, EMPTY_THEORY).ok
     assert check_tree(node, theory).ok
+
+
+def test_a_missing_formula_is_not_taken_from_another_hypothesis():
+    # Each premise holds R where the removed formula belongs.  Taking one
+    # copy of R away instead would make every conclusion below fit.
+    R = var("R")
+    cut = ProofTree("cut", Sequent([Q], R), (t_ax(Q), t_ax(R)))
+    assert "cut formula missing" in check_tree(cut).message
+    impl = ProofTree("impL", Sequent([P, Implies(P, Q)], R), (t_ax(P), t_ax(R)))
+    assert "no implication hypothesis" in check_tree(impl).message
+    theory = SchemaTheory("toy")
+    theory.add_schema("refl", parse_sequent("P |- P"))
+    node = t_schema(parse_sequent("R |- Q"), "refl", {Variable("P"): Q})
+    assert "not an instance of schema" in check_tree(node, theory).message
 
 
 def test_congruence_rule_shape():
@@ -235,3 +254,97 @@ def test_wr_needs_bot_premise():
     prem = ProofTree("ax", Sequent([P], P))
     bad = ProofTree("wR", Sequent([P], Q), (prem,))
     assert not check_tree(bad).ok
+
+
+def _hypothesis_pool():
+    # pairs of alpha-variants: equal keys, different binder names
+    X, Y = Variable("X"), Variable("Y")
+    return [
+        P, Q, BOT, And(P, Q), And(Q, P), Implies(P, BOT),
+        Exists(X, var("X")), Exists(Z.var, Z),
+        Forall(X, Implies(var("X"), P)), Forall(Y, Implies(var("Y"), P)),
+        Exists(X, And(var("X"), Q)), Exists(Y, And(var("Y"), Q)),
+    ]
+
+
+def test_hypothesis_multisets_agree_with_a_counter_reference():
+    # Sequent equality and the one-extra finder on sorted key tuples, against
+    # Counters of formulas (which hash and compare by key): duplicates,
+    # alpha-variants, one extra copy, one swapped formula, shuffled orders.
+    rng = random.Random(18)
+    pool = _hypothesis_pool()
+    assert Exists(Variable("X"), var("X")) == Exists(Z.var, Z)
+    extras = 0
+    for _ in range(3000):
+        a = [rng.choice(pool) for _ in range(rng.randrange(7))]
+        shape = rng.randrange(4)
+        if shape == 0:
+            b = a + [rng.choice(pool)]
+        elif shape == 1 and a:
+            b = a[:]
+            b[rng.randrange(len(b))] = rng.choice(pool)
+        elif shape == 2:
+            b = a[:]
+        else:
+            b = [rng.choice(pool) for _ in range(rng.randrange(8))]
+        rng.shuffle(b)
+        sa, sb = Sequent(a, P), Sequent(b, P)
+        ca, cb = Counter(a), Counter(b)
+        assert (sa == sb) == (ca == cb) == (sb == sa)
+        more, fewer = cb - ca, ca - cb
+        want = next(iter(more)).key if more.total() == 1 and not fewer else None
+        assert _one_extra(sb.hyp_keys, sa.hyp_keys) == want
+        assert _one_extra(sa.hyp_keys, sb.hyp_keys) is None or want is None
+        extras += want is not None
+    assert extras > 500
+
+
+def _random_provable(rng, count):
+    # prove-workload shape: 0-3 hypotheses over at most 4 atoms, formulas of
+    # at most 17 nodes, at most 32 nodes in all
+    out = []
+    while len(out) < count:
+        sizes = [rng.randrange(1, 18, 2) for _ in range(rng.randrange(4) + 1)]
+        if sum(sizes) > 32:
+            continue
+        *hyps, concl = [random_formula(rng, "PQRS", n) for n in sizes]
+        s = Sequent(hyps, concl)
+        if decide(s):
+            out.append(s)
+    return out
+
+
+def _with_hyps(tree, path, hyps):
+    """`tree` with the node at `path` concluding from `hyps` instead."""
+    if not path:
+        return ProofTree(tree.rule, Sequent(hyps, tree.conclusion.concl), tree.premises, tree.data)
+    premises = list(tree.premises)
+    premises[path[0]] = _with_hyps(premises[path[0]], path[1:], hyps)
+    return ProofTree(tree.rule, tree.conclusion, premises, tree.data)
+
+
+def test_one_hypothesis_more_or_less_is_rejected_at_the_node_or_its_parent():
+    rng = random.Random(1804)
+    mutants = 0
+    for s in _random_provable(rng, 40):
+        tree = derive(s)
+        assert check_tree(tree).ok
+        todo, paths = [(tree, ())], []
+        while todo:
+            node, path = todo.pop()
+            if node.conclusion.hyps:
+                paths.append(path)
+            todo.extend((p, path + (i,)) for i, p in enumerate(node.premises))
+        for path in rng.sample(paths, min(6, len(paths))):
+            node = tree
+            for i in path:
+                node = node.premises[i]
+            hyps = list(node.conclusion.hyps)
+            dropped = hyps[:]
+            del dropped[rng.randrange(len(dropped))]
+            for changed in (dropped, hyps + [rng.choice(hyps)]):
+                rep = check_tree(_with_hyps(tree, path, changed))
+                assert not rep.ok and rep.kind == "MalformedRule", (s, path, changed)
+                assert rep.path in (path, path[:-1]), (s, path, rep)
+                mutants += 1
+    assert mutants > 300

@@ -8,6 +8,7 @@ from pittslab.replays import load_suite
 from pittslab.scripts import (
     MalformedScript,
     ScriptLine,
+    _cut_candidates,
     atomize,
     check_script,
     parse_justification,
@@ -234,3 +235,16 @@ def test_binding_with_a_trailing_comma_is_malformed(tmp_path, capsys):
     assert main(["check", str(script)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_cut_candidates_keep_the_first_written_alpha_variant():
+    # exists X. X and exists Z. Z are one hypothesis class; the merged
+    # context writes each class as its first copy, cut formula's side first
+    a = parse_sequent("exists X. X |- Q")
+    b = parse_sequent("Q, exists Z. Z, Q |- R")
+    (merged,) = _cut_candidates(a, b)
+    assert merged == parse_sequent("exists Y. Y, exists Y. Y, Q |- R")
+    assert str(merged) == "exists X. X, exists X. X, Q |- R"
+    (back,) = _cut_candidates(parse_sequent("P, exists Z. Z |- exists Y. Y"), a)
+    assert str(back) == "exists Z. Z, P |- Q"  # sorted by key
+    assert _cut_candidates(a, parse_sequent("P |- R")) == []
