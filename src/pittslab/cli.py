@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 for provable / accepted / success, 1 for refuted / rejected,
-2 for usage or parse errors (message on stderr).
+2 for usage or parse errors (message on stderr), 70 for a crash (`run`).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from . import __version__
@@ -255,7 +256,9 @@ def _in_range(low: int, high: int | None = None):
     return parse
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use; parsing writes no default, so `main` calls share it."""
     ap = argparse.ArgumentParser(
         prog="pittslab",
         description="Workbench for intuitionistic propositional logic: uniform "
@@ -345,5 +348,15 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None) -> int:
+    """`main` for the installed script: a crash prints its traceback and
+    exits 70, where Python would exit 1, which means refuted."""
+    try:
+        return main(argv)
+    except Exception:
+        sys.excepthook(*sys.exc_info())
+        return 70
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

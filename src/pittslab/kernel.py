@@ -111,8 +111,9 @@ class Sequent:
 
 def _minus(hyps: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
     """Remove one occurrence of `f` (alpha-equality)."""
+    key = f.key
     for i, h in enumerate(hyps):
-        if h == f:
+        if h.key == key:
             return hyps[:i] + hyps[i + 1:]
     raise KernelError(f"{f} not among hypotheses")
 
@@ -460,18 +461,27 @@ def _eigen(rule, quantified, instance: Formula, data, context, path) -> bool:
 def check_tree(tree: ProofTree, theory: SchemaTheory | None = None) -> CheckReport:
     """Accept iff every node matches its rule template and side conditions
     hold; a rejection reports the first failing node in preorder."""
-    todo = [(tree, ())]
-    while todo:
-        node, path = todo.pop()
+    for node in tree.nodes():
         try:
-            premises = tuple([p.conclusion for p in node.premises])
-            check_rule(node.rule, node.conclusion, premises, node.data, theory, path)
-        except SideConditionViolated as e:
-            return CheckReport(False, "SideConditionViolated", path, str(e))
-        except KernelError as e:
-            return CheckReport(False, "MalformedRule", path, str(e))
-        todo.extend((node.premises[i], path + (i,)) for i in reversed(range(len(node.premises))))
-    return CheckReport(True)
+            check_rule(node.rule, node.conclusion, tuple([p.conclusion for p in node.premises]),
+                       node.data, theory)
+        except KernelError:
+            break
+    else:
+        return CheckReport(True)
+    todo = [(tree, ())]  # only a rejection builds paths: walk again to the failing node
+    while todo[-1][0] is not node:
+        at, path = todo.pop()
+        todo.extend((at.premises[i], path + (i,)) for i in reversed(range(len(at.premises))))
+    path = todo[-1][1]
+    try:
+        check_rule(node.rule, node.conclusion, tuple([p.conclusion for p in node.premises]),
+                   node.data, theory, path)
+    except SideConditionViolated as e:
+        return CheckReport(False, "SideConditionViolated", path, str(e))
+    except KernelError as e:
+        return CheckReport(False, "MalformedRule", path, str(e))
+    raise AssertionError("a rejected rule instance passed when checked again")
 
 
 def is_cut_free(tree: ProofTree) -> bool:

@@ -347,3 +347,76 @@ def test_failed_gate_names_its_first_failure(monkeypatch, capsys):
     validate(payload, "interpolate_result.schema.json")
     assert payload == {"input": "Y \\/ ~Y -> P /\\ Q", "interpolant": "bot", "kind": "exists",
                        "probes": 24, "validated": False, "var": "Y"}
+
+
+def test_installed_script_exits_70_on_an_internal_error(capsys, monkeypatch):
+    from pittslab import cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr("pittslab.cli.prove", broken)
+    assert cli.run(["prove", "|- P -> P"]) == 70
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):")
+    assert captured.err.endswith("KeyError: 'internal'\n")
+    # the exit codes `main` returns pass through unchanged
+    monkeypatch.undo()
+    assert cli.run(["prove", "|- P -> P"]) == 0
+    assert cli.run(["prove", "P ->"]) == 2
+
+
+def test_parser_is_built_once():
+    from pittslab.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_no_option_value_carries_over_between_calls(capsys):
+    code, out, _ = run(capsys, "prove", "--bound", "1", "|- P \\/ ~P", "--format", "json")
+    assert code == 1 and json.loads(out)["countermodel"] is None
+    code, out, _ = run(capsys, "prove", "|- P \\/ ~P", "--format", "json")
+    assert code == 1 and json.loads(out)["countermodel"]["worlds"] == [0, 1]
+
+
+def test_calls_after_a_usage_error_and_version_behave_as_fresh(capsys):
+    from pittslab import __version__
+
+    code, out, err = run(capsys, "prove", "--bound", "0", "|- P")
+    assert code == 2 and out == "" and "must be at least 1" in err
+    assert run(capsys, "--version") == (0, f"pittslab {__version__}\n", "")
+    code, out, err = run(capsys, "interpolate", "--exists", "--var", "Y", "Y /\\ X")
+    assert (code, out, err) == (0, "X\n", "")
+
+
+def test_every_subcommand_matches_a_freshly_built_parser(capsys):
+    from pittslab.cli import build_parser
+    from pittslab.replays import script_root
+
+    root = script_root()
+    tree = root.parent / "trees" / "witness_first.tree"
+    commands = [
+        ["prove", "|- P \\/ ~P", "--format", "json"],
+        ["interpolate", "--forall", "--var", "Y", "--validate", "X \\/ Y"],
+        ["rn-classify", "~~~X"],
+        ["prove", "--bound", "1", "|- P \\/ ~P"],
+        ["check", str(root / "tara" / "topreducts.pfs"), "--theory", "tara/theory.thy",
+         "--format", "json"],
+        ["extract-aux", str(tree), "--body", "(Y \\/ ~Y) -> (P /\\ Q)", "--var", "Y"],
+        ["replay", "kreisel", "--format", "json"],
+        ["rn-classify", "--level", "-1", "X"],
+        ["selftest", "--quick", "--seed", "3"],
+        ["interpolate", "--exists", "--var", "Y", "--format", "json", "Y /\\ X"],
+        ["replay", "nosuchsuite"],
+        ["prove", "--help"],
+        ["prove", "P, P -> Q |- Q"],
+    ]
+    build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in commands]
+    fresh = []
+    for argv in commands:
+        build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [1, 0, 0, 1, 0, 0, 0, 2, 0, 0, 2, 0, 0]
