@@ -11,7 +11,10 @@ check compares, slices or merges these tuples.
 holds every premise count, and `_SAME_GOAL` and `_RIGHT` the conclusion
 checks that rules share.  `_principals` is the one matcher of a left rule's
 principal hypothesis and the rest of its context, and `_one_extra` finds the
-one key by which two contexts differ.
+one key by which two contexts differ.  The quantifier rules share two
+definitions: a formula is an instance of `Qx. body` at T when
+`substitute(body, {x: T})` equals it (`_instance`), and the eigenvariable
+of allR and exL occurs free nowhere in the conclusion (`_eigen`).
 """
 from __future__ import annotations
 
@@ -32,7 +35,6 @@ from .syntax import (
     Signature,
     Var,
     Variable,
-    fresh_variable,
     iff,
     substitute,
 )
@@ -186,41 +188,6 @@ class CheckReport:
         return self.ok
 
 
-def match_single(pattern: Formula, x: Variable, target: Formula) -> Formula | None:
-    """Find T with pattern[T/x] == target, or None.  Vacuous matches yield bot."""
-    sols: list[Formula] = []
-
-    def go(p: Formula, t: Formula) -> bool:
-        if isinstance(p, Var) and p.var == x:
-            sols.append(t)
-            return True
-        if type(p) is not type(t):
-            return False
-        if isinstance(p, Var):
-            return p == t
-        if isinstance(p, Bottom):
-            return True
-        if isinstance(p, (And, Or, Implies)):
-            return go(p.left, t.left) and go(p.right, t.right)  # type: ignore[union-attr]
-        if isinstance(p, (Exists, Forall)):
-            if p.var == x:
-                return p == t
-            if p.var == t.var:  # type: ignore[union-attr]
-                return go(p.body, t.body)  # type: ignore[union-attr]
-            common = fresh_variable(p.var, p.body.free_vars | t.body.free_vars | {x})  # type: ignore[union-attr]
-            return go(
-                substitute(p.body, {p.var: Var(common)}),
-                substitute(t.body, {t.var: Var(common)}),  # type: ignore[union-attr]
-            )
-        if isinstance(p, App):
-            return p.symbol == t.symbol and all(go(a, b) for a, b in zip(p.args, t.args))  # type: ignore[union-attr]
-        return False
-
-    if not go(pattern, target) or any(s != sols[0] for s in sols[1:]):
-        return None
-    return sols[0] if sols else BOT
-
-
 # Premises each rule takes.  Congruence takes one per argument of its
 # symbol, checked once its theory and conclusion are known to be sound; schema
 # checks its own after its theory and data.
@@ -343,33 +310,23 @@ def _fault(rule, concl, premises, data, theory, path) -> str | None:
             return "premise must have empty (bot) right side"
         if s.hyp_keys != concl.hyp_keys:
             return "hypotheses must match"
-        if rule == "allR" and not _eigen(rule, goal, s.concl, data, concl.hyps, path):
+        if rule == "allR" and not _eigen(rule, goal, s.concl, data, concl, path):
             return "premise does not match the quantified body"
-        if rule == "exR":
-            if isinstance(data, Formula):
-                if substitute(goal.body, {goal.var: data}) != s.concl:
-                    return "premise is not the declared witness instance"
-            elif match_single(goal.body, goal.var, s.concl) is None:
-                return "premise does not instantiate the quantified body"
+        if rule == "exR" and _instance(goal, s.concl, data) is None:
+            return ("premise is not the declared witness instance" if isinstance(data, Formula)
+                    else "premise does not instantiate the quantified body")
     elif rule == "allL":
         s = premises[0]
         for principal, rest in _principals(concl, Forall):
             extra = _one_extra(s.hyp_keys, rest)
-            if extra is None:
-                continue
-            inst = s.hyp(extra)
-            if isinstance(data, Formula):
-                if substitute(principal.body, {principal.var: data}) == inst:
-                    return None
-            elif match_single(principal.body, principal.var, inst) is not None:
+            if extra is not None and _instance(principal, s.hyp(extra), data) is not None:
                 return None
         return "no universal hypothesis matches the premise"
     elif rule == "exL":
         s = premises[0]
         for principal, rest in _principals(concl, Exists):
             extra = _one_extra(s.hyp_keys, rest)
-            if extra is not None and _eigen(rule, principal, s.hyp(extra), data,
-                                            (goal, *_minus(concl.hyps, principal)), path):
+            if extra is not None and _eigen(rule, principal, s.hyp(extra), data, concl, path):
                 return None
         return "no existential hypothesis matches the premise"
     elif rule == "schema":
@@ -435,26 +392,47 @@ def merge_keys(first: tuple[str, ...], second: tuple[str, ...], key: str) -> tup
     return None if rest is None else tuple(sorted(first + rest))
 
 
-def _eigen(rule, quantified, instance: Formula, data, context, path) -> bool:
+def _instance(quantified, instance: Formula, data) -> Formula | None:
+    """The T for which `instance` is the body of `quantified` with T for its
+    variable, or None.  T is the witness `data` when a formula is declared,
+    else the subformula of `instance` at the body's first free occurrence of
+    the variable (bot when there is none); either way it must pass the one
+    test that substituting it into the body gives `instance`.
+    """
+    body, x = quantified.body, quantified.var
+    t = data if isinstance(data, Formula) else _at_first(body, x, instance)
+    return t if t is not None and substitute(body, {x: t}) == instance else None
+
+
+def _at_first(body: Formula, x: Variable, instance: Formula) -> Formula | None:
+    """The subformula of `instance` where `body` has its first free `x`: bot
+    when `body` has none, None when the two part in shape on the way."""
+    if x not in body.free_vars:
+        return BOT
+    while not isinstance(body, Var):
+        kids = instance.children()
+        if type(instance) is not type(body) or len(kids) != len(body.children()):
+            return None
+        i, body = next((i, c) for i, c in enumerate(body.children()) if x in c.free_vars)
+        instance = kids[i]
+    return instance
+
+
+def _eigen(rule, quantified, instance: Formula, data, concl: Sequent, path) -> bool:
     """Whether `instance` is the body of an allR/exL `quantified` formula at
     its eigenvariable (the variable `data`, when one is declared).
 
     A vacuous binder is alpha-renamable to anything fresh, so it matches its
     body with no side condition; otherwise the eigenvariable must not occur
-    free in `context`.
+    free in the conclusion `concl`, its principal formula included.
     """
-    body, x = quantified.body, quantified.var
-    if x not in body.free_vars:
-        return body == instance
-    if isinstance(data, Variable):
-        y = data if substitute(body, {x: Var(data)}) == instance else None
-    else:
-        t = match_single(body, x, instance)
-        y = t.var if isinstance(t, Var) else None
-    if y is None:
+    if quantified.var not in quantified.body.free_vars:
+        return quantified.body == instance
+    t = _instance(quantified, instance, Var(data) if isinstance(data, Variable) else None)
+    if not isinstance(t, Var):
         return False
-    if any(y in f.free_vars for f in context):
-        raise SideConditionViolated(y, path, f"{rule}: {y} occurs free in the context")
+    if t.var in concl.free_vars():
+        raise SideConditionViolated(t.var, path, f"{rule}: {t.var} occurs free in the context")
     return True
 
 
@@ -633,24 +611,15 @@ def t_congruence(premises: tuple[ProofTree, ...], app_from: App, app_to: App) ->
 # Extensionality: replacing provably equivalent subformulas preserves
 # derivability, realized as an explicit tree built by structural induction.
 
-def derive_extensionality(
-    context: Formula,
-    hole: Variable,
-    p: Formula,
-    p_prime: Formula,
-    allow_app: bool = False,
-) -> ProofTree:
+def derive_extensionality(context: Formula, hole: Variable, p: Formula, p_prime: Formula) -> ProofTree:
     """Tree proving  p->p', p'->p, context[p/hole] |- context[p'/hole].
 
     The free variables of p and p' must avoid the bound variables of the
-    context.  App nodes are rejected unless `allow_app` (script checking
-    passes True and discharges them with congruence steps).
+    context.  App nodes become congruence steps, which only a theory admits.
     """
     clash = (p.free_vars | p_prime.free_vars) & context.bound_vars()
     if clash:
         raise VariableClash(f"variables {sorted(v.name for v in clash)} would be captured")
-    if context.has_app and not allow_app:
-        raise KernelError("context contains an uninterpreted connective")
     return _ext(context, hole, p, p_prime)
 
 

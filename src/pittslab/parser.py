@@ -105,11 +105,12 @@ class _Tokens:
 
 
 class Parser:
-    """Parser over a fixed connective signature (empty by default)."""
+    """Parser over a fixed connective signature (empty by default); `_`
+    parses as the variable `hole`, where one is given."""
 
-    def __init__(self, signature: Signature | None = None, allow_hole: bool = False):
+    def __init__(self, signature: Signature | None = None, hole: Variable | None = None):
         self.signature = signature or Signature()
-        self.allow_hole = allow_hole
+        self.hole = hole
 
     def parse(self, text: str) -> Formula:
         toks = _Tokens(text)
@@ -173,9 +174,9 @@ class Parser:
         if kind in _CONSTANTS:
             return _CONSTANTS[kind]
         if kind == "hole":
-            if not self.allow_hole:
+            if self.hole is None:
                 raise FormulaSyntaxError("hole '_' not allowed here", off)
-            return Var(Variable("HOLE"))
+            return Var(self.hole)
         if kind == "lpar":
             f = self._formula(toks)
             toks.expect("rpar")
@@ -200,8 +201,8 @@ class Parser:
         )
 
 
-def parse_formula(text: str, signature: Signature | None = None, allow_hole: bool = False) -> Formula:
-    return Parser(signature, allow_hole=allow_hole).parse(text)
+def parse_formula(text: str, signature: Signature | None = None, hole: Variable | None = None) -> Formula:
+    return Parser(signature, hole).parse(text)
 
 
 def parse_sequent(text: str, signature: Signature | None = None):

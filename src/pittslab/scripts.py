@@ -55,7 +55,6 @@ from .syntax import (
     Var,
     Variable,
     fresh_variable,
-    substitute,
 )
 
 
@@ -116,10 +115,11 @@ class ScriptReport:
 # ---------------------------------------------------------------------------
 # Parsing.
 
+_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
 _BINDING_RE = re.compile(r"^\{(.*)\}$", re.S)
 # formulas never contain `:=`, so each binding opens the text or follows the
 # comma that precedes `NAME :=`
-_BINDING_HEAD_RE = re.compile(r"(?:^|,)\s*([A-Za-z][A-Za-z0-9_']*)\s*:=")
+_BINDING_HEAD_RE = re.compile(rf"(?:^|,)\s*({_IDENT_RE.pattern})\s*:=")
 
 
 def _parse_bindings(text: str, parser: Parser) -> dict[Variable, Formula]:
@@ -147,7 +147,6 @@ def _line_number(token: str) -> int:
 def parse_justification(text: str, theory: SchemaTheory) -> Justification:
     text = text.strip()
     parser = Parser(theory.signature)
-    hole_parser = Parser(theory.signature, allow_hole=True)
     head, _, rest = text.partition(" ")
     rest = rest.strip()
     if head == "ipc":
@@ -170,13 +169,15 @@ def parse_justification(text: str, theory: SchemaTheory) -> Justification:
         nums = tuple(_line_number(tok) for tok in tail.split())
         return Justification("rule", name=name.strip(), lines=nums)
     if head == "ext":
-        ctx, off = hole_parser.parse_prefix(rest)
+        # the hole is a variable named by no identifier of the arguments
+        hole = fresh_variable(Variable("HOLE"), set(map(Variable, _IDENT_RE.findall(rest))))
+        ctx, off = Parser(theory.signature, hole).parse_prefix(rest)
         p, off2 = parser.parse_prefix(rest[off:])
         p2, off3 = parser.parse_prefix(rest[off:][off2:])
         trailing = rest[off:][off2:][off3:].strip()
         if trailing:
             raise MalformedScript(f"trailing input after ext arguments: {trailing!r}")
-        return Justification("ext", formulas=(ctx, p, p2))
+        return Justification("ext", name=hole.name, formulas=(ctx, p, p2))
     if head == "subst":
         num, _, brace = rest.partition(" ")
         bindings = _parse_bindings(brace, parser)
@@ -280,9 +281,6 @@ def _cut_candidates(a: Sequent, b: Sequent) -> list[Sequent]:
     return out
 
 
-_HOLE = Variable("HOLE")
-
-
 def derived_sequents(
     line: ScriptLine,
     script: ProofScript,
@@ -336,12 +334,8 @@ def derived_sequents(
 
     if j.kind == "ext":
         ctx, p, p2 = j.formulas
-        hole = _HOLE
-        if hole in (p.free_vars | p2.free_vars):
-            hole = fresh_variable(hole, p.free_vars | p2.free_vars | ctx.free_vars)
-            ctx = substitute(ctx, {_HOLE: Var(hole)})
         try:
-            tree = derive_extensionality(ctx, hole, p, p2, allow_app=True)
+            tree = derive_extensionality(ctx, Variable(j.name), p, p2)
         except KernelError as e:
             raise LineFailed(line.number, str(e)) from None
         rep = check_tree(tree, script.theory)

@@ -70,9 +70,6 @@ class Signature:
     def get(self, name: str) -> ConnectiveSymbol | None:
         return self.symbols.get(name)
 
-    def __iter__(self):
-        return iter(sorted(self.symbols.values(), key=lambda s: s.name))
-
     def __le__(self, other: "Signature") -> bool:
         return all(other.get(s.name) == s for s in self.symbols.values())
 

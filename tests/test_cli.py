@@ -420,3 +420,44 @@ def test_every_subcommand_matches_a_freshly_built_parser(capsys):
         fresh.append(run(capsys, *argv))
     assert reused == fresh
     assert [code for code, _, _ in reused] == [1, 0, 0, 1, 0, 0, 0, 2, 0, 0, 2, 0, 0]
+
+
+# Each derives an unprovable sequent through one unsound quantifier step: a
+# witness captured by a binder of the instance (capture), or an eigenvariable
+# free in the principal formula (allr, exl).
+UNSOUND_SCRIPTS = {
+    "capture": ("""\
+1 | W <-> ~W |- bot | ipc
+2 | exists W. (W <-> ~W) |- bot | rule exL 1
+3 | forall X. exists Z. (Z <-> ~X) |- bot | rule allL 2
+4 | |- ~X <-> ~X | ipc
+5 | |- exists Z. (Z <-> ~X) | rule exR 4
+6 | |- forall X. exists Z. (Z <-> ~X) | rule allR 5
+7 | |- bot | cut 6 3
+""", "rejected at line 3: at node [3]: allL: no universal hypothesis matches the premise\n"),
+    "allr": ("""\
+1 | |- Y -> Y | ipc
+2 | |- forall X. (X -> Y) | rule allR 1
+3 | top -> Y |- top -> Y | ipc
+4 | forall X. (X -> Y) |- top -> Y | rule allL 3
+5 | |- top -> Y | cut 2 4
+6 | top -> Y |- Y | ipc
+7 | |- Y | cut 5 6
+""", "rejected at line 2: at node [2]: allR: Y occurs free in the context\n"),
+    "exl": ("""\
+1 | Y /\\ ~Y |- bot | ipc
+2 | exists X. (X /\\ ~Y) |- bot | rule exL 1
+3 | ~Y |- top /\\ ~Y | ipc
+4 | ~Y |- exists X. (X /\\ ~Y) | rule exR 3
+5 | ~Y |- bot | cut 4 2
+6 | |- ~~Y | rule impR 5
+""", "rejected at line 2: at node [2]: exL: Y occurs free in the context\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNSOUND_SCRIPTS))
+def test_unsound_quantifier_steps_are_rejected(capsys, tmp_path, name):
+    text, message = UNSOUND_SCRIPTS[name]
+    script = tmp_path / f"{name}.pfs"
+    script.write_text(text)
+    assert run(capsys, "check", str(script)) == (1, message, "")

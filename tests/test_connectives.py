@@ -7,7 +7,7 @@ from pittslab.connectives import (
     extract_auxiliary,
     is_auxiliary,
 )
-from pittslab.kernel import Sequent, check_tree, t_ax, t_cut
+from pittslab.kernel import Sequent, check_tree, t_ax, t_cl, t_cut, t_wl
 from pittslab.kripke import find_countermodel
 from pittslab.parser import parse_formula
 from pittslab.pitts import pite_exists
@@ -88,6 +88,15 @@ def test_extract_witness_first():
     got = extract_auxiliary(tree, c)
     assert got == parse_formula("P /\\ Q")
     assert is_auxiliary(c, got).holds
+
+
+def test_extract_climbs_a_weakening_and_contraction_prefix():
+    tree = bundled("witness_first.tree")
+    interpolant = tree.conclusion.hyps[0]
+    tree = t_cl(t_wl(tree, interpolant), interpolant)
+    assert check_tree(tree).ok and [n.rule for n in tree.nodes()][:3] == ["cL", "wL", "exR"]
+    c = conn("(Y \\/ ~Y) -> (P /\\ Q)", "P", "Q")
+    assert extract_auxiliary(tree, c) == parse_formula("P /\\ Q")
 
 
 def test_extract_imp_then_witness():

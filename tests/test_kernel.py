@@ -17,6 +17,7 @@ from pittslab.kernel import (
 )
 from pittslab.parser import parse_formula, parse_sequent
 from pittslab.prover import decide, derive
+from pittslab.replays import load_suite
 from pittslab.selftest import random_formula
 from pittslab.syntax import (
     And,
@@ -33,6 +34,7 @@ from pittslab.syntax import (
     substitute,
     var,
 )
+from pittslab.trees import parse_tree, print_tree
 
 P, Q, Z = var("P"), var("Q"), var("Z")
 HOLE = Variable("HOLE")
@@ -71,6 +73,58 @@ def test_forall_r_accepted_when_context_clean():
     inner = ProofTree("impR", Sequent([], Implies(var("X"), var("X"))), (prem,))
     t = ProofTree("allR", Sequent([], Forall(X, Implies(var("X"), var("X")))), (inner,))
     assert check_tree(t).ok
+
+
+def test_a_witness_captured_by_a_binder_is_no_instance():
+    # read off exists W. (W <-> ~W), the witness for X is W, which that
+    # binder captures: the instance of the body at W is exists Z. (Z <-> ~W)
+    exl = ProofTree("exL", parse_sequent("exists W. (W <-> ~W) |- bot"),
+                    (derive(parse_sequent("W <-> ~W |- bot")),))
+    assert check_tree(exl).ok
+    node = ProofTree("allL", parse_sequent("forall X. exists Z. (Z <-> ~X) |- bot"), (exl,))
+    rep = check_tree(node)
+    assert (rep.kind, rep.message) == (
+        "MalformedRule", "at node []: allL: no universal hypothesis matches the premise")
+
+
+@pytest.mark.parametrize("rule, concl, premise", [
+    ("allR", "|- forall X. (X -> Y)", "|- Y -> Y"),  # Y is free in the principal formula
+    ("exL", "exists X. (X /\\ ~Y) |- bot", "Y /\\ ~Y |- bot"),
+])
+def test_an_eigenvariable_free_in_the_principal_formula_is_rejected(rule, concl, premise):
+    node = ProofTree(rule, parse_sequent(concl), (derive(parse_sequent(premise)),))
+    rep = check_tree(node)
+    assert (rep.kind, rep.message) == (
+        "SideConditionViolated", f"at node []: {rule}: Y occurs free in the context")
+
+
+def test_exr_and_alll_read_the_witness_off_renamed_binders():
+    # no witness declared: X is Q, and the instance names its binder W, not Z
+    inst = parse_formula("exists W. (W <-> ~Q)")
+    alll = ProofTree("allL", Sequent([parse_formula("forall X. exists Z. (Z <-> ~X)")], inst),
+                     (t_ax(inst),))
+    exr = ProofTree("exR", Sequent([inst], parse_formula("exists X. exists Z. (Z <-> ~X)")),
+                    (t_ax(inst),))
+    assert check_tree(alll).ok and check_tree(exr).ok
+
+
+def test_allr_and_exl_read_the_eigenvariable_off_the_premise():
+    # no eigenvariable declared: Q for allR and R for exL, free in neither conclusion
+    exr = ProofTree("exR", parse_sequent("|- exists W. (W -> Q)"), (derive(parse_sequent("|- Q -> Q")),))
+    allr = ProofTree("allR", parse_sequent("|- forall X. exists Z. (Z -> X)"), (exr,))
+    exl = ProofTree("exL", parse_sequent("exists X. (X /\\ P) |- P"),
+                    (derive(parse_sequent("R /\\ P |- P")),))
+    assert check_tree(allr).ok and check_tree(exl).ok
+
+
+def test_a_schema_node_with_bindings_survives_printing():
+    theory, _ = load_suite("tara")
+    bindings = {Variable("P"): parse_formula("A /\\ t(A, B)", theory.signature), Variable("Q"): BOT}
+    concl = theory.instantiate("left", bindings)
+    node = t_schema(Sequent(concl.hyps + (Z,), concl.concl), "left", bindings)
+    again = parse_tree(print_tree(node), theory.signature)
+    assert (again.rule, again.conclusion, again.data) == (node.rule, node.conclusion, node.data)
+    assert check_tree(again, theory).ok
 
 
 def test_schema_requires_theory():
@@ -155,8 +209,8 @@ def test_extensionality_through_quantifiers():
 def test_extensionality_through_apps_needs_congruence():
     sig = Signature([ConnectiveSymbol("t", 2), ConnectiveSymbol("psi", 1)])
     theory = SchemaTheory("toy", sig)
-    ctx = parse_formula("~t(P, ~_)", sig, allow_hole=True)
-    t = derive_extensionality(ctx, HOLE, var("A"), var("B"), allow_app=True)
+    ctx = parse_formula("~t(P, ~_)", sig, hole=HOLE)
+    t = derive_extensionality(ctx, HOLE, var("A"), var("B"))
     want_l = substitute(ctx, {HOLE: var("A")})
     want_r = substitute(ctx, {HOLE: var("B")})
     assert t.conclusion == Sequent(

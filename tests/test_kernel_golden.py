@@ -156,10 +156,11 @@ def _instances(rng):
     for i in range(90):
         sig_name = (None, "kreisel", "tara")[i % 3]
         sig = _suite_theory(sig_name).signature if sig_name else Signature()
-        ctx = _random_context(rng, sig, 3, binders)
+        symbols = sorted(sig.symbols.values(), key=lambda s: s.name)
+        ctx = _random_context(rng, symbols, 3, binders)
         p = random_formula(rng, ("P", "Q"), rng.choice((1, 3)))
         q = random_formula(rng, ("P", "Q"), rng.choice((1, 3)))
-        tree = derive_extensionality(ctx, HOLE, p, q, allow_app=sig_name is not None)
+        tree = derive_extensionality(ctx, HOLE, p, q)
         trees.append((tree, sig_name or "ipc", sig_name))
 
     root = Path(str(resources.files("pittslab") / "data"))
@@ -177,7 +178,7 @@ def _instances(rng):
                     trees.append((node, name, name))
                 elif j.kind == "ext":
                     ctx, p, q = j.formulas
-                    trees.append((derive_extensionality(ctx, HOLE, p, q, allow_app=True), name, name))
+                    trees.append((derive_extensionality(ctx, Variable(j.name), p, q), name, name))
                 elif j.kind == "rule":
                     prems = tuple(script.sequent(n) for n in j.lines)
                     out.append((j.name, line.sequent, prems, None, name, name))
@@ -188,24 +189,24 @@ def _instances(rng):
     return out
 
 
-def _random_context(rng, sig, depth, binders):
+def _random_context(rng, symbols, depth, binders):
     leaves = [var("HOLE"), var("Z"), BOT] + [var(b.name) for b in binders]
     if depth == 0:
         return rng.choice(leaves)
     kind = rng.choice(["and", "or", "imp", "all", "ex", "app", "leaf"])
-    if kind == "leaf" or (kind == "app" and not list(sig)):
+    if kind == "leaf" or (kind == "app" and not symbols):
         return rng.choice(leaves)
     if kind in ("all", "ex"):
         x = rng.choice(binders)
-        body = _random_context(rng, sig, depth - 1, binders)
+        body = _random_context(rng, symbols, depth - 1, binders)
         if rng.random() < 0.5:  # a body that surely uses its binder
             body = rng.choice(list(_BINARY.values()))(body, var(x.name))
         return (Forall if kind == "all" else Exists)(x, body)
     if kind == "app":
-        sym = rng.choice(list(sig))
-        return App(sym, tuple(_random_context(rng, sig, depth - 1, binders) for _ in range(sym.arity)))
-    a = _random_context(rng, sig, depth - 1, binders)
-    return _BINARY[kind](a, _random_context(rng, sig, depth - 1, binders))
+        sym = rng.choice(symbols)
+        return App(sym, tuple(_random_context(rng, symbols, depth - 1, binders) for _ in range(sym.arity)))
+    a = _random_context(rng, symbols, depth - 1, binders)
+    return _BINARY[kind](a, _random_context(rng, symbols, depth - 1, binders))
 
 
 def _mutations(rng, rule, concl, premises, data, theory):

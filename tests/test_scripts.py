@@ -217,6 +217,14 @@ def test_extensionality_line_may_contract_a_repeated_hypothesis():
     assert rep.failure == (1, "extensionality tree concludes P, P -> P, P -> P |- P")
 
 
+def test_an_atom_named_hole_is_not_the_hole():
+    # the hole is a variable named by none of the ext arguments' identifiers
+    assert parse_justification("ext HOLE /\\ _ P Q", theory()).name == "HOLE'"
+    for text in ("1 | P -> Q, Q -> P, HOLE /\\ P |- HOLE /\\ Q | ext HOLE /\\ _ P Q",
+                 "1 | HOLE -> Q, Q -> HOLE, R /\\ HOLE |- R /\\ Q | ext R /\\ _ HOLE Q"):
+        assert check_script(parse_script(text, theory())).ok
+
+
 @pytest.mark.parametrize("text, expected", [
     ("{}", {}),
     ("{X := t(P, Q), Y := ~t(Q, P)}", {"X": "t(P, Q)", "Y": "~t(Q, P)"}),
