@@ -4,12 +4,16 @@ Infix symbols, levels and associativity come from `syntax.INFIX`: /\\,
 \\/, -> and <-> from tightest to loosest, the last two to the right; `~`
 binds tighter than all of them.  `exists X.` / `forall X.` scope to the end
 of the enclosing expression unless parenthesized.  `top` and `~`/`<->` are
-sugar for their expansions; the AST never contains them.  Only parentheses
-and connective arguments recurse.
+sugar for their expansions; the AST never contains them.  The input is
+tokenized by one `findall`, and one loop over one explicit stack reads
+prefixes, operands, parentheses and application arguments, so nothing
+recurses and any depth parses.  Atoms are shared: every parse of `P` gives
+the same `Var` object while `_leaf` keeps it cached.
 """
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .kernel import Sequent
 from .syntax import (
@@ -18,6 +22,7 @@ from .syntax import (
     Exists,
     Forall,
     Formula,
+    IDENT,
     INFIX,
     NEG_LEVEL,
     QUANTIFIER_LEVEL,
@@ -31,28 +36,29 @@ from .syntax import (
 
 _INFIX = {op.symbol: op for op in INFIX}
 
+# Each match is (whitespace, identifier, other token); a one-character
+# `other` that names no kind is an unexpected character.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<ident>[A-Za-z][A-Za-z0-9_']*)
-  | (?P<hole>_)
-  | (?P<infix>%s)
-  | (?P<neg>~)
-  | (?P<lpar>\()
-  | (?P<rpar>\))
-  | (?P<comma>,)
-  | (?P<dot>\.)
-  | (?P<turnstile>\|-)
-    """ % "|".join(re.escape(op.symbol) for op in INFIX),
-    re.VERBOSE,
+    r"(\s*)(?:(%s)|(\|-|%s|\S))" % (IDENT, "|".join(re.escape(op.symbol) for op in INFIX))
 )
+_KINDS = {
+    "bot": "bot", "top": "top", "exists": "exists", "forall": "forall", "|-": "turnstile",
+    "_": "hole", "~": "neg", "(": "lpar", ")": "rpar", ",": "comma", ".": "dot",
+    **{op.symbol: op.symbol for op in INFIX},
+}
+_OPEN = -1  # the level of an open group, below every operator's
 
 # An `<->` copies both operands, so a chain of n of them expands to about 2^n
 # nodes; a biconditional whose expansion would pass this many is rejected.
 _MAX_IFF_NODES = 10**6
 
-_KEYWORDS = {"bot", "top", "exists", "forall"}
 _CONSTANTS = {"bot": BOT, "top": TOP}
+
+
+@lru_cache(maxsize=1024)
+def _leaf(name: str) -> Var:
+    """The atom `name`, one shared object per name while it stays cached."""
+    return Var(Variable(name))
 
 
 class FormulaSyntaxError(Exception):
@@ -66,22 +72,20 @@ class FormulaSyntaxError(Exception):
 
 
 class _Tokens:
+    """The input's tokens as (kind, text, offset), then ("eof", "", len(text))."""
+
     def __init__(self, text: str):
-        self.toks: list[tuple[str, str, int]] = []
+        self.toks = toks = []
         pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if not m:
-                raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", pos)
-            pos = m.end()
-            kind = m.lastgroup
-            if kind == "ws":
-                continue
-            value = m.group()
-            if kind == "infix" or kind == "ident" and value in _KEYWORDS:
-                kind = value
-            self.toks.append((kind, value, m.start()))
-        self.toks.append(("eof", "", len(text)))
+        for space, ident, other in _TOKEN_RE.findall(text):
+            pos += len(space)
+            value = ident or other
+            kind = _KINDS.get(value, "ident" if ident else None)
+            if kind is None:
+                raise FormulaSyntaxError(f"unexpected character {value!r}", pos)
+            toks.append((kind, value, pos))
+            pos += len(value)
+        toks.append(("eof", "", len(text)))
         self.i = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -140,13 +144,14 @@ class Parser:
             toks.end()
         return Sequent(tuple(hyps), concl)
 
-    def _formula(self, toks) -> Formula:
-        """One expression.  Each pending operator waits on the stack as
-        (level, constructor, left operand or bound variable, offset)."""
+    def _formula(self, toks: _Tokens) -> Formula:
+        """One expression, read by one loop over one explicit stack.  A
+        pending operator waits as (level, constructor, left operand or bound
+        variable, offset); an open `(` or `name(` waits as (_OPEN, symbol or
+        None, the arguments read so far, 0), and no reduction passes it."""
         pending: list[tuple] = []
         while True:
-            tok = toks.next()
-            kind = tok[0]
+            kind, value, off = toks.next()
             if kind == "neg":
                 pending.append((NEG_LEVEL, neg, None, 0))
                 continue
@@ -155,50 +160,56 @@ class Parser:
                 toks.expect("dot")
                 pending.append((QUANTIFIER_LEVEL, Exists if kind == "exists" else Forall, v, 0))
                 continue
-            f = self._atom(toks, tok)
-            op = _INFIX.get(toks.peek()[0])
-            # reduce what binds at least as tightly as op; everything at the end
-            floor = op.level + op.right if op else QUANTIFIER_LEVEL
-            while pending and pending[-1][0] >= floor:
-                _level, build, arg, off = pending.pop()
-                if build is iff and 3 + 2 * (arg.size + f.size) > _MAX_IFF_NODES:
-                    raise FormulaSyntaxError(f"'<->' expands past {_MAX_IFF_NODES} nodes", off)
-                f = build(f) if arg is None else build(arg, f)
-            if op is None:
-                return f
-            pending.append((op.level, op.build, f, toks.next()[2]))
-
-    def _atom(self, toks, tok: tuple[str, str, int]) -> Formula:
-        """The operand that opens with `tok`, already taken from toks."""
-        kind, value, off = tok
-        if kind in _CONSTANTS:
-            return _CONSTANTS[kind]
-        if kind == "hole":
-            if self.hole is None:
-                raise FormulaSyntaxError("hole '_' not allowed here", off)
-            return Var(self.hole)
-        if kind == "lpar":
-            f = self._formula(toks)
-            toks.expect("rpar")
-            return f
-        if kind == "ident":
-            if toks.peek()[0] == "lpar":
-                sym = self.signature.get(value)
-                if sym is None:
-                    raise FormulaSyntaxError(f"unknown connective {value!r}", off)
-                toks.next()
-                args = [self._formula(toks)]
-                while toks.peek()[0] == "comma":
+            if kind == "lpar":
+                pending.append((_OPEN, None, None, 0))
+                continue
+            if kind == "ident":
+                if toks.peek()[0] == "lpar":
+                    sym = self.signature.get(value)
+                    if sym is None:
+                        raise FormulaSyntaxError(f"unknown connective {value!r}", off)
                     toks.next()
-                    args.append(self._formula(toks))
+                    pending.append((_OPEN, sym, [], 0))
+                    continue
+                f = _leaf(value)
+            elif kind in _CONSTANTS:
+                f = _CONSTANTS[kind]
+            elif kind == "hole":
+                if self.hole is None:
+                    raise FormulaSyntaxError("hole '_' not allowed here", off)
+                f = _leaf(self.hole.name)
+            else:
+                raise FormulaSyntaxError(
+                    f"unexpected {value or 'end of input'!r}",
+                    off,
+                    ("ident", "bot", "top", "~", "(", "exists", "forall"),
+                )
+            # f is an operand: reduce, then go on to the next operand, close
+            # an open group, or end
+            while True:
+                kind = toks.peek()[0]
+                op = _INFIX.get(kind)
+                # reduce what binds at least as tightly as op; everything at the end
+                floor = op.level + op.right if op else QUANTIFIER_LEVEL
+                while pending and pending[-1][0] >= floor:
+                    _level, build, arg, off = pending.pop()
+                    if build is iff and 3 + 2 * (arg.size + f.size) > _MAX_IFF_NODES:
+                        raise FormulaSyntaxError(f"'<->' expands past {_MAX_IFF_NODES} nodes", off)
+                    f = build(f) if arg is None else build(arg, f)
+                if op is not None:
+                    pending.append((op.level, op.build, f, toks.next()[2]))
+                    break
+                if not pending:
+                    return f
+                _open, sym, args, _ = pending[-1]
+                if sym is not None and kind == "comma":
+                    toks.next()
+                    args.append(f)
+                    break
                 toks.expect("rpar")
-                return App(sym, tuple(args))
-            return Var(Variable(value))
-        raise FormulaSyntaxError(
-            f"unexpected {value or 'end of input'!r}",
-            off,
-            ("ident", "bot", "top", "~", "(", "exists", "forall"),
-        )
+                pending.pop()
+                if sym is not None:
+                    f = App(sym, (*args, f))
 
 
 def parse_formula(text: str, signature: Signature | None = None, hole: Variable | None = None) -> Formula:

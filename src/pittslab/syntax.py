@@ -16,7 +16,10 @@ import re
 from dataclasses import dataclass
 from typing import Callable, ClassVar
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*\Z")
+# The identifier grammar, for variables and connective symbols; the parser's
+# tokenizer is built from the same pattern.
+IDENT = r"[A-Za-z][A-Za-z0-9_']*"
+_IDENT_RE = re.compile(IDENT + r"\Z")
 
 
 class FormulaError(Exception):

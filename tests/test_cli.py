@@ -6,6 +6,8 @@ import jsonschema
 import pytest
 
 from pittslab.cli import main
+from pittslab.kernel import check_tree
+from pittslab.trees import parse_tree
 
 
 def run(capsys, *argv):
@@ -45,6 +47,14 @@ def test_prove_json_validates(capsys):
 def test_deep_input_is_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and err == "error: input nested too deeply\n"
+
+
+def test_deeply_parenthesised_input_is_proved(capsys):
+    # the parser keeps its own stack, so depth is no parse error
+    code, out, err = run(capsys, "prove", "P |- " + "(" * 1000 + "P" + ")" * 1000)
+    verdict, tree = out.split("\n", 1)
+    assert code == 0 and err == "" and verdict == "provable"
+    assert check_tree(parse_tree(tree))
 
 
 def test_long_biconditional_chain_is_exit_two(capsys):

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pittslab.parser import FormulaSyntaxError, parse_formula, parse_sequent
+from pittslab.kernel import Sequent
+from pittslab.parser import FormulaSyntaxError, Parser, parse_formula, parse_sequent
 from pittslab.printer import print_formula
 from pittslab.syntax import (
     And,
@@ -9,6 +12,8 @@ from pittslab.syntax import (
     BOT,
     ConnectiveSymbol,
     Exists,
+    FormulaError,
+    IDENT,
     Implies,
     Or,
     Signature,
@@ -108,6 +113,24 @@ def test_deep_prefix_and_infix_chains_parse():
     assert f.size == 2 * n - 1 and f.key == g.key
 
 
+def test_deep_parentheses_and_applications_parse():
+    n = 5000
+    assert parse_formula("(" * n + "P" + ")" * n) is parse_formula("P")
+    f = parse_formula("t(" * n + "(P)" + ")" * n, _sig)
+    for _ in range(n):
+        assert isinstance(f, App) and f.symbol.name == "t"
+        (f,) = f.args
+    assert f == P
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse_formula("t(" * n + "P" + ")" * (n - 1), _sig)
+    assert str(e.value) == f"unexpected 'end of input' at offset {3 * n} (expected one of: rpar)"
+
+
+def test_every_parse_of_an_atom_is_one_object():
+    s = parse_sequent("P, P -> Q |- Q /\\ (P)")
+    assert s.hyps[0] is s.hyps[1].left is s.concl.right is parse_formula("P")
+
+
 def test_biconditional_chain_past_the_node_limit_is_rejected():
     # each <-> copies both operands: 40 links would expand to about 2^40 nodes
     with pytest.raises(FormulaSyntaxError, match="'<->' expands past 1000000 nodes"):
@@ -163,6 +186,51 @@ def _Forall(nb):
 @given(_formulas())
 def test_roundtrip_parse_print(f):
     assert parse_formula(print_formula(f), _sig) == f
+
+
+# The tokens of a text: identifiers, `|-`, the infix symbols, and any other
+# non-space character alone.
+_TOKEN = re.compile(r"%s|\|-|<->|->|\\/|/\\|\S" % IDENT)
+_spaces = st.text(" \t\n\r\x0b\x0c\u00a0\u2003\u3000", min_size=1, max_size=3)
+
+
+def _respaced(text, data):
+    """text's tokens, with a drawn whitespace run before, between and after them."""
+    pieces = [data.draw(_spaces)]
+    for token in _TOKEN.findall(text):
+        pieces += [token, data.draw(_spaces)]
+    return "".join(pieces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(), st.data())
+def test_whitespace_between_tokens_leaves_the_formula(f, data):
+    assert parse_formula(_respaced(print_formula(f), data), _sig).key == f.key
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_formulas(), max_size=3), _formulas(), st.data())
+def test_whitespace_between_tokens_leaves_the_sequent(hyps, concl, data):
+    s = parse_sequent(_respaced(Sequent(tuple(hyps), concl).text(), data), _sig)
+    assert [h.key for h in s.hyps] == [h.key for h in hyps] and s.concl.key == concl.key
+
+
+_NOISE = ("P", "Q", "X", "t", "u", "bot", "top", "exists", "forall", " ", "\t", "\u00a0", "(", ")",
+          "~", "/\\", "\\/", "->", "<->", "|-", "<", "-", "|", ".", ",", "_", "'", "é", "1")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_NOISE), max_size=12).map("".join), st.booleans())
+def test_error_offsets_start_a_token(text, hole):
+    starts = {m.start() for m in _TOKEN.finditer(text)} | {len(text)}
+    parser = Parser(_sig, Variable("H") if hole else None)
+    for parse in (parser.parse, parser.parse_sequent, parser.parse_prefix):
+        try:
+            parse(text)
+        except FormulaSyntaxError as e:
+            assert e.offset in starts, (parse.__name__, str(e))
+        except FormulaError:
+            pass  # an application of the wrong arity, which has no offset
 
 
 def test_parser_never_crashes_on_noise():
