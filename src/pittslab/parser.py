@@ -201,7 +201,7 @@ class Parser:
                     break
                 if not pending:
                     return f
-                _open, sym, args, _ = pending[-1]
+                _, sym, args, _ = pending[-1]
                 if sym is not None and kind == "comma":
                     toks.next()
                     args.append(f)
