@@ -5,59 +5,41 @@ with kernel-checked witnesses, exhaustive Kripke countermodel search,
 sequent-calculus proof-script checking in schema-extended logics, and
 bundled replays of nondefinability arguments for three second-order
 connectives.
+
+The public names below load their submodule on first use, so importing
+one submodule (the kernel and tree reader, say) loads only what it imports.
 """
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .connectives import AuxiliaryReport, RegularConnective, extract_auxiliary, is_auxiliary
-from .kernel import (
-    CheckReport,
-    ProofTree,
-    SchemaTheory,
-    Sequent,
-    check_tree,
-    derive_extensionality,
-)
-from .kripke import KripkeModel, find_countermodel
-from .parser import parse_formula, parse_sequent
-from .pitts import (
-    pita_forall,
-    pite_exists,
-    probe_corpus,
-    simplify,
-    validate_interpolant,
-)
-from .printer import print_formula
-from .prover import (
-    Verdict,
-    classical_tautology,
-    decide,
-    derive,
-    equivalent,
-    prove,
-)
-from .replays import REPLAY_NAMES, ReplayReport, replay
-from .rieger import RNClass, RNLattice, check_rieger_lower_facts, rn_classify
-from .scripts import ProofScript, check_script, parse_script, parse_theory
-from .syntax import (
-    And,
-    App,
-    BOT,
-    Bottom,
-    ConnectiveSymbol,
-    Exists,
-    Forall,
-    Formula,
-    Implies,
-    Or,
-    Signature,
-    TOP,
-    Var,
-    Variable,
-    iff,
-    neg,
-    substitute,
-)
-from .trees import parse_tree, print_tree
+_SOURCES = {
+    "connectives": "AuxiliaryReport RegularConnective extract_auxiliary is_auxiliary",
+    "kernel": "CheckReport ProofTree SchemaTheory Sequent check_tree derive_extensionality",
+    "kripke": "KripkeModel find_countermodel",
+    "parser": "parse_formula parse_sequent",
+    "pitts": "pita_forall pite_exists probe_corpus simplify validate_interpolant",
+    "printer": "print_formula",
+    "prover": "Verdict classical_tautology decide derive equivalent prove",
+    "replays": "REPLAY_NAMES ReplayReport replay",
+    "rieger": "RNClass RNLattice check_rieger_lower_facts rn_classify",
+    "scripts": "ProofScript check_script parse_script parse_theory",
+    "syntax": "And App BOT Bottom ConnectiveSymbol Exists Forall Formula Implies Or "
+              "Signature TOP Var Variable iff neg substitute",
+    "trees": "parse_tree print_tree",
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names.split()}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

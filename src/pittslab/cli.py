@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
 from functools import lru_cache
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .pitts import (
 )
 from .prover import Unknown, prove
 from .replays import REPLAY_NAMES, ScriptFailed, replay, script_root
-from .rieger import LevelExceeded, default_lattice
+from .rieger import MAX_LEVEL, LevelExceeded, default_lattice
 from .scripts import ScriptError, check_script, parse_script, parse_theory
 from .syntax import FormulaError, Variable
 from .trees import parse_tree, print_tree
@@ -42,11 +43,12 @@ class UsageError(Exception):
     pass
 
 
-def _emit(payload: dict, fmt: str, text_lines) -> None:
+def _emit(payload: dict, fmt: str, text_lines: Callable[[], list[str]]) -> None:
+    """Print the payload as JSON, or the text lines, built only for text output."""
     if fmt == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
 
 
@@ -57,7 +59,7 @@ def _cmd_prove(args) -> int:
         _emit(
             {"provable": True, "sequent": str(seq), "witness": "proof-tree"},
             args.format,
-            ["provable", print_tree(verdict.witness)],
+            lambda: ["provable", print_tree(verdict.witness)],
         )
         return 0
     if isinstance(verdict.witness, Unknown):
@@ -65,7 +67,7 @@ def _cmd_prove(args) -> int:
             {"provable": False, "sequent": str(seq), "countermodel": None,
              "bound": verdict.witness.bound},
             args.format,
-            [f"refuted (no countermodel within {verdict.witness.bound} worlds)"],
+            lambda: [f"refuted (no countermodel within {verdict.witness.bound} worlds)"],
         )
         return 1
     model, world = verdict.witness
@@ -83,7 +85,7 @@ def _cmd_prove(args) -> int:
     for w, atoms in model.valuation:
         ups = sorted(v for (u, v) in model.order if u == w and v != w)
         lines.append(f"  w{w}: atoms={{{', '.join(sorted(atoms))}}} sees {ups}")
-    _emit(payload, args.format, lines)
+    _emit(payload, args.format, lambda: lines)
     return 1
 
 
@@ -108,9 +110,9 @@ def _cmd_interpolate(args) -> int:
         payload["probes"] = rep.probes_run
         lines.append(f"probe gate: {'pass' if rep.ok else 'FAIL'} ({rep.probes_run} probes)")
         if not rep.ok:
-            _emit(payload, args.format, lines + _gate_failures(f, y, shown, rep, args.exists))
+            _emit(payload, args.format, lambda: lines + _gate_failures(f, y, shown, rep, args.exists))
             return 1
-    _emit(payload, args.format, lines)
+    _emit(payload, args.format, lambda: lines)
     return 0
 
 
@@ -165,13 +167,13 @@ def _cmd_check(args) -> int:
             if i < len(extras) and args.format != "json":
                 print(f"{name}: rejected at line {line}: {reason}", file=sys.stderr)
             else:
-                _emit(payload, args.format, [f"rejected at line {line}: {reason}"])
+                _emit(payload, args.format, lambda: [f"rejected at line {line}: {reason}"])
             return 1
         # register under both the bare stem and the suite-qualified name that
         # bundled ref lines use
         registry[path.stem] = script
         registry[f"{path.parent.name}/{path.stem}"] = script
-    _emit(payload, args.format, [f"accepted ({len(script.lines)} lines)"])
+    _emit(payload, args.format, lambda: [f"accepted ({len(script.lines)} lines)"])
     return 0
 
 
@@ -192,7 +194,7 @@ def _cmd_extract_aux(args) -> int:
     lines = [str(witness), f"auxiliary: {'yes' if report.holds else 'no'}"]
     if report.holds:
         lines.append(f"definition: {definition}")
-    _emit(payload, args.format, lines)
+    _emit(payload, args.format, lambda: lines)
     return 0 if report.holds else 1
 
 
@@ -205,7 +207,7 @@ def _cmd_rn_classify(args) -> int:
         "class": cls.level,
         "representative": str(cls.representative),
     }
-    _emit(payload, args.format, [f"class {cls.level}: {cls.representative}"])
+    _emit(payload, args.format, lambda: [f"class {cls.level}: {cls.representative}"])
     return 0
 
 
@@ -218,7 +220,7 @@ def _cmd_replay(args) -> int:
         lines.append(f"  derived: {d}")
     for inst in report.details.get("psi_instances", []):
         lines.append(f"  psi {inst['psi']}: {'ok' if inst['ok'] else 'FAIL'}")
-    _emit(report.payload(), args.format, lines)
+    _emit(report.payload(), args.format, lambda: lines)
     return 0
 
 
@@ -235,7 +237,7 @@ def _cmd_selftest(args) -> int:
             lines.append(f"  {kind}: {inst}")
     payload = {k: {"checked": v["checked"], "failures": len(v["failures"])} for k, v in results.items()}
     payload["ok"] = ok
-    _emit(payload, args.format, lines + [f"selftest: {'pass' if ok else 'FAIL'}"])
+    _emit(payload, args.format, lambda: lines + [f"selftest: {'pass' if ok else 'FAIL'}"])
     return 0 if ok else 1
 
 
@@ -307,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rn-classify", help="classify a one-variable formula")
     p.add_argument("formula")
-    p.add_argument("--level", type=_in_range(0), default=12)
+    p.add_argument("--level", type=_in_range(0, MAX_LEVEL), default=12,
+                   help=f"lattice levels to generate (at most {MAX_LEVEL})")
     add_format(p)
     p.set_defaults(fn=_cmd_rn_classify)
 

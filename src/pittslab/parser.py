@@ -8,7 +8,9 @@ sugar for their expansions; the AST never contains them.  The input is
 tokenized by one `findall`, and one loop over one explicit stack reads
 prefixes, operands, parentheses and application arguments, so nothing
 recurses and any depth parses.  Atoms are shared: every parse of `P` gives
-the same `Var` object while `_leaf` keeps it cached.
+the same `Var` object while `_leaf` keeps it cached.  The `{X := f, ...}`
+bindings and `name {X := f, ...}` schema references of proof scripts and
+trees are read here too, and malformed ones raise `MalformedScript`.
 """
 from __future__ import annotations
 
@@ -54,6 +56,11 @@ _MAX_IFF_NODES = 10**6
 
 _CONSTANTS = {"bot": BOT, "top": TOP}
 
+_BINDINGS_RE = re.compile(r"^\{(.*)\}$", re.S)
+# formulas never contain `:=`, so each binding opens the text or follows the
+# comma that precedes `NAME :=`
+_BINDING_HEAD_RE = re.compile(rf"(?:^|,)\s*({IDENT})\s*:=")
+
 
 @lru_cache(maxsize=1024)
 def _leaf(name: str) -> Var:
@@ -69,6 +76,14 @@ class FormulaSyntaxError(Exception):
         self.expected = tuple(sorted(expected))
         exp = f" (expected one of: {', '.join(self.expected)})" if self.expected else ""
         super().__init__(f"{message} at offset {offset}{exp}")
+
+
+class ScriptError(Exception):
+    pass
+
+
+class MalformedScript(ScriptError):
+    pass
 
 
 class _Tokens:
@@ -143,6 +158,26 @@ class Parser:
             concl = self._formula(toks)
             toks.end()
         return Sequent(tuple(hyps), concl)
+
+    def bindings(self, text: str) -> dict[Variable, Formula]:
+        """`{X := f, ...}`; each right-hand side is parsed on its own."""
+        m = _BINDINGS_RE.match(text.strip())
+        if not m:
+            raise MalformedScript(f"expected {{X := ...}} bindings, got {text!r}")
+        inner = m.group(1).strip()
+        if not inner:
+            return {}
+        head, *pairs = _BINDING_HEAD_RE.split(inner)
+        if head:
+            raise MalformedScript(f"bad binding {inner!r}")
+        return {
+            Variable(name): self.parse(rhs.strip()) for name, rhs in zip(pairs[::2], pairs[1::2])
+        }
+
+    def schema_reference(self, text: str) -> tuple[str, dict[Variable, Formula]]:
+        """`name {X := f, ...}`, or a bare `name` for no bindings."""
+        name, _, brace = text.partition(" ")
+        return name, self.bindings(brace or "{}")
 
     def _formula(self, toks: _Tokens) -> Formula:
         """One expression, read by one loop over one explicit stack.  A

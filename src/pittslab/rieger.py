@@ -38,6 +38,12 @@ from .syntax import (
 Y = Variable("Y")
 X = Variable("X")
 
+# The largest level the command line builds.  Representatives grow about
+# 1.6x per level: level 28 builds in 0.5 s and 40 MB (Python 3.11, one
+# core), with representatives of up to 1.5 million nodes; level 30 takes
+# 1.5 s and 81 MB, with up to 3.9 million.
+MAX_LEVEL = 28
+
 
 class LevelExceeded(Exception):
     """The formula lies above the generated portion of the lattice."""

@@ -39,7 +39,7 @@ from .kernel import (
     derive_extensionality,
     merge_keys,
 )
-from .parser import FormulaSyntaxError, Parser
+from .parser import FormulaSyntaxError, MalformedScript, Parser, ScriptError
 from .prover import decide
 from .syntax import (
     And,
@@ -49,6 +49,7 @@ from .syntax import (
     Forall,
     Formula,
     FormulaError,
+    IDENT,
     Implies,
     Or,
     Signature,
@@ -56,14 +57,6 @@ from .syntax import (
     Variable,
     fresh_variable,
 )
-
-
-class ScriptError(Exception):
-    pass
-
-
-class MalformedScript(ScriptError):
-    pass
 
 
 class LineFailed(ScriptError):
@@ -115,28 +108,6 @@ class ScriptReport:
 # ---------------------------------------------------------------------------
 # Parsing.
 
-_IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_']*")
-_BINDING_RE = re.compile(r"^\{(.*)\}$", re.S)
-# formulas never contain `:=`, so each binding opens the text or follows the
-# comma that precedes `NAME :=`
-_BINDING_HEAD_RE = re.compile(rf"(?:^|,)\s*({_IDENT_RE.pattern})\s*:=")
-
-
-def _parse_bindings(text: str, parser: Parser) -> dict[Variable, Formula]:
-    m = _BINDING_RE.match(text.strip())
-    if not m:
-        raise MalformedScript(f"expected {{X := ...}} bindings, got {text!r}")
-    inner = m.group(1).strip()
-    if not inner:
-        return {}
-    head, *pairs = _BINDING_HEAD_RE.split(inner)
-    if head:
-        raise MalformedScript(f"bad binding {inner!r}")
-    return {
-        Variable(name): parser.parse(rhs.strip()) for name, rhs in zip(pairs[::2], pairs[1::2])
-    }
-
-
 def _line_number(token: str) -> int:
     try:
         return int(token)
@@ -154,8 +125,7 @@ def parse_justification(text: str, theory: SchemaTheory) -> Justification:
             raise MalformedScript("ipc takes no arguments")
         return Justification("ipc")
     if head == "ax-schema":
-        name, _, brace = rest.partition(" ")
-        bindings = _parse_bindings(brace or "{}", parser)
+        name, bindings = parser.schema_reference(rest)
         return Justification(
             "ax-schema", name=name.strip(), bindings=tuple(sorted(bindings.items()))
         )
@@ -170,7 +140,7 @@ def parse_justification(text: str, theory: SchemaTheory) -> Justification:
         return Justification("rule", name=name.strip(), lines=nums)
     if head == "ext":
         # the hole is a variable named by no identifier of the arguments
-        hole = fresh_variable(Variable("HOLE"), set(map(Variable, _IDENT_RE.findall(rest))))
+        hole = fresh_variable(Variable("HOLE"), set(map(Variable, re.findall(IDENT, rest))))
         ctx, off = Parser(theory.signature, hole).parse_prefix(rest)
         p, off2 = parser.parse_prefix(rest[off:])
         p2, off3 = parser.parse_prefix(rest[off:][off2:])
@@ -180,7 +150,7 @@ def parse_justification(text: str, theory: SchemaTheory) -> Justification:
         return Justification("ext", name=hole.name, formulas=(ctx, p, p2))
     if head == "subst":
         num, _, brace = rest.partition(" ")
-        bindings = _parse_bindings(brace, parser)
+        bindings = parser.bindings(brace)
         return Justification(
             "subst", lines=(_line_number(num),), bindings=tuple(sorted(bindings.items()))
         )

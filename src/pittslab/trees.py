@@ -13,9 +13,8 @@ from __future__ import annotations
 import re
 
 from .kernel import RULES, ProofTree
-from .parser import Parser
+from .parser import MalformedScript, Parser
 from .printer import print_formula
-from .scripts import MalformedScript, _parse_bindings
 from .syntax import Formula, Signature
 
 _TOKEN = re.compile(r'\s*(\(|\)|"(?:[^"\\]|\\.)*"|[^\s()"]+)')
@@ -60,11 +59,7 @@ def _node(tokens: list[str], i: int, parser: Parser):
     if rule in ("cut", "exR", "allL", "schema") and _token(tokens, i).startswith('"'):
         raw = tokens[i][1:-1]
         i += 1
-        if rule == "schema":
-            name, _, brace = raw.partition(" ")
-            data = (name, dict(_parse_bindings(brace or "{}", parser)))
-        else:
-            data = parser.parse(raw)
+        data = parser.schema_reference(raw) if rule == "schema" else parser.parse(raw)
     return rule, seq, data, i
 
 

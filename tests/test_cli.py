@@ -40,6 +40,17 @@ def test_prove_json_validates(capsys):
     assert payload["countermodel"]["worlds"] == [0, 1]
 
 
+def test_prove_json_prints_no_tree(monkeypatch, capsys):
+    import pittslab.cli as cli
+
+    def no_text(tree):
+        raise AssertionError("JSON output printed a tree")
+
+    monkeypatch.setattr(cli, "print_tree", no_text)
+    code, out, err = run(capsys, "prove", "--format", "json", "P, P -> Q |- Q")
+    assert (code, err) == (0, "") and json.loads(out)["witness"] == "proof-tree"
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["prove", "P |- " + "~" * 400 + "P"], id="prove"),
     pytest.param(["interpolate", "--exists", "--var", "Y", "~" * 1200 + "Y"], id="interpolate"),
@@ -80,6 +91,7 @@ def test_world_bound_below_one_is_a_usage_error(capsys):
     (["interpolate", "--exists", "--var", "Y", "--validate", "--probe-budget", "2", "Y /\\ X"],
      "--probe-budget"),
     (["rn-classify", "--level", "-4", "X"], "--level"),
+    (["rn-classify", "--level", "29", "X"], "--level"),
 ])
 def test_option_below_its_bound_is_a_usage_error(capsys, argv, option):
     code, out, err = run(capsys, *argv)
@@ -240,6 +252,9 @@ def test_check_malformed_is_exit_two(capsys, tmp_path, script, theory):
                  id="binding-syntax"),
     pytest.param("2 | P |- P | cut 1", "cut needs at least two cited lines", id="cut-arity"),
     pytest.param("2 | P |- P | frobnicate 1", "unknown justification 'frobnicate'", id="unknown"),
+    pytest.param("2 | P |- P | ax-schema defining {X = P}", "bad binding 'X = P'", id="binding-form"),
+    pytest.param("2 | P |- P | subst 1 X := P", "expected {X := ...} bindings, got 'X := P'",
+                 id="bindings-unbraced"),
 ])
 def test_malformed_justification_names_its_line(capsys, tmp_path, line, message):
     script = _input_file(tmp_path, "malformed.pfs", f"1 | P |- P | ipc\n{line}\n")
@@ -247,16 +262,21 @@ def test_malformed_justification_names_its_line(capsys, tmp_path, line, message)
     assert code == 2 and out == "" and err.startswith(f"error: line 2: {message}")
 
 
-@pytest.mark.parametrize("text", [
-    pytest.param('(ax "P |- P"', id="truncated"),
-    pytest.param('(foo "P |- P")', id="unknown-rule"),
-    pytest.param("", id="empty"),
-    pytest.param(DIRECTORY, id="tree-is-a-directory"),
+@pytest.mark.parametrize("text, message", [
+    pytest.param('(ax "P |- P"', "tree ends before its closing ')'", id="truncated"),
+    pytest.param('(foo "P |- P")', "unknown rule 'foo'", id="unknown-rule"),
+    pytest.param("", "tree ends before its closing ')'", id="empty"),
+    pytest.param(DIRECTORY, "[Errno 21] Is a directory: '{path}'", id="tree-is-a-directory"),
+    pytest.param('(ax "P |- P"))', "trailing input after tree", id="trailing-paren"),
+    pytest.param("(ax P |- P)", "expected quoted sequent after rule 'ax'", id="unquoted-sequent"),
+    pytest.param('(schema "P |- P" "s {X := }")',
+                 "unexpected 'end of input' at offset 0 (expected one of: "
+                 "(, bot, exists, forall, ident, top, ~)", id="schema-binding"),
 ])
-def test_extract_aux_malformed_tree_is_exit_two(capsys, tmp_path, text):
+def test_extract_aux_malformed_tree_is_exit_two(capsys, tmp_path, text, message):
     tree = _input_file(tmp_path, "malformed.tree", text)
     code, out, err = run(capsys, "extract-aux", str(tree), "--body", "Y -> P", "--var", "Y")
-    assert code == 2 and out == "" and err.startswith("error: ")
+    assert (code, out, err) == (2, "", f"error: {message.format(path=tree)}\n")
 
 
 def test_extract_aux_deep_tree_is_exit_two(capsys, tmp_path):

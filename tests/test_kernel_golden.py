@@ -10,8 +10,10 @@ another rule, a premise dropped, a hypothesis added or dropped, another
 conclusion formula, its data stripped or replaced, its theory taken away.
 A kernel change that alters any verdict or message fails here.
 
-Regenerate with `PYTHONPATH=src python tests/test_kernel_golden.py`, and
-only when a change means to alter an outcome.
+`PYTHONPATH=src python tests/test_kernel_golden.py` only adds: it keeps
+every pinned case as it stands, appends each generated case the file lacks,
+and prints how many pinned cases the generator no longer produces.  A pinned
+outcome changes only by hand, when a change means to alter it.
 """
 import json
 import random
@@ -276,9 +278,26 @@ def cases(seed=6, per_rule=9):
     return out
 
 
+def _instance_text(case) -> str:
+    return json.dumps({k: v for k, v in case.items() if k != "outcome"}, sort_keys=True)
+
+
 def _capture():
-    lines = [json.dumps(c, sort_keys=True) for c in cases()]
+    pinned = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["cases"]
+    known = {_instance_text(c) for c in pinned}
+    generated = set()
+    added = []
+    for case in cases():
+        text = _instance_text(case)
+        generated.add(text)
+        if text not in known:
+            known.add(text)
+            added.append(case)
+    lines = [json.dumps(c, sort_keys=True) for c in pinned + added]
     GOLDEN_PATH.write_text('{"cases": [\n' + ",\n".join(lines) + "\n]}\n", encoding="utf-8")
+    gone = sum(_instance_text(c) not in generated for c in pinned)
+    print(f"{len(pinned)} pinned cases kept, {len(added)} added; "
+          f"the generator no longer produces {gone} of the pinned ones")
 
 
 # ---------------------------------------------------------------------------
