@@ -1,17 +1,16 @@
 """The lattice of one-variable formulas, and the standing facts used by the
 star-connective replays.
 
-Classes are enumerated bottom-up by closing {bot, X} under the connectives,
-one closure round per level: after r rounds every one-variable formula of
-connective depth at most r is equivalent to a generated representative.
-Equivalence between one-variable formulas is decided on truncations of the
-one-atom universal Kripke model (depth bounded by the implication count of
-the formulas involved), which stays fast where plain proof search blows up:
+The classes are the Rieger–Nishimura lattice, built level by level from its
+recurrence (`RNLattice`), and equivalence between one-variable formulas is
+decided on truncations of the one-atom universal Kripke model, the
+Rieger–Nishimura ladder (depth bounded by the implication count of the
+formulas involved).  This stays fast where plain proof search blows up:
 each class is keyed by the bitmask of the worlds its formulas force there,
 evaluated with `kripke.forcing_mask`.  The test suite cross-validates this
-oracle against the prover, and everything the module reports
-(classification, lattice order) is certified by the prover or by an
-explicit countermodel.
+oracle against the prover and checks that the recurrence misses no class,
+and everything the module reports (classification, lattice order) is
+certified by the prover or by an explicit countermodel.
 """
 from __future__ import annotations
 
@@ -22,7 +21,6 @@ from .kernel import Sequent
 from .kripke import Grid, _lowest_bit, connective_mask, forcing_mask, grid, submodel
 from .prover import decide, equivalent
 from .syntax import (
-    And,
     BOT,
     Formula,
     Implies,
@@ -38,10 +36,10 @@ from .syntax import (
 Y = Variable("Y")
 X = Variable("X")
 
-# The largest level the command line builds.  Representatives grow about
-# 1.6x per level: level 28 builds in 0.5 s and 40 MB (Python 3.11, one
-# core), with representatives of up to 1.5 million nodes; level 30 takes
-# 1.5 s and 81 MB, with up to 3.9 million.
+# The largest level the command line builds.  Representatives, and the
+# memory their keys take, grow about 1.6x per level: level 28 builds in
+# 0.02 s and 35 MB (Python 3.11, one core), with representatives of up to
+# 1.5 million nodes; level 30 takes 0.03 s and 69 MB, with up to 3.9 million.
 MAX_LEVEL = 28
 
 
@@ -55,54 +53,27 @@ class HypothesisFails(Exception):
 
 @dataclass(frozen=True)
 class RNClass:
-    level: int  # discovery index in the enumeration
+    level: int  # index of the class in RNLattice.reps
     representative: Formula
 
 
 # ---------------------------------------------------------------------------
-# Truncations of the universal model over one atom.  Worlds are built level
-# by level: an antichain of existing worlds plus a persistent valuation,
-# skipping worlds that would duplicate their unique successor.  Each round
-# only appends worlds, so a truncation's worlds are a prefix of every deeper
-# truncation's worlds, and each of them forces the same formulas in both.
+# Truncations of the universal model over one atom: the Rieger–Nishimura
+# ladder.  Each depth adds two worlds, so a truncation's worlds are a prefix
+# of every deeper truncation's worlds, and each of them forces the same
+# formulas in both.
 
 @lru_cache(maxsize=None)
 def _universal_model(depth: int) -> tuple[int, tuple[int, ...], Grid]:
-    """Worlds of the one-atom universal model to the given depth.
+    """The one-atom universal model to the given depth: the ladder on
+    2 * depth worlds.  Worlds 0 and 1 are maximal and X holds at world 0
+    only; world k >= 2 sees itself and the worlds 0 .. k - 2.
 
     Returns (true_at, up, grid): the bitmask of worlds forcing the atom, for
     each world w the bitmask of worlds >= w, and the model's forcing grid.
     """
-    true_at = 0b01
-    up = [0b01, 0b10]
-    start = 0  # the worlds of the last round are start, start + 1, ...
-    for _ in range(depth - 1):
-        count = len(up)
-        # Antichains of at most three worlds whose last (highest-numbered)
-        # world is from the previous round; earlier ones were all considered
-        # at an earlier depth.  A world only sees lower-numbered worlds above
-        # it, so i < k are incomparable when i is not above k.
-        antichains = []
-        for k in range(start, count):
-            apart = [i for i in range(k) if not up[k] >> i & 1]
-            antichains.append((k,))
-            antichains += [(i, k) for i in apart]
-            antichains += [(i, j, k) for n, j in enumerate(apart) for i in apart[:n]
-                           if not up[j] >> i & 1]
-        for combo in sorted(antichains, key=lambda c: (len(c), c)):
-            members = sum(1 << i for i in combo)
-            above = 0
-            for i in combo:
-                above |= up[i]
-            for val in (False, True) if members & true_at == members else (False,):
-                if len(combo) == 1 and bool(members & true_at) == val:
-                    continue  # duplicates its unique successor
-                true_at |= val << len(up)
-                up.append(1 << len(up) | above)
-        if len(up) == count:
-            break
-        start = count
-    return true_at, tuple(up), grid(tuple(up))
+    up = (0b1,) + tuple(1 << k | (1 << k - 1) - 1 for k in range(1, 2 * depth))
+    return 0b1, up, grid(up)
 
 
 def _imp_depth(f: Formula) -> int:
@@ -135,21 +106,33 @@ def refuting_model(f: Formula, g: Formula):
 
 
 # ---------------------------------------------------------------------------
-# Lattice enumeration.
+# The lattice, from the Rieger–Nishimura recurrence.
+
+def _steps(level: int) -> list[tuple[type, int, int]]:
+    """Representative n + 2 of a level-`level` lattice is op(r[i], r[j]) for
+    the n-th (op, i, j); r[0] and r[1] are bot and X."""
+    steps = [(Implies, 0, 0), (Implies, 1, 0)] if level else []  # top, ~X
+    for k in range(2, level + 1):
+        steps += [(Or, 2 * k - 3, 2 * k - 1), (Implies, 2 * k - 1, 1 if k == 3 else 2 * k - 4)]
+    return steps
+
 
 class RNLattice:
-    """Generated portion of the lattice of formulas over X, up to a given level.
+    """The lattice of formulas over X, up to a given level.
 
-    Each level is one closure round; a round only combines classes found in
-    the previous round with everything older (older pairs cannot produce new
-    classes, the connectives being congruences).  Representatives are kept
-    minimal in size.
+    Level 0 is bot and X, level 1 adds top and ~X, and each level k >= 2
+    adds r[2k-3] \\/ r[2k-1] and r[2k-1] -> r[2k-4] (Nishimura, JSL 1960),
+    with r[5] -> X in place of r[5] -> top at k = 3.  Every one-variable
+    formula of connective depth at most `level` is equivalent to one of
+    these 2 * level + 2 representatives; the test suite checks this on the
+    masks, by induction on the level.
 
     A class is keyed by the worlds its formulas force on the truncation of
-    depth `2 * level + 2`.  Every formula the enumeration builds has
-    implication depth at most `level`, so by the refuting-model depth bound
-    two of them are equivalent exactly when their masks there are equal, and
-    a candidate's mask is one connective step on its operands' masks.
+    depth `2 * level + 2`.  Every representative has implication depth at
+    most `level`, so by the refuting-model depth bound two formulas of that
+    implication depth are equivalent exactly when their masks there are
+    equal, and a representative's mask is one connective step on its
+    operands' masks.
     """
 
     def __init__(self, level: int = 12):
@@ -157,42 +140,18 @@ class RNLattice:
             raise ValueError("level must be >= 0")
         self.level = level
         self.depth = 2 * level + 2
-        self.reps: list[Formula] = []
-        self._masks: list[int] = []
-        self._classes: dict[int, int] = {}  # mask -> index into reps
-        self._grow()
+        self.reps: list[Formula] = [BOT, Var(X)]
+        for op, i, j in _steps(level):
+            self.reps.append(op(self.reps[i], self.reps[j]))
+        self._classes = {mask: idx for idx, mask in enumerate(self._masks(self.depth))}
 
-    def _add(self, f: Formula, mask: int) -> bool:
-        idx = self._classes.get(mask)
-        if idx is not None:
-            if f.size < self.reps[idx].size:
-                self.reps[idx] = f
-            return False
-        self._classes[mask] = len(self.reps)
-        self.reps.append(f)
-        self._masks.append(mask)
-        return True
-
-    def _grow(self):
-        true_at, _, g = _universal_model(self.depth)
-        self._add(BOT, 0)
-        self._add(Var(X), true_at)
-        frontier = list(range(len(self.reps)))
-        for _round in range(self.level):
-            fset = set(frontier)
-            frontier = []
-            count = len(self.reps)
-            for i in range(count):
-                for j in range(count):
-                    if i not in fset and j not in fset:
-                        continue
-                    a, b = self.reps[i], self.reps[j]
-                    for op in (And, Or, Implies):
-                        mask = connective_mask(op, self._masks[i], self._masks[j], g)
-                        if self._add(op(a, b), mask):
-                            frontier.append(len(self.reps) - 1)
-            if not frontier:
-                break
+    def _masks(self, depth: int) -> list[int]:
+        """The worlds of the depth-`depth` truncation forcing each of reps."""
+        true_at, _, g = _universal_model(depth)
+        masks = [0, true_at]
+        for op, i, j in _steps(self.level):
+            masks.append(connective_mask(op, masks[i], masks[j], g))
+        return masks
 
     def classify(self, f: Formula) -> RNClass:
         """The unique generated class of `f`, certified by the prover."""
@@ -207,7 +166,7 @@ class RNLattice:
         # can give an inequivalent formula the mask of a class
         depth = max(self.depth, _imp_depth(f) + self.level + 2)
         classes = self._classes if depth == self.depth else {
-            mask: idx for idx, mask in enumerate(_forced(self.reps, depth))
+            mask: idx for idx, mask in enumerate(self._masks(depth))
         }
         idx = classes.get(_forced((f,), depth)[0])
         if idx is None:

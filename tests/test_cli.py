@@ -325,6 +325,10 @@ def test_rn_classify_command(capsys):
     payload = json.loads(out)
     validate(payload, "rn_class.schema.json")
     assert payload["representative"] == "~X"
+    # above the generated portion of the lattice: exit 1
+    code, out, err = run(capsys, "rn-classify", "--level", "2", "(~~X -> X) -> (X \\/ ~X)")
+    assert (code, out) == (1, "")
+    assert err == "error: (~~X -> X) -> X \\/ ~X lies above the generated lattice portion\n"
 
 
 def test_selftest_quick(capsys):

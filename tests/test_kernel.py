@@ -199,11 +199,10 @@ def test_extensionality_variable_clash_detected():
 
 
 def test_extensionality_through_quantifiers():
-    from pittslab.syntax import Exists
-
-    ctx = Exists(Variable("W"), And(var("HOLE"), var("W")))
-    t = derive_extensionality(ctx, HOLE, P, Q)
-    assert check_tree(t).ok
+    for quantifier in (Exists, Forall):
+        ctx = quantifier(Variable("W"), And(var("HOLE"), var("W")))
+        t = derive_extensionality(ctx, HOLE, P, Q)
+        assert check_tree(t).ok, quantifier
 
 
 def test_extensionality_through_apps_needs_congruence():
@@ -296,12 +295,17 @@ def test_impl_with_wrong_split_rejected():
 
 
 def test_exr_with_wrong_witness_rejected():
-    from pittslab.syntax import Exists
-
     X = Variable("X")
     prem = ProofTree("ax", Sequent([Q], Q))
     node = ProofTree("exR", Sequent([Q], Exists(X, var("X"))), (prem,), P)
     assert not check_tree(node).ok  # declared witness P but premise proves Q
+    # no declared witness, and the premise's disjunction parts in shape from
+    # the body's conjunction before reaching Z
+    prem = derive(parse_sequent("P \\/ Q |- P \\/ Q"))
+    node = ProofTree("exR", parse_sequent("P \\/ Q |- exists Z. Z /\\ P"), (prem,))
+    rep = check_tree(node)
+    assert (rep.kind, rep.message) == (
+        "MalformedRule", "at node []: exR: premise does not instantiate the quantified body")
 
 
 def test_wr_needs_bot_premise():

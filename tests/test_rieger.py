@@ -4,20 +4,24 @@ import random
 import pytest
 
 from pittslab.kernel import Sequent
+from pittslab.kripke import connective_mask
 from pittslab.parser import parse_formula
 from pittslab.prover import decide, equivalent
 from pittslab.rieger import (
+    MAX_LEVEL,
     HypothesisFails,
     LevelExceeded,
     RNLattice,
     _forced,
+    _imp_depth,
+    _universal_model,
     check_rieger_lower_facts,
     default_lattice,
     refuting_model,
     rn_classify,
 )
 from pittslab.selftest import random_formula
-from pittslab.syntax import var
+from pittslab.syntax import And, Implies, Or, var
 
 
 def f(text):
@@ -89,6 +93,24 @@ def test_small_representatives_prover_inequivalent():
     assert len(small) >= 10
     for a, b in itertools.combinations(small, 2):
         assert not equivalent(a, b)
+
+
+def test_recurrence_reaches_every_class():
+    # By induction on L: if every formula of connective depth at most L is
+    # equivalent to a level-L representative, a formula op(a, b) of depth
+    # L + 1 is equivalent to op(r[i], r[j]) for two of them.  Its mask on the
+    # level-(L + 1) truncation is that of a level-(L + 1) representative, and
+    # both have implication depth at most L + 1, so they are equivalent.
+    assert all(_imp_depth(r) <= 12 for r in default_lattice(12).reps)
+    for level in range(MAX_LEVEL):
+        upper = RNLattice(level + 1)
+        _, _, g = _universal_model(upper.depth)
+        masks = set(upper._masks(upper.depth))
+        assert len(masks) == len(upper.reps) == 2 * level + 4
+        below = RNLattice(level)._masks(upper.depth)
+        for a, b in itertools.product(below, repeat=2):
+            for op in (And, Or, Implies):
+                assert connective_mask(op, a, b, g) in masks, (level, op, a, b)
 
 
 def test_level_exceeded():
