@@ -10,14 +10,17 @@ rooted and fails at its root.  A rooted poset on n worlds is a bottom put
 under a poset on n - 1 worlds (`rooted_posets`), so a sweep to n worlds
 enumerates posets of at most n - 1.  `forcing_mask` evaluates a formula at
 every valuation and world at once, as one Python int with a bit per
-(valuation, world), on a grid built once per atom count and poset; the
-one-variable lattice in `rieger` uses the same evaluator on the one-atom
-universal model, and `prover.classical_tautology` is the mask-level sweep
-`first_failure` on one world (a one-world model is a classical valuation).
+(valuation, world), on a grid; the sweep's grids lay the rooted posets of
+one world count side by side (`_layout`), so it evaluates the sequent once
+per grid of many posets, not once per poset.  The one-variable lattice in
+`rieger` uses the same evaluator on the one-atom universal model, and
+`prover.classical_tautology` is the sweep `first_failure` on one world (a
+one-world model is a classical valuation).
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,6 +29,7 @@ from .syntax import (
     And,
     Bottom,
     Formula,
+    FormulaError,
     Implies,
     Or,
     UnsupportedFormula,
@@ -198,6 +202,7 @@ def upsets(n: int, up: tuple[int, ...]) -> tuple[int, ...]:
 # Forcing at every valuation at once.  A poset's n worlds are laid out over
 # a grid of valuation points: bit p * n + w of a mask stands for world w at
 # point p, and a formula's mask holds the (point, world) pairs forcing it.
+# A sweep's grid is several posets' grids, each from its own start bit.
 
 @dataclass(frozen=True)
 class Grid:
@@ -314,67 +319,101 @@ def first_failure(s: Sequent, max_worlds: int = DEFAULT_BOUND):
     failure; a failure at a world w that is not the least world would also
     occur on the upset of w, a rooted poset of fewer worlds, so every
     failing poset at n is rooted and fails only at its root, and
-    `rooted_posets(n)` keeps the `posets(n)` order."""
+    `rooted_posets(n)` keeps the `posets(n)` order.
+
+    The sequent is evaluated once per grid of `_layout`, on many posets at
+    once: its lowest failing bit is in the first failing poset, found by
+    `bisect` over the posets' starts.  Raises `GridTooLarge` past a cap."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     require_plain(*s.hyps, s.concl)
     names = sorted(s.free_vars())
+    k = len(names)
     for n in range(1, max_worlds + 1):
-        for up in rooted_posets(n):
-            fail = _failures(s, names, up)
+        for ups, build in _layout(k, n):
+            masks, g, starts = build(k, ups)
+            atoms = dict(zip((v.name for v in names), masks))
+            fail = g.full
+            for h in s.hyps:
+                fail &= forcing_mask(h, atoms, g)
+            fail ^= fail & forcing_mask(s.concl, atoms, g)
             if fail:
-                point, world = divmod(_lowest_bit(fail), n)
-                return up, point, world
+                bit = _lowest_bit(fail)
+                i = bisect_right(starts, bit) - 1
+                point, world = divmod(bit - starts[i], n)
+                return ups[i], point, world
     return None
 
 
-def _failures(s: Sequent, names, up) -> int:
-    """The (valuation, world) bits of one poset's grid at which s fails."""
-    atoms, g = _atoms_grid(names, up)
-    fail = g.full
-    for h in s.hyps:
-        fail &= forcing_mask(h, atoms, g)
-    return fail ^ fail & forcing_mask(s.concl, atoms, g)
-
-
-# A grid on at most DEFAULT_BOUND worlds and of at most this many bits is
-# kept in `_grid_table` once built; any other (five atoms on the bigger
-# six-world posets, every grid on seven or eight worlds) is built on each
-# call, so the table stays small: every three-atom grid on the rooted posets
-# of up to six worlds takes 1.6 MB, every four-atom one 32 MB.
+# A grid of `_layout` on at most DEFAULT_BOUND worlds and of at most this
+# many bits is kept in `_grid_table` once built, any other is built on each
+# call: every three-atom grid to six worlds takes 1.6 MB, every four-atom one
+# 32 MB.  No poset's grid past `_MAX_GRID_BITS` is built: that refuses four
+# atoms on seven worlds (125 Mbit), five on six (235 Mbit) and twelve on
+# three (732 Mbit), and lets three atoms on eight worlds (17 Mbit) through.
 _TABLE_BITS = 1 << 23
+_MAX_GRID_BITS = 1 << 25
 
 
-def _atoms_grid(names, up) -> tuple[dict[str, int], Grid]:
-    """The masks of the atoms `names` (Variables) and the grid they span on
-    the poset with masks `up`: one valuation point for each way of giving
-    every atom an upset.  Points are numbered with the last atom's upset
-    varying fastest, so the sweep's lowest failing bit is the first
-    countermodel in that order."""
-    k = len(names)
-    small = len(up) <= DEFAULT_BOUND and len(upsets(len(up), up)) ** k * len(up) <= _TABLE_BITS
-    masks, g = (_grid_table if small else _build_grid)(k, up)
-    return dict(zip((v.name for v in names), masks)), g
+class GridTooLarge(FormulaError):
+    """A sweep would build a grid of more than `_MAX_GRID_BITS` bits."""
 
 
-def _build_grid(k: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], Grid]:
+@lru_cache(maxsize=None)
+def _layout(k: int, n: int) -> tuple[tuple[tuple, object], ...]:
+    """`rooted_posets(n)` cut, in order, into the sweep's grids, each with
+    its builder: on at most DEFAULT_BOUND worlds, runs of posets whose k-atom
+    blocks (see `_stack`) take at most `_TABLE_BITS` bits together, kept in
+    `_grid_table`; else one poset each, built per call, where joining blocks
+    would cost more than the per-poset evaluation it saves."""
+    runs: list = []  # [posets, bits]
+    for up in rooted_posets(n):
+        bits = (len(upsets(n, up)) ** k * n + 7) // 8 * 8
+        if not (runs and n <= DEFAULT_BOUND and runs[-1][1] + bits <= _TABLE_BITS):
+            runs.append([[], 0])
+        runs[-1][0].append(up)
+        runs[-1][1] += bits
+    return tuple((tuple(run), _grid_table if n <= DEFAULT_BOUND and bits <= _TABLE_BITS else _stack)
+                 for run, bits in runs)
+
+
+def _stack(k: int, ups) -> tuple[tuple[int, ...], Grid, tuple[int, ...]]:
     """The masks of atoms 0..k-1, by position, and the grid they span on the
-    poset with masks `up` (see `_atoms_grid`)."""
-    n = len(up)
-    us = upsets(n, up)
-    # atom i takes upset j on a run of `inner` consecutive points, j = 0, 1, ...
-    masks = []
-    for i in range(k):
-        inner = len(us) ** (k - 1 - i)
-        run = _repeat(1, n, inner)
-        runs = 0
-        for j, mask in enumerate(us):
-            runs |= (mask * run) << (j * inner * n)
-        masks.append(_repeat(runs, len(us) * inner * n, len(us) ** i))
-    return tuple(masks), grid(up, _repeat(1, n, len(us) ** k))
+    posets `ups` of one world count, labeled as in `posets`, side by side,
+    with each poset's start bit.  A poset's block has a valuation point for
+    each way of giving every atom an upset, the last atom's varying fastest.
+    Blocks start on byte boundaries; the bits between them are in no mask, so
+    no shift of `connective_mask` crosses from one block into the next."""
+    n = len(ups[0])
+    uss = [upsets(n, up) for up in ups]
+    bits = max(len(us) ** k * n for us in uss)
+    if bits > _MAX_GRID_BITS:
+        raise GridTooLarge(f"countermodel sweep too large: {k} atoms on {n} worlds need a grid "
+                           f"of {bits:,} bits, more than {_MAX_GRID_BITS:,}")
+    rows = [[] for _ in range(k + n)]  # atoms 0..k-1, full, sees at offsets 1..n-1
+    for up, us in zip(ups, uss):
+        # atom i takes upset j on a run of `inner` consecutive points, j = 0, 1, ...
+        for i in range(k):
+            inner = len(us) ** (k - 1 - i)
+            run = _repeat(1, n, inner)
+            runs = 0
+            for j, mask in enumerate(us):
+                runs |= (mask * run) << (j * inner * n)
+            rows[i].append(_repeat(runs, len(us) * inner * n, len(us) ** i))
+        g = grid(up, _repeat(1, n, len(us) ** k))
+        sees = dict(g.sees)
+        for d, row in enumerate(rows[k:]):
+            row.append(sees.get(d, 0) if d else g.full)
+    # each mask is its blocks' masks joined as bytes, in linear time
+    sizes = [(len(us) ** k * n + 7) // 8 for us in uss]
+    rows = [row[0] if len(row) == 1 else
+            int.from_bytes(b"".join(m.to_bytes(b, "little") for m, b in zip(row, sizes)), "little")
+            for row in rows]
+    starts = tuple(8 * end for end in itertools.accumulate(sizes, initial=0))[:-1]
+    return tuple(rows[:k]), Grid(rows[k], tuple((d, m) for d, m in enumerate(rows[k:]) if d and m)), starts
 
 
-_grid_table = lru_cache(maxsize=None)(_build_grid)
+_grid_table = lru_cache(maxsize=None)(_stack)
 
 
 def submodel(up: tuple[int, ...], keep, atoms: dict[str, int]) -> KripkeModel:

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -141,7 +142,7 @@ def test_rooted_posets_are_the_rooted_posets_in_order():
 def _reference_failures(s, up):
     """The failing bits of s on the poset `up`, on a grid built afresh."""
     names = sorted(s.free_vars())
-    masks, g = kripke._build_grid(len(names), up)
+    masks, g, _ = kripke._stack(len(names), (up,))
     atoms = {v.name: m for v, m in zip(names, masks)}
     fail = g.full
     for h in s.hyps:
@@ -149,10 +150,11 @@ def _reference_failures(s, up):
     return fail ^ fail & forcing_mask(s.concl, atoms, g)
 
 
-def _reference_first_failure(s, max_worlds):
-    """`first_failure` over every poset, rooted or not."""
+def _reference_first_failure(s, max_worlds, table=posets):
+    """`first_failure` over every poset of `table`, rooted or not, one
+    poset's grid at a time."""
     for n in range(1, max_worlds + 1):
-        for up in posets(n):
+        for up in table(n):
             fail = _reference_failures(s, up)
             if fail:
                 point, world = divmod((fail & -fail).bit_length() - 1, n)
@@ -264,10 +266,63 @@ def test_bound_eight_sweeps_the_seven_world_table():
 
 
 def test_grid_table_keeps_no_grid_past_the_default_bound():
-    # grids on seven or eight worlds are built per call, not kept
+    # grids on seven or eight worlds are built per call, not kept: sweeps to
+    # 6 and to 8 worlds leave the table with the grids to 6 worlds
     sizes = []
     for bound in (6, 8):
         kripke._grid_table.cache_clear()
         assert find_countermodel(parse_sequent("|- P -> P"), bound) is None
         sizes.append(kripke._grid_table.cache_info().currsize)
-    assert sizes[0] == sizes[1] == 88
+    assert sizes[0] == sizes[1] == sum(len(kripke._layout(1, n)) for n in range(1, 7))
+    assert all(build is kripke._stack for n in (7, 8) for _, build in kripke._layout(1, n))
+    # four atoms split the six-world posets over three grids, all kept
+    kripke._grid_table.cache_clear()
+    assert find_countermodel(parse_sequent("|- (P /\\ Q /\\ R /\\ S) -> P"), 6) is None
+    assert [len(kripke._layout(4, n)) for n in range(1, 7)] == [1, 1, 1, 1, 1, 3]
+    assert kripke._grid_table.cache_info().currsize == 8
+
+
+_RN = ("(((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) \\/ "
+       "((((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) -> ~~X \\/ (~~X -> X))")
+_BD4 = "S \\/ (S -> (R \\/ (R -> (Q \\/ (Q -> (P \\/ ~P))))))"
+
+# (sequent, bound, poset table of the reference sweep): first failures past
+# the first poset of their grid, past the first grid of their world count,
+# and on seven worlds, where each poset is its own grid, built per call.  The
+# reference sweeps only the rooted posets where the grid of some other poset
+# would pass the cap (four atoms on six worlds) or the sweep take seconds.
+_STACKED = [
+    ("|- ~P \\/ ~~P", 3, posets),
+    ("|- (R \\/ (R -> (Q \\/ (Q -> (P \\/ ~P))))) \\/ ~S \\/ ~~S", 5, posets),
+    ("|- " + _BD4, 5, posets),
+    ("|- (" + _BD4 + ") \\/ ~P \\/ ~~P", 6, rooted_posets),
+    ("|- (" + _BD4 + ") \\/ (Q -> S) \\/ (S -> Q)", 6, rooted_posets),
+    ("|- " + _RN, 7, rooted_posets),
+    ("P |- " + _RN, 8, rooted_posets),
+    ("|- " + _RN + " \\/ (P /\\ Q)", 8, rooted_posets),
+]
+
+
+def test_stacked_sweep_finds_the_per_poset_first_failure():
+    seen = set()
+    for text, bound, table in _STACKED:
+        s = parse_sequent(text)
+        hit = first_failure(s, bound)
+        assert hit is not None and hit == _reference_first_failure(s, bound, table), text
+        k, n = len(s.free_vars()), len(hit[0])
+        grids = [ups for ups, _ in kripke._layout(k, n)]
+        at = next(i for i, ups in enumerate(grids) if hit[0] in ups)
+        seen.add((k, n, at > 0, grids[at].index(hit[0]) > 0))
+    assert {1, 2, 3, 4} == {k for k, *_ in seen}
+    assert {(4, 5, False, True), (4, 6, True, True), (1, 7, True, False), (3, 7, True, False)} <= seen
+
+
+def test_sweep_past_the_grid_cap_is_a_usage_error(capsys):
+    # the first countermodel has three worlds, where the fork's grid would
+    # take 5 ** 12 * 3 bits
+    conj = " /\\ ".join(f"A{i}" for i in range(12))
+    start = time.perf_counter()
+    assert cli.main(["prove", f"|- (~A0 \\/ ~~A0) \\/ ({conj})"]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: " in captured.err and "12 atoms on 3 worlds" in captured.err

@@ -317,7 +317,8 @@ def _chain_refutation(hyp, concl, names):
     from pittslab import kripke
     from pittslab.pitts import _CHAIN
 
-    atoms, g = kripke._atoms_grid(names, _CHAIN)
+    masks, g, _ = kripke._stack(len(names), (_CHAIN,))
+    atoms = {v.name: m for v, m in zip(names, masks)}
     bad = kripke.forcing_mask(hyp, atoms, g) & ~kripke.forcing_mask(concl, atoms, g)
     if not bad:
         return None
