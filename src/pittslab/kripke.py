@@ -191,11 +191,18 @@ def _downs_to_ups(n: int, down: tuple[int, ...]) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def upsets(n: int, up: tuple[int, ...]) -> tuple[int, ...]:
     """The masks m, ascending, with up[w] inside m for every world w in m:
-    the upsets of `up` masks, or the downsets of strict-down masks."""
-    return tuple(
-        mask for mask in range(1 << n)
-        if all(up[w] & mask == up[w] for w in range(n) if mask >> w & 1)
-    )
+    the upsets of `up` masks, or the downsets of strict-down masks.
+
+    Built world by world from world 0, which keeps them ascending: a set
+    over the worlds below v extends without v unless it holds a world w with
+    v in up[w], and with v if it holds the worlds of up[v] below v."""
+    out = [0]
+    for v in range(n):
+        bit = 1 << v
+        below = up[v] & (bit - 1)
+        under = sum(1 << w for w in range(v) if up[w] & bit)
+        out = [m for m in out if not m & under] + [m | bit for m in out if m & below == below]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

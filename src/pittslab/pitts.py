@@ -27,7 +27,10 @@ that is smaller than the candidate.
 Two small module-level `lru_cache`s keep what outlives a gate call: one
 corpus per atom set and budget (`_corpus`), and one table per corpus,
 eliminated variable and set of input atoms (`_table`), which holds the
-probes free of that variable, their 2-chain grid and their classes.
+probes free of that variable, their 2-chain grid and their classes.  A
+corpus of `_corpus` hashes by identity, so a gate call finds its table
+through the corpus object without hashing a probe; any other sequence of
+probes is read as a tuple, hashed probe by probe.
 """
 from __future__ import annotations
 
@@ -260,9 +263,9 @@ def _gate(
     # those sequents is refuted on the 2-chain grid where the masks allow, and
     # decided otherwise.  The dual gate turns every sequent around.
     require_plain(phi, candidate)
-    kept, atoms, g, reps, masks, of, size = _table(
-        tuple(probes), y, phi.free_vars | candidate.free_vars
-    )
+    if not isinstance(probes, tuple):  # tuple() would copy a corpus, losing its identity
+        probes = tuple(probes)
+    kept, atoms, g, reps, masks, of, size = _table(probes, y, phi.free_vars | candidate.free_vars)
 
     def entails(a: Formula, b: Formula, ma: int, mb: int) -> tuple[bool, int]:
         # a |- b (b |- a in the dual gate), and 1 when the 2-chain refutes it
@@ -284,7 +287,9 @@ def _gate(
         right, n_right = entails(phi, r, m_phi, m)
         settled += n * (n_left + n_right)
         direction.append(None if left == right else "candidate" if left else "input")
-    failures = [(psi, direction[c]) for psi, c in zip(kept, of) if direction[c]]
+    failures = []
+    if any(direction):
+        failures = [(psi, direction[c]) for psi, c in zip(kept, of) if direction[c]]
     ok = variable_free and consequence and not failures
     return ValidationReport(ok, variable_free, consequence, failures, len(kept), settled)
 
@@ -301,9 +306,27 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
     congruence.  Any other probe is compared, by `prover.equivalent`, with
     the representatives that have its mask (equivalent formulas have equal
     masks); it joins the first that matches, or starts a class."""
-    kept = tuple(psi for psi in probes if y not in psi.free_vars)
+    free: dict[str, frozenset] = {}  # each probe's free variables, by key
+
+    def free_of(h: Formula) -> frozenset:  # an operand that is not a probe reads its own
+        fv = free.get(h.key)
+        return h.free_vars if fv is None else fv
+
+    kept = []
+    names = set(inputs)
+    ys = frozenset([y])  # `y in fv` would hash y in Python for every probe
+    for psi in probes:
+        if isinstance(psi, (And, Or, Implies)):
+            fv = free_of(psi.left) | free_of(psi.right)
+        else:
+            fv = psi.free_vars
+        free[psi.key] = fv
+        if ys.isdisjoint(fv):
+            kept.append(psi)
+            names |= fv
+    kept = tuple(kept)
     require_plain(*kept)
-    names = sorted(inputs.union(*(psi.free_vars for psi in kept)))
+    names = sorted(names)
     masks, g, _ = kripke._stack(len(names[:_GRID_ATOMS]), (_CHAIN,))
     atoms = dict(zip((v.name for v in names), masks))
     atoms.update((v.name, 0) for v in names[_GRID_ATOMS:])
@@ -316,7 +339,8 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
         key = psi.key
         if isinstance(psi, (And, Or, Implies)):
             # an operand that is not a probe stands for itself
-            key = (type(psi),) + tuple(table.get(h.key, h.key) for h in (psi.left, psi.right))
+            a, b = psi.left.key, psi.right.key
+            key = (type(psi), table.get(a, a), table.get(b, b))
         c = table.get(key)
         if c is None:
             m = kripke.forcing_mask(psi, atoms, g)
@@ -343,13 +367,26 @@ MAX_PROBE_NODES = 9
 
 
 def probe_corpus(variables, max_nodes: int = 8) -> tuple[Formula, ...]:
-    """All formulas over the given atoms up to `max_nodes` AST nodes,
-    deduplicated up to commutativity of /\\ and \\/ (deterministic order).
+    """All formulas over the given atoms, each atom taken once, up to
+    `max_nodes` AST nodes, deduplicated up to commutativity of /\\ and \\/
+    (deterministic order).
 
     The corpus is built once per (atoms, `max_nodes`) and then shared, so
-    it is an immutable tuple.
+    it is an immutable tuple; the gate finds its class table by the
+    corpus object.
     """
-    return _corpus(tuple(sorted(variables)), max_nodes)
+    return _corpus(tuple(sorted(set(variables))), max_nodes)
+
+
+class _Corpus(tuple):
+    """A corpus of `_corpus`: a tuple that hashes by identity, so `_table`
+    finds the table cached for it without hashing a probe.  A cache entry
+    holds its corpus, so no other object takes that identity while the
+    entry lives.  It keeps a tuple's equality; an equal corpus of another
+    identity gets a table of its own, with the same contents."""
+
+    __slots__ = ()
+    __hash__ = object.__hash__
 
 
 @lru_cache(maxsize=4)
@@ -372,4 +409,4 @@ def _corpus(variables: tuple, max_nodes: int) -> tuple[Formula, ...]:
                         if k not in seen:
                             seen.add(k)
                             bucket.append((ctor(a, b), k))
-    return tuple(g for bucket in by_size.values() for g, _ in bucket)
+    return _Corpus(g for bucket in by_size.values() for g, _ in bucket)

@@ -77,6 +77,23 @@ def test_upsets_of_two_chain():
     assert set(upsets(2, chain)) == {0b00, 0b10, 0b11}
 
 
+def _reference_upsets(n, up):
+    """Every mask tested against every world."""
+    return tuple(mask for mask in range(1 << n) if all(up[w] & mask == up[w] for w in range(n) if mask >> w & 1))
+
+
+def test_upsets_match_testing_every_mask():
+    # the up masks of every poset up to 7 worlds and of every rooted poset of
+    # 8, and the strict-down masks of each poset that `posets` extends
+    for n in range(1, 8):
+        for up in posets(n):
+            assert upsets(n, up) == _reference_upsets(n, up), up
+            down = kripke._ups_to_downs(n, up)
+            assert upsets(n, down) == _reference_upsets(n, down), down
+    for up in rooted_posets(8):
+        assert upsets(8, up) == _reference_upsets(8, up), up
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         KripkeModel((0, 1), frozenset({(0, 0), (1, 1), (0, 1)}),

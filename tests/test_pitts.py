@@ -229,6 +229,12 @@ def test_probe_corpus_is_pinned(atoms, max_nodes, length, digest):
     assert hashlib.sha256("\n".join(g.key for g in corpus).encode()).hexdigest() == digest
 
 
+def test_probe_corpus_takes_each_atom_once():
+    P = Variable("P")
+    assert probe_corpus([P, P], 3) is probe_corpus([P], 3)
+    assert len(probe_corpus([P], 3)) == 12
+
+
 # ---------------------------------------------------------------------------
 # The gate settles on the 2-chain grid the sequents a two-world model already
 # refutes, and calls `decide` for the rest; none of that may show in a report.
@@ -518,6 +524,59 @@ def test_class_table_partitions_the_corpus_by_equivalence(atoms, budget, classes
             members.setdefault(c, set()).add(psi.key)
         partitions.append({frozenset(keys) for keys in members.values()})
     assert partitions[0] == partitions[1]
+
+
+def _gate_calls():
+    """Both gates on every reference body over one or two atoms, with the
+    body's simplified interpolant and with top, on the budget-6 corpus."""
+    from pittslab.pitts import validate_forall_interpolant
+
+    for body, _ in REFERENCE_BODIES:
+        phi = f(body)
+        for gate, interpolant in ((validate_interpolant, pite_exists), (validate_forall_interpolant, pita_forall)):
+            for candidate in (simplify(interpolant(phi, Y)), TOP):
+                yield gate, phi, candidate, sorted(phi.free_vars - {Y})
+
+
+def test_warm_gate_hashes_class_representatives_not_the_corpus(monkeypatch):
+    # the table is found by the corpus object, so a warm call hashes no
+    # probe but the representatives whose sequents reach `decide`
+    from pittslab import pitts
+    from pittslab.syntax import Formula
+
+    hashed = []
+    hash_ = Formula.__hash__
+    for gate, phi, candidate, atoms in _gate_calls():
+        corpus = probe_corpus(atoms, 6)
+        gate(phi, Y, candidate, corpus)
+        probes = {id(psi) for psi in corpus}
+        hashed.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Formula, "__hash__", lambda g: hashed.append(id(g) in probes) or hash_(g))
+            gate(phi, Y, candidate, corpus)
+        classes = len(pitts._table(corpus, Y, phi.free_vars | candidate.free_vars)[3])
+        assert sum(hashed) <= 2 * classes < len(corpus), (phi, candidate)
+
+
+def test_gate_reports_do_not_depend_on_the_corpus_object():
+    # a rebuilt corpus is equal to the old one but gets a table of its own;
+    # a list copy of a corpus gets one too, which the next copy finds by its
+    # probes; the reports match
+    from pittslab import pitts
+
+    for gate, phi, candidate, atoms in _gate_calls():
+        pitts._table.cache_clear()
+        corpus = probe_corpus(atoms, 6)
+        report = gate(phi, Y, candidate, corpus)
+        pitts._corpus.cache_clear()
+        rebuilt = probe_corpus(atoms, 6)
+        assert rebuilt == corpus and rebuilt is not corpus
+        misses = pitts._table.cache_info().misses
+        assert gate(phi, Y, candidate, rebuilt) == report
+        assert pitts._table.cache_info().misses == misses + 1
+        assert gate(phi, Y, candidate, list(corpus)) == report
+        assert gate(phi, Y, candidate, list(corpus)) == report
+        assert pitts._table.cache_info().misses == misses + 2
 
 
 def test_irreducible_contexts_list_implications_before_atoms():
