@@ -241,9 +241,8 @@ def _cmd_selftest(args) -> int:
     return 0 if ok else 1
 
 
-def _in_range(low: int, high: int | None = None):
-    """An argparse type: an int no smaller than `low` and, if `high` is
-    given, no larger than it."""
+def _in_range(low: int, high: int):
+    """An argparse type: an int from `low` to `high`."""
     def parse(text: str) -> int:
         try:
             n = int(text)
@@ -251,7 +250,7 @@ def _in_range(low: int, high: int | None = None):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if n < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {n}")
-        if high is not None and n > high:
+        if n > high:
             raise argparse.ArgumentTypeError(f"must be at most {high}, got {n}")
         return n
 

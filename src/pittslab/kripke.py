@@ -71,40 +71,52 @@ class KripkeModel:
                 raise ValueError("valuation must be persistent along the order")
 
     def forces(self, w, f: Formula) -> bool:
-        return self._forcing()(w, f)
+        return bool(self._forced((f,))[f.key] >> self.worlds.index(w) & 1)
 
     def refutes(self, w, s: Sequent) -> bool:
-        forces = self._forcing()
-        return all(forces(w, h) for h in s.hyps) and not forces(w, s.concl)
+        forced = self._forced((*s.hyps, s.concl))
+        bit = 1 << self.worlds.index(w)
+        return all(forced[h.key] & bit for h in s.hyps) and not forced[s.concl.key] & bit
 
-    def _forcing(self):
-        """The forcing relation by the definition, with a memo of (world,
-        formula) verdicts for the compound formulas that lives as long as
-        the returned function."""
+    def _forced(self, fs) -> dict[str, int]:
+        """The worlds forcing each subformula of `fs`, by key, as a mask with
+        bit i for world `worlds[i]`, by the definition: each distinct
+        subformula once, children first, over an explicit stack."""
         val = dict(self.valuation)
-        up = {w: [v for v in self.worlds if (w, v) in self.order] for w in self.worlds}
-        memo: dict = {}
-
-        def forces(w, f: Formula) -> bool:
-            if isinstance(f, Var):
-                return f.var.name in val.get(w, ())
-            if isinstance(f, Bottom):
-                return False
-            hit = memo.get((w, f))
-            if hit is not None:
-                return hit
-            if isinstance(f, And):
-                out = forces(w, f.left) and forces(w, f.right)
-            elif isinstance(f, Or):
-                out = forces(w, f.left) or forces(w, f.right)
-            elif isinstance(f, Implies):
-                out = all(not forces(v, f.left) or forces(v, f.right) for v in up.get(w, ()))
+        atoms: dict[str, int] = {}
+        up = []  # up[i]: the worlds above worlds[i], itself included
+        for i, w in enumerate(self.worlds):
+            for name in val.get(w, ()):
+                atoms[name] = atoms.get(name, 0) | 1 << i
+            up.append(sum(1 << j for j, v in enumerate(self.worlds) if (w, v) in self.order))
+        # As in `forcing_mask`, a connective is pushed again below a None
+        # marker, under its operands; popping the marker combines the last
+        # two masks of `done`.
+        out: dict[str, int] = {}
+        todo: list = list(fs)
+        done: list[int] = []
+        while todo:
+            f = todo.pop()
+            if f is None:
+                f, b, a = todo.pop(), done.pop(), done.pop()
+                op = type(f)
+                # an implication holds at a world iff each world above it
+                # forcing the antecedent forces the consequent
+                m = out[f.key] = (a & b if op is And else a | b if op is Or else
+                                  sum(1 << i for i, u in enumerate(up) if not u & a & ~b))
+            elif f.key in out:
+                m = out[f.key]
+            elif type(f) is Var:
+                m = out[f.key] = atoms.get(f.var.name, 0)
+            elif type(f) is Bottom:
+                m = out[f.key] = 0
+            elif type(f) in _CONNECTIVES:
+                todo += (f, None, f.right, f.left)
+                continue
             else:
                 raise UnsupportedFormula(f"cannot evaluate {f}")
-            memo[(w, f)] = out
-            return out
-
-        return forces
+            done.append(m)
+        return out
 
 
 # ---------------------------------------------------------------------------

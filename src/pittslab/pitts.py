@@ -248,8 +248,9 @@ def validate_forall_interpolant(
     return _gate(phi, y, candidate, probes, forall=True)
 
 
-# The two-world chain (world 0 below world 1), as `kripke.posets` masks.
-_CHAIN = (0b11, 0b10)
+# The two-world chain (world 0 below world 1), the sweep's one rooted poset
+# of two worlds.
+_CHAIN = kripke.rooted_posets(2)[0]
 # The grid has 3 ** k points for k atoms.  Past this many atoms the later
 # ones are false at every point (still a persistent valuation, so every
 # refutation stays a countermodel), which keeps a mask within 2 * 3 ** 6 bits.
@@ -306,21 +307,11 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
     congruence.  Any other probe is compared, by `prover.equivalent`, with
     the representatives that have its mask (equivalent formulas have equal
     masks); it joins the first that matches, or starts a class."""
-    free: dict[str, frozenset] = {}  # each probe's free variables, by key
-
-    def free_of(h: Formula) -> frozenset:  # an operand that is not a probe reads its own
-        fv = free.get(h.key)
-        return h.free_vars if fv is None else fv
-
     kept = []
     names = set(inputs)
     ys = frozenset([y])  # `y in fv` would hash y in Python for every probe
     for psi in probes:
-        if isinstance(psi, (And, Or, Implies)):
-            fv = free_of(psi.left) | free_of(psi.right)
-        else:
-            fv = psi.free_vars
-        free[psi.key] = fv
+        fv = psi.free_vars
         if ys.isdisjoint(fv):
             kept.append(psi)
             names |= fv

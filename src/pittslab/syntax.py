@@ -3,12 +3,11 @@
 Formulas are immutable. Equality and hashing go through a canonical key in
 which bound variables are replaced by binder indices, so ``==`` is
 alpha-equivalence throughout the package.  A node's key, size,
-has_quantifier and has_app are derived once, at construction, from its
-children's: connective and application keys are composed from the
-children's keys, and a quantifier's key is its body's key with the binder
-indices renumbered, so no key is computed by recursion.  Free variables are
-computed on first use.  `INFIX` is the surface notation that the parser and
-the printer share.
+has_quantifier, has_app and free variables are derived once, at
+construction, from its children's: connective and application keys are
+composed from the children's keys, and a quantifier's key is its body's key
+with the binder indices renumbered, so no key is computed by recursion.
+`INFIX` is the surface notation that the parser and the printer share.
 """
 from __future__ import annotations
 
@@ -80,28 +79,25 @@ class Signature:
 class Formula:
     """Base class; concrete nodes are Var, Bottom, And, Or, Implies, Exists, Forall, App.
 
-    A node is built after its children, so its key, size, has_quantifier and
-    has_app are derived once, at construction, from the children's values.
+    A node is built after its children, so its constructor sets its key,
+    size, has_quantifier, has_app and free_vars once, from the children's.
+    Nodes have no `__dict__`, and assigning or deleting an attribute raises
+    AttributeError.
     """
+
+    __slots__ = ("key", "size", "has_quantifier", "has_app", "free_vars")
 
     key: str  # canonical serialization; equal keys mean alpha-equivalent formulas
     size: int  # number of AST nodes
     has_quantifier: bool
     has_app: bool
+    free_vars: frozenset[Variable]
 
-    def _derive(self, key: str, quantifier: bool = False, app: bool = False) -> None:
-        size = 1
-        for c in self.children():
-            size += c.size
-            quantifier = quantifier or c.has_quantifier
-            app = app or c.has_app
-        # past the frozen dataclass's __setattr__; writing through
-        # self.__dict__ instead would give every node a dict object of its own
-        set_ = object.__setattr__
-        set_(self, "key", key)
-        set_(self, "size", size)
-        set_(self, "has_quantifier", quantifier)
-        set_(self, "has_app", app)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: formulas are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: formulas are immutable")
 
     def __eq__(self, other):
         if self is other:
@@ -112,31 +108,6 @@ class Formula:
 
     def __hash__(self):
         return hash(self.key)
-
-    @property
-    def free_vars(self) -> frozenset[Variable]:
-        free = getattr(self, "_free", None)
-        if free is not None:
-            return free
-        # Fill the nodes not yet computed, children first, over an explicit
-        # stack, so a deep formula needs no recursion.
-        stack = [self]
-        while stack:
-            g = stack[-1]
-            pending = [c for c in g.children() if getattr(c, "_free", None) is None]
-            if pending:
-                stack += pending
-            else:
-                stack.pop()
-                object.__setattr__(g, "_free", g._free_vars())
-        return self._free  # type: ignore[attr-defined]
-
-    def _free_vars(self) -> frozenset[Variable]:
-        """From the children's computed `_free`."""
-        out: frozenset[Variable] = frozenset()
-        for c in self.children():
-            out |= c._free  # type: ignore[attr-defined]
-        return out
 
     def children(self) -> tuple["Formula", ...]:
         return ()
@@ -153,56 +124,71 @@ class Formula:
         return f"<{type(self).__name__} {self}>"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+# Constructors write their slots past `Formula.__setattr__`.
+_set = object.__setattr__
+
+
 class Var(Formula):
-    var: Variable
+    __slots__ = ("var",)
 
-    def __post_init__(self):
-        self._derive(f"v{self.var.name}")
+    def __init__(self, var: Variable):
+        _set(self, "var", var)
+        _set(self, "key", f"v{var.name}")
+        _set(self, "size", 1)
+        _set(self, "has_quantifier", False)
+        _set(self, "has_app", False)
+        _set(self, "free_vars", frozenset((var,)))
 
-    def _free_vars(self):
-        return frozenset({self.var})
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Bottom(Formula):
-    def __post_init__(self):
-        self._derive("F")
+    __slots__ = ()
+
+    def __init__(self):
+        _set(self, "key", "F")
+        _set(self, "size", 1)
+        _set(self, "has_quantifier", False)
+        _set(self, "has_app", False)
+        _set(self, "free_vars", frozenset())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Binary(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
 
     tag: ClassVar[str]
 
-    def __post_init__(self):
-        self._derive(f"{self.tag}({self.left.key},{self.right.key})")
+    def __init__(self, left: Formula, right: Formula):
+        # a child's set is reused when it holds the other's
+        lf, rf = left.free_vars, right.free_vars
+        _set(self, "left", left)
+        _set(self, "right", right)
+        _set(self, "key", self.key_of(left.key, right.key))
+        _set(self, "size", left.size + right.size + 1)
+        _set(self, "has_quantifier", left.has_quantifier or right.has_quantifier)
+        _set(self, "has_app", left.has_app or right.has_app)
+        _set(self, "free_vars", lf if rf <= lf else rf if lf <= rf else lf | rf)
 
     @classmethod
     def key_of(cls, left_key: str, right_key: str) -> str:
         """The key `cls(left, right)` gets, from its operands' keys, without
-        building the formula.  `__post_init__` spells the same format out
-        rather than calling this, since every prover path builds formulas."""
+        building the formula."""
         return f"{cls.tag}({left_key},{right_key})"
 
     def children(self):
         return (self.left, self.right)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class And(_Binary):
+    __slots__ = ()
     tag = "&"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Or(_Binary):
+    __slots__ = ()
     tag = "|"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Implies(_Binary):
+    __slots__ = ()
     tag = ">"
 
 
@@ -212,17 +198,15 @@ class Implies(_Binary):
 _VAR_TOKEN = re.compile(r"(?<![^(,])[#v][^(),]*")
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class _Binder(Formula):
-    var: Variable
-    body: Formula
+    __slots__ = ("var", "body")
 
     tag: ClassVar[str]
 
-    def __post_init__(self):
+    def __init__(self, var: Variable, body: Formula):
         # The body's key read under this binder: the body's free occurrences
         # of var take index 0 and every binder inside moves one index up.
-        free = f"v{self.var.name}"
+        free = f"v{var.name}"
 
         def renumber(m: re.Match) -> str:
             token = m.group()
@@ -230,38 +214,42 @@ class _Binder(Formula):
                 return f"#{int(token[1:]) + 1}"
             return "#0" if token == free else token
 
-        self._derive(f"{self.tag}({_VAR_TOKEN.sub(renumber, self.body.key)})", quantifier=True)
+        _set(self, "var", var)
+        _set(self, "body", body)
+        _set(self, "key", f"{self.tag}({_VAR_TOKEN.sub(renumber, body.key)})")
+        _set(self, "size", body.size + 1)
+        _set(self, "has_quantifier", True)
+        _set(self, "has_app", body.has_app)
+        _set(self, "free_vars", body.free_vars - {var})
 
     def children(self):
         return (self.body,)
 
-    def _free_vars(self):
-        return self.body._free - {self.var}  # type: ignore[attr-defined]
 
-
-@dataclass(frozen=True, eq=False, repr=False)
 class Exists(_Binder):
+    __slots__ = ()
     tag = "E"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Forall(_Binder):
+    __slots__ = ()
     tag = "A"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class App(Formula):
-    symbol: ConnectiveSymbol
-    args: tuple[Formula, ...]
+    __slots__ = ("symbol", "args")
 
-    def __post_init__(self):
-        object.__setattr__(self, "args", tuple(self.args))
-        if len(self.args) != self.symbol.arity:
-            raise FormulaError(
-                f"{self.symbol.name} expects {self.symbol.arity} arguments, got {len(self.args)}"
-            )
-        inner = ",".join(a.key for a in self.args)
-        self._derive(f"@{self.symbol.name}/{self.symbol.arity}({inner})", app=True)
+    def __init__(self, symbol: ConnectiveSymbol, args):
+        args = tuple(args)
+        if len(args) != symbol.arity:
+            raise FormulaError(f"{symbol.name} expects {symbol.arity} arguments, got {len(args)}")
+        _set(self, "symbol", symbol)
+        _set(self, "args", args)
+        _set(self, "key", f"@{symbol.name}/{symbol.arity}({','.join(a.key for a in args)})")
+        _set(self, "size", sum(a.size for a in args) + 1)
+        _set(self, "has_quantifier", any(a.has_quantifier for a in args))
+        _set(self, "has_app", True)
+        _set(self, "free_vars", frozenset().union(*(a.free_vars for a in args)))
 
     def children(self):
         return self.args

@@ -22,6 +22,7 @@ from pittslab.kripke import (
 )
 from pittslab.parser import parse_formula, parse_sequent
 from pittslab.selftest import random_formula
+from pittslab.syntax import And, Bottom, Implies, Or, UnsupportedFormula, Var, neg, subformulas
 
 
 def test_poset_counts_match_known_sequence():
@@ -113,6 +114,77 @@ def test_forcing_negation_semantics():
     assert model.forces(1, p)
     assert not model.forces(0, parse_formula("~P"))
     assert model.forces(0, parse_formula("~~P"))
+
+
+def _reference_forcing(model):
+    """The forcing relation by the definition, recursively, with a memo of
+    (world, formula) verdicts for the compound formulas: the reference for
+    `KripkeModel.forces` and `refutes`."""
+    val = dict(model.valuation)
+    up = {w: [v for v in model.worlds if (w, v) in model.order] for w in model.worlds}
+    memo: dict = {}
+
+    def forces(w, f) -> bool:
+        if isinstance(f, Var):
+            return f.var.name in val.get(w, ())
+        if isinstance(f, Bottom):
+            return False
+        hit = memo.get((w, f))
+        if hit is not None:
+            return hit
+        if isinstance(f, And):
+            out = forces(w, f.left) and forces(w, f.right)
+        elif isinstance(f, Or):
+            out = forces(w, f.left) or forces(w, f.right)
+        elif isinstance(f, Implies):
+            out = all(not forces(v, f.left) or forces(v, f.right) for v in up.get(w, ()))
+        else:
+            raise UnsupportedFormula(f"cannot evaluate {f}")
+        memo[(w, f)] = out
+        return out
+
+    return forces
+
+
+def test_forcing_matches_the_recursive_definition():
+    rng = random.Random(26)
+    names = ("P", "Q", "R")
+    refuted = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        up = rng.choice(posets(n))
+        us = upsets(n, up)
+        atoms = {name: rng.choice(us) for name in names}
+        # worlds under labels that are not their positions, in shuffled order
+        label = rng.sample(["a", "b", "c", "d", "e", "f"], n)
+        model = KripkeModel(
+            tuple(rng.sample(label, n)),
+            frozenset((label[u], label[v]) for u in range(n) for v in range(n) if up[u] >> v & 1),
+            tuple((label[w], frozenset(x for x in names if atoms[x] >> w & 1)) for w in range(n)),
+        )
+        s = Sequent(tuple(random_formula(rng, names, rng.choice([1, 3, 5, 7]))
+                          for _ in range(rng.randint(0, 2))),
+                    random_formula(rng, names, rng.choice([1, 3, 5, 7, 9, 11])))
+        forces = _reference_forcing(model)
+        for w in model.worlds:
+            for f in (*s.hyps, s.concl):
+                for g in subformulas(f):
+                    assert model.forces(w, g) == forces(w, g), (model, w, g)
+            expected = all(forces(w, h) for h in s.hyps) and not forces(w, s.concl)
+            assert model.refutes(w, s) == expected, (model, w, s)
+            refuted += expected
+    assert refuted > 100
+
+
+def test_deep_negation_chain_gets_a_checked_countermodel():
+    f = parse_formula("P")
+    for _ in range(2000):
+        f = neg(f)
+    s = Sequent((), f)
+    hit = find_countermodel(s)
+    assert hit is not None
+    model, world = hit
+    assert model.refutes(world, s)
 
 
 def test_excluded_middle_gets_two_chain():

@@ -245,7 +245,7 @@ def test_deep_formula_attributes_need_no_recursion():
     assert hash(f) == hash(g) and f == g and f is not g
     require_plain(f)
     assert f.free_vars == {Variable("X")}
-    # a chain whose lower half already knows its free variables
+    # a long chain over four atoms, read halfway up and at the top
     h = X
     for i in range(3000):
         h = Implies(var(f"X{i % 3}"), h)
@@ -253,3 +253,57 @@ def test_deep_formula_attributes_need_no_recursion():
             assert h.free_vars == {Variable("X"), Variable("X0"), Variable("X1"), Variable("X2")}
     assert h.free_vars == {Variable("X"), Variable("X0"), Variable("X1"), Variable("X2")}
     assert And(h, h).free_vars == h.free_vars
+
+
+def _recount(f):
+    """free_vars, size, has_quantifier and has_app by brute force: one walk
+    over every occurrence, each with the variables its binders bind."""
+    free, size, quantifier, app = set(), 0, False, False
+    todo = [(f, frozenset())]
+    while todo:
+        g, bound = todo.pop()
+        size += 1
+        if isinstance(g, Var) and g.var not in bound:
+            free.add(g.var)
+        if isinstance(g, (Exists, Forall)):
+            quantifier = True
+            bound |= {g.var}
+        app = app or isinstance(g, App)
+        todo += [(c, bound) for c in g.children()]
+    return frozenset(free), size, quantifier, app
+
+
+def test_derived_facts_match_a_brute_force_recount():
+    import random
+
+    shadowing = [
+        Exists(_vX, And(X, Forall(_vX, X))),  # exists X. (X /\ forall X. X)
+        And(X, Exists(_vX, X)),
+        Exists(_vX, Or(Y, Forall(_vY, App(_t, (X, Y))))),
+        Forall(_vY, App(_u, (Exists(_vY, Implies(Y, Z)),))),
+    ]
+    rng = random.Random(26)
+    formulas = shadowing + [_random_quantified(rng, rng.randrange(1, 20)) for _ in range(800)]
+    for f in formulas:
+        assert (f.free_vars, f.size, f.has_quantifier, f.has_app) == _recount(f), f
+    assert shadowing[0].free_vars == frozenset() and shadowing[1].free_vars == {_vX}
+    assert shadowing[2].free_vars == {_vY} and shadowing[3].free_vars == {_vZ}
+    # a connective takes an operand's set when that set holds the other's
+    assert And(X, X).free_vars is X.free_vars
+    f = Implies(BOT, Or(X, Y))
+    assert f.free_vars is f.right.free_vars
+
+
+def test_nodes_are_immutable_and_have_no_dict():
+    nodes = [X, BOT, And(X, Y), Or(X, Y), Implies(X, Y), Exists(_vX, X), Forall(_vY, X),
+             App(_t, (X, Y))]
+    for node in nodes:
+        assert not hasattr(node, "__dict__"), type(node)
+        names = [n for cls in type(node).__mro__ for n in getattr(cls, "__slots__", ())]
+        for name in names + ["extra"]:
+            before = getattr(node, name, None)
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+            assert getattr(node, name, None) is before
