@@ -7,7 +7,8 @@ bundled replays of nondefinability arguments for three second-order
 connectives.
 
 The public names below load their submodule on first use, so importing
-one submodule (the kernel and tree reader, say) loads only what it imports.
+one submodule loads only what it imports: the checker of trees and
+countermodels (syntax, printer, parser, kernel, trees) loads no search.
 """
 from importlib import import_module
 
@@ -15,12 +16,12 @@ __version__ = "0.1.0"
 
 _SOURCES = {
     "connectives": "AuxiliaryReport RegularConnective extract_auxiliary is_auxiliary",
-    "kernel": "CheckReport ProofTree SchemaTheory Sequent check_tree derive_extensionality",
-    "kripke": "KripkeModel find_countermodel",
+    "kernel": "CheckReport KripkeModel ProofTree SchemaTheory Sequent check_tree",
+    "kripke": "find_countermodel",
     "parser": "parse_formula parse_sequent",
     "pitts": "pita_forall pite_exists probe_corpus simplify validate_interpolant",
     "printer": "print_formula",
-    "prover": "Verdict classical_tautology decide derive equivalent prove",
+    "prover": "Verdict classical_tautology decide derive derive_extensionality equivalent prove",
     "replays": "REPLAY_NAMES ReplayReport replay",
     "rieger": "RNClass RNLattice check_rieger_lower_facts rn_classify",
     "scripts": "ProofScript check_script parse_script parse_theory",

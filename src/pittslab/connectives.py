@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .kernel import ProofTree, Sequent, check_tree, is_cut_free, t_exR
+from .kernel import ProofTree, Sequent, check_tree, is_cut_free
 from .pitts import pite_exists
-from .prover import decide, derive
+from .prover import decide, derive, t_exR
 from .syntax import (
     BOT,
     Exists,

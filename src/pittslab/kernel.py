@@ -1,4 +1,4 @@
-"""Sequent-calculus kernel: proof trees as checkable objects.
+"""The certificate checker: sequent-calculus proof trees and Kripke countermodels.
 
 Rules: ax, cut, wL, cL, wR, orL, orR1, orR2, andR, andL1, andL2, impL,
 impR, botL, allL, allR, exR, exL, plus `schema` and `congruence`, which are
@@ -15,6 +15,10 @@ one key by which two contexts differ.  The quantifier rules share two
 definitions: a formula is an instance of `Qx. body` at T when
 `substitute(body, {x: T})` equals it (`_instance`), and the eigenvariable
 of allR and exL occurs free nowhere in the conclusion (`_eigen`).
+
+`KripkeModel.refutes` checks a refuted sequent's countermodel by the
+definition of forcing.  Nothing here builds or searches: the tree builders
+are in `prover` and the countermodel sweep in `kripke`.
 """
 from __future__ import annotations
 
@@ -33,6 +37,7 @@ from .syntax import (
     Implies,
     Or,
     Signature,
+    UnsupportedFormula,
     Var,
     Variable,
     iff,
@@ -63,10 +68,6 @@ class SideConditionViolated(KernelError):
         self.variable = variable
         self.path = tuple(path)
         super().__init__(f"at node {list(self.path)}: {message}")
-
-
-class VariableClash(KernelError):
-    pass
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,15 +110,6 @@ class Sequent:
 
     def __repr__(self):
         return f"<Sequent {self}>"
-
-
-def _minus(hyps: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
-    """Remove one occurrence of `f` (alpha-equality)."""
-    key = f.key
-    for i, h in enumerate(hyps):
-        if h.key == key:
-            return hyps[:i] + hyps[i + 1:]
-    raise KernelError(f"{f} not among hypotheses")
 
 
 @dataclass
@@ -466,208 +458,83 @@ def is_cut_free(tree: ProofTree) -> bool:
     return all(n.rule != "cut" for n in tree.nodes())
 
 
-def substitute_tree(tree: ProofTree, bindings: dict[Variable, Formula]) -> ProofTree:
-    """Apply a substitution to every sequent and witness of a tree.
+@dataclass(frozen=True)
+class KripkeModel:
+    """Finite poset of worlds with a monotone atomic valuation."""
 
-    Valid derivations stay valid as long as no substituted variable is
-    quantified along the tree (quantifier-free trees always qualify).
-    """
-    data = tree.data
-    if isinstance(data, Formula):
-        data = substitute(data, bindings)
-    return ProofTree(
-        tree.rule,
-        tree.conclusion.substitute(bindings),
-        tuple(substitute_tree(p, bindings) for p in tree.premises),
-        data,
-    )
+    worlds: tuple
+    order: frozenset  # reflexive-transitive pairs (u, v) meaning u <= v
+    valuation: tuple  # tuple of (world, frozenset of atom names)
 
+    def __post_init__(self):
+        ws = set(self.worlds)
+        if len(ws) != len(self.worlds):
+            raise ValueError("worlds must be distinct")
+        rel = self.order
+        if not {w for pair in rel for w in pair} <= ws:
+            raise ValueError("order must relate worlds of the model")
+        valued = [w for w, _ in self.valuation]
+        if len(set(valued)) != len(valued):
+            raise ValueError("a world must be valued at most once")
+        if not ws.issuperset(valued):
+            raise ValueError("valuation must value worlds of the model")
+        for w in ws:
+            if (w, w) not in rel:
+                raise ValueError("order must be reflexive")
+        for (a, b) in rel:
+            if (b, a) in rel and a != b:
+                raise ValueError("order must be antisymmetric")
+            for (c, d) in rel:
+                if b == c and (a, d) not in rel:
+                    raise ValueError("order must be transitive")
+        val = dict(self.valuation)
+        for (a, b) in rel:
+            if not val.get(a, frozenset()) <= val.get(b, frozenset()):
+                raise ValueError("valuation must be persistent along the order")
 
-# ---------------------------------------------------------------------------
-# Tree builders.  Each returns a ProofTree whose conclusion is computed from
-# the parts, so composite constructions stay well formed by construction.
+    def forces(self, w, f: Formula) -> bool:
+        return bool(self._forced((f,))[f.key] >> self.worlds.index(w) & 1)
 
-def _weakened(t: ProofTree, extra) -> ProofTree:
-    for g in extra:
-        t = t_wl(t, g)
-    return t
+    def refutes(self, w, s: Sequent) -> bool:
+        forced = self._forced((*s.hyps, s.concl))
+        bit = 1 << self.worlds.index(w)
+        return all(forced[h.key] & bit for h in s.hyps) and not forced[s.concl.key] & bit
 
-
-def _left(rule: str, t: ProofTree, old: Formula, new: Formula, data=None) -> ProofTree:
-    """`rule` below t: one copy of hypothesis `old` becomes `new`."""
-    c = t.conclusion
-    return ProofTree(rule, Sequent(_minus(c.hyps, old) + (new,), c.concl), (t,), data)
-
-
-def _right(rule: str, t: ProofTree, goal: Formula, data=None) -> ProofTree:
-    """`rule` below t: the same hypotheses prove `goal`."""
-    return ProofTree(rule, Sequent(t.conclusion.hyps, goal), (t,), data)
-
-
-def t_ax(f: Formula, extra=()) -> ProofTree:
-    return _weakened(ProofTree("ax", Sequent((f,), f)), extra)
-
-
-def t_botL(concl: Formula, extra=()) -> ProofTree:
-    return _weakened(ProofTree("botL", Sequent((BOT,), concl)), extra)
-
-
-def t_wl(t: ProofTree, f: Formula) -> ProofTree:
-    c = t.conclusion
-    return ProofTree("wL", Sequent(c.hyps + (f,), c.concl), (t,))
-
-
-def t_cl(t: ProofTree, f: Formula) -> ProofTree:
-    c = t.conclusion
-    return ProofTree("cL", Sequent(_minus(c.hyps, f), c.concl), (t,))
-
-
-def t_cl_to(t: ProofTree, target_hyps) -> ProofTree:
-    """Contract duplicates until the hypothesis multiset equals the target."""
-    target = tuple(sorted([h.key for h in target_hyps]))
-    while (cur := t.conclusion).hyp_keys != target:
-        excess = _excess(cur.hyp_keys, target)
-        if not excess:
-            raise KernelError("cannot reach target hypotheses by contraction")
-        t = t_cl(t, next(h for h in cur.hyps if h.key in excess))
-    return t
-
-
-def t_cut(t1: ProofTree, t2: ProofTree) -> ProofTree:
-    phi = t1.conclusion.concl
-    hyps = t1.conclusion.hyps + _minus(t2.conclusion.hyps, phi)
-    return ProofTree("cut", Sequent(hyps, t2.conclusion.concl), (t1, t2), phi)
-
-
-def t_impR(t: ProofTree, antecedent: Formula) -> ProofTree:
-    c = t.conclusion
-    return ProofTree(
-        "impR", Sequent(_minus(c.hyps, antecedent), Implies(antecedent, c.concl)), (t,)
-    )
-
-
-def t_impL(t1: ProofTree, t2: ProofTree, consequent: Formula) -> ProofTree:
-    phi = t1.conclusion.concl
-    principal = Implies(phi, consequent)
-    hyps = t1.conclusion.hyps + _minus(t2.conclusion.hyps, consequent) + (principal,)
-    return ProofTree("impL", Sequent(hyps, t2.conclusion.concl), (t1, t2))
-
-
-def t_andR(t1: ProofTree, t2: ProofTree) -> ProofTree:
-    c1, c2 = t1.conclusion, t2.conclusion
-    return ProofTree("andR", Sequent(c1.hyps, And(c1.concl, c2.concl)), (t1, t2))
-
-
-def t_andL1(t: ProofTree, part: Formula, partner: Formula) -> ProofTree:
-    return _left("andL1", t, part, And(part, partner))
-
-
-def t_andL2(t: ProofTree, part: Formula, partner: Formula) -> ProofTree:
-    return _left("andL2", t, part, And(partner, part))
-
-
-def t_orR1(t: ProofTree, other: Formula) -> ProofTree:
-    return _right("orR1", t, Or(t.conclusion.concl, other))
-
-
-def t_orR2(t: ProofTree, other: Formula) -> ProofTree:
-    return _right("orR2", t, Or(other, t.conclusion.concl))
-
-
-def t_orL_on(t1: ProofTree, a: Formula, t2: ProofTree, b: Formula) -> ProofTree:
-    c1, c2 = t1.conclusion, t2.conclusion
-    if c1.concl != c2.concl:
-        raise KernelError("orL premises must share a conclusion")
-    hyps = _minus(c1.hyps, a) + (Or(a, b),)
-    return ProofTree("orL", Sequent(hyps, c1.concl), (t1, t2))
-
-
-def t_exR(t: ProofTree, target: Exists, witness: Formula) -> ProofTree:
-    return _right("exR", t, target, witness)
-
-
-def t_exL(t: ProofTree, instance: Formula, principal: Exists) -> ProofTree:
-    return _left("exL", t, instance, principal)
-
-
-def t_allR(t: ProofTree, target: Forall) -> ProofTree:
-    return _right("allR", t, target)
-
-
-def t_allL(t: ProofTree, instance: Formula, principal: Forall, witness: Formula) -> ProofTree:
-    return _left("allL", t, instance, principal, witness)
-
-
-def t_schema(concl: Sequent, label: str, bindings: dict[Variable, Formula]) -> ProofTree:
-    return ProofTree("schema", concl, (), (label, dict(bindings)))
-
-
-def t_congruence(premises: tuple[ProofTree, ...], app_from: App, app_to: App) -> ProofTree:
-    ctx = premises[0].conclusion.hyps if premises else ()
-    return ProofTree("congruence", Sequent(ctx + (app_from,), app_to), tuple(premises))
-
-
-# ---------------------------------------------------------------------------
-# Extensionality: replacing provably equivalent subformulas preserves
-# derivability, realized as an explicit tree built by structural induction.
-
-def derive_extensionality(context: Formula, hole: Variable, p: Formula, p_prime: Formula) -> ProofTree:
-    """Tree proving  p->p', p'->p, context[p/hole] |- context[p'/hole].
-
-    The free variables of p and p' must avoid the bound variables of the
-    context.  App nodes become congruence steps, which only a theory admits.
-    """
-    clash = (p.free_vars | p_prime.free_vars) & context.bound_vars()
-    if clash:
-        raise VariableClash(f"variables {sorted(v.name for v in clash)} would be captured")
-    return _ext(context, hole, p, p_prime)
-
-
-def _ext(c: Formula, hole: Variable, p: Formula, q: Formula) -> ProofTree:
-    hyp_pq = Implies(p, q)
-    hyp_qp = Implies(q, p)
-    if hole not in c.free_vars:
-        return t_ax(c, extra=(hyp_pq, hyp_qp))
-    sub_p = {hole: p}
-    sub_q = {hole: q}
-    if isinstance(c, Var):  # c is the hole itself
-        t = t_impL(t_ax(p), t_ax(q), q)  # p, p->q |- q
-        return t_wl(t, hyp_qp)
-    if isinstance(c, And):
-        ta = _ext(c.left, hole, p, q)
-        tb = _ext(c.right, hole, p, q)
-        ta = t_andL1(ta, substitute(c.left, sub_p), substitute(c.right, sub_p))
-        tb = t_andL2(tb, substitute(c.right, sub_p), substitute(c.left, sub_p))
-        return t_andR(ta, tb)
-    if isinstance(c, Or):
-        ta = t_orR1(_ext(c.left, hole, p, q), substitute(c.right, sub_q))
-        tb = t_orR2(_ext(c.right, hole, p, q), substitute(c.left, sub_q))
-        return t_orL_on(ta, substitute(c.left, sub_p), tb, substitute(c.right, sub_p))
-    if isinstance(c, Implies):
-        ta = _ext(c.left, hole, q, p)  # ..., A[q] |- A[p]
-        tb = _ext(c.right, hole, p, q)  # ..., B[p] |- B[q]
-        t = t_impL(ta, tb, substitute(c.right, sub_p))
-        t = t_cl_to(
-            t,
-            (hyp_pq, hyp_qp, substitute(c.left, sub_q), substitute(c, sub_p)),
-        )
-        return t_impR(t, substitute(c.left, sub_q))
-    if isinstance(c, (Exists, Forall)):
-        body_p = substitute(c.body, sub_p)
-        body_q = substitute(c.body, sub_q)
-        inner = _ext(c.body, hole, p, q)
-        if isinstance(c, Exists):
-            t = t_exR(inner, Exists(c.var, body_q), Var(c.var))
-            return t_exL(t, body_p, Exists(c.var, body_p))
-        t = t_allL(inner, body_p, Forall(c.var, body_p), Var(c.var))
-        return t_allR(t, Forall(c.var, body_q))
-    if isinstance(c, App):
-        prem_trees = []
-        for arg in c.args:
-            fwd = t_impR(_ext(arg, hole, p, q), substitute(arg, sub_p))
-            bwd = t_impR(_ext(arg, hole, q, p), substitute(arg, sub_q))
-            prem_trees.append(t_andR(fwd, bwd))
-        app_p = App(c.symbol, tuple(substitute(a, sub_p) for a in c.args))
-        app_q = App(c.symbol, tuple(substitute(a, sub_q) for a in c.args))
-        return t_congruence(tuple(prem_trees), app_p, app_q)
-    raise KernelError(f"unsupported context node {c!r}")
+    def _forced(self, fs) -> dict[str, int]:
+        """The worlds forcing each subformula of `fs`, by key, as a mask with
+        bit i for world `worlds[i]`, by the definition: each distinct
+        subformula once, children first, over an explicit stack."""
+        val = dict(self.valuation)
+        atoms: dict[str, int] = {}
+        up = []  # up[i]: the worlds above worlds[i], itself included
+        for i, w in enumerate(self.worlds):
+            for name in val.get(w, ()):
+                atoms[name] = atoms.get(name, 0) | 1 << i
+            up.append(sum(1 << j for j, v in enumerate(self.worlds) if (w, v) in self.order))
+        # A connective is pushed again below a None marker, under its
+        # operands; popping the marker combines the last two masks of `done`.
+        out: dict[str, int] = {}
+        todo: list = list(fs)
+        done: list[int] = []
+        while todo:
+            f = todo.pop()
+            if f is None:
+                f, b, a = todo.pop(), done.pop(), done.pop()
+                op = type(f)
+                # an implication holds at a world iff each world above it
+                # forcing the antecedent forces the consequent
+                m = out[f.key] = (a & b if op is And else a | b if op is Or else
+                                  sum(1 << i for i, u in enumerate(up) if not u & a & ~b))
+            elif f.key in out:
+                m = out[f.key]
+            elif type(f) is Var:
+                m = out[f.key] = atoms.get(f.var.name, 0)
+            elif type(f) is Bottom:
+                m = out[f.key] = 0
+            elif type(f) in (And, Or, Implies):
+                todo += (f, None, f.right, f.left)
+                continue
+            else:
+                raise UnsupportedFormula(f"cannot evaluate {f}")
+            done.append(m)
+        return out

@@ -1,4 +1,4 @@
-"""Finite Kripke models and exhaustive countermodel search.
+"""Exhaustive Kripke countermodel search over finite rooted posets.
 
 The refutation oracle: posets are enumerated up to isomorphism (worlds are
 labeled along a linear extension, so `u <= v` implies `u <= v` as integers),
@@ -15,7 +15,8 @@ one world count side by side (`_layout`), so it evaluates the sequent once
 per grid of many posets, not once per poset.  The one-variable lattice in
 `rieger` uses the same evaluator on the one-atom universal model, and
 `prover.classical_tautology` is the sweep `first_failure` on one world (a
-one-world model is a classical valuation).
+one-world model is a classical valuation).  A countermodel found is a
+`kernel.KripkeModel` (`submodel`), checked apart from the sweep.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .kernel import Sequent
+from .kernel import KripkeModel, Sequent
 from .syntax import (
     And,
     Bottom,
@@ -43,80 +44,6 @@ from .syntax import (
 # and each further one grows several-fold.
 DEFAULT_BOUND = 6
 MAX_BOUND = 8
-
-
-@dataclass(frozen=True)
-class KripkeModel:
-    """Finite poset of worlds with a monotone atomic valuation."""
-
-    worlds: tuple
-    order: frozenset  # reflexive-transitive pairs (u, v) meaning u <= v
-    valuation: tuple  # tuple of (world, frozenset of atom names)
-
-    def __post_init__(self):
-        ws = set(self.worlds)
-        rel = self.order
-        for w in ws:
-            if (w, w) not in rel:
-                raise ValueError("order must be reflexive")
-        for (a, b) in rel:
-            if (b, a) in rel and a != b:
-                raise ValueError("order must be antisymmetric")
-            for (c, d) in rel:
-                if b == c and (a, d) not in rel:
-                    raise ValueError("order must be transitive")
-        val = dict(self.valuation)
-        for (a, b) in rel:
-            if not val.get(a, frozenset()) <= val.get(b, frozenset()):
-                raise ValueError("valuation must be persistent along the order")
-
-    def forces(self, w, f: Formula) -> bool:
-        return bool(self._forced((f,))[f.key] >> self.worlds.index(w) & 1)
-
-    def refutes(self, w, s: Sequent) -> bool:
-        forced = self._forced((*s.hyps, s.concl))
-        bit = 1 << self.worlds.index(w)
-        return all(forced[h.key] & bit for h in s.hyps) and not forced[s.concl.key] & bit
-
-    def _forced(self, fs) -> dict[str, int]:
-        """The worlds forcing each subformula of `fs`, by key, as a mask with
-        bit i for world `worlds[i]`, by the definition: each distinct
-        subformula once, children first, over an explicit stack."""
-        val = dict(self.valuation)
-        atoms: dict[str, int] = {}
-        up = []  # up[i]: the worlds above worlds[i], itself included
-        for i, w in enumerate(self.worlds):
-            for name in val.get(w, ()):
-                atoms[name] = atoms.get(name, 0) | 1 << i
-            up.append(sum(1 << j for j, v in enumerate(self.worlds) if (w, v) in self.order))
-        # As in `forcing_mask`, a connective is pushed again below a None
-        # marker, under its operands; popping the marker combines the last
-        # two masks of `done`.
-        out: dict[str, int] = {}
-        todo: list = list(fs)
-        done: list[int] = []
-        while todo:
-            f = todo.pop()
-            if f is None:
-                f, b, a = todo.pop(), done.pop(), done.pop()
-                op = type(f)
-                # an implication holds at a world iff each world above it
-                # forcing the antecedent forces the consequent
-                m = out[f.key] = (a & b if op is And else a | b if op is Or else
-                                  sum(1 << i for i, u in enumerate(up) if not u & a & ~b))
-            elif f.key in out:
-                m = out[f.key]
-            elif type(f) is Var:
-                m = out[f.key] = atoms.get(f.var.name, 0)
-            elif type(f) is Bottom:
-                m = out[f.key] = 0
-            elif type(f) in _CONNECTIVES:
-                todo += (f, None, f.right, f.left)
-                continue
-            else:
-                raise UnsupportedFormula(f"cannot evaluate {f}")
-            done.append(m)
-        return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 Proof search runs in a contraction-free calculus (G4ip): the left rules for
 implication are split on the head connective of the antecedent, so search
 terminates without loop checking.  Successful searches are replayed into
-plain sequent-calculus trees (with cuts) that the kernel checks.
+plain sequent-calculus trees (with cuts) that the kernel checks.  The tree
+builders (`t_*`, `derive_extensionality`) are here; the kernel calls none.
 
 The rule schedule is written once: `_left_step` applies the invertible
 left rules to the first reducible hypothesis in key order (`_by_key`), and
@@ -19,35 +20,22 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
 
-from .kernel import (
-    ProofTree,
-    Sequent,
-    _minus,
-    t_andL1,
-    t_andL2,
-    t_andR,
-    t_ax,
-    t_botL,
-    t_cl,
-    t_cl_to,
-    t_cut,
-    t_impL,
-    t_impR,
-    t_orL_on,
-    t_orR1,
-    t_orR2,
-    t_wl,
-)
+from .kernel import KernelError, ProofTree, Sequent, _excess
 from .kripke import DEFAULT_BOUND, find_countermodel, first_failure
 from .syntax import (
     And,
+    App,
     BOT,
     Bottom,
+    Exists,
+    Forall,
     Formula,
     Implies,
     Or,
     Var,
+    Variable,
     require_plain,
+    substitute,
 )
 
 
@@ -155,8 +143,222 @@ def decide(s: Sequent) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Witness construction.  Replays on exact multisets the rule `_decide` recorded
-# for each node's set, and emits Def-1.3-style trees.  The record holds where a
+# Witness construction.  Each tree builder returns a ProofTree whose conclusion
+# is computed from the parts, so composite constructions stay well formed by
+# construction; the kernel checks what they build and calls none of them.
+
+def _minus(hyps: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
+    """Remove one occurrence of `f` (alpha-equality)."""
+    key = f.key
+    for i, h in enumerate(hyps):
+        if h.key == key:
+            return hyps[:i] + hyps[i + 1:]
+    raise KernelError(f"{f} not among hypotheses")
+
+
+def _weakened(t: ProofTree, extra) -> ProofTree:
+    for g in extra:
+        t = t_wl(t, g)
+    return t
+
+
+def _left(rule: str, t: ProofTree, old: Formula, new: Formula, data=None) -> ProofTree:
+    """`rule` below t: one copy of hypothesis `old` becomes `new`."""
+    c = t.conclusion
+    return ProofTree(rule, Sequent(_minus(c.hyps, old) + (new,), c.concl), (t,), data)
+
+
+def _right(rule: str, t: ProofTree, goal: Formula, data=None) -> ProofTree:
+    """`rule` below t: the same hypotheses prove `goal`."""
+    return ProofTree(rule, Sequent(t.conclusion.hyps, goal), (t,), data)
+
+
+def t_ax(f: Formula, extra=()) -> ProofTree:
+    return _weakened(ProofTree("ax", Sequent((f,), f)), extra)
+
+
+def t_botL(concl: Formula, extra=()) -> ProofTree:
+    return _weakened(ProofTree("botL", Sequent((BOT,), concl)), extra)
+
+
+def t_wl(t: ProofTree, f: Formula) -> ProofTree:
+    c = t.conclusion
+    return ProofTree("wL", Sequent(c.hyps + (f,), c.concl), (t,))
+
+
+def t_cl(t: ProofTree, f: Formula) -> ProofTree:
+    c = t.conclusion
+    return ProofTree("cL", Sequent(_minus(c.hyps, f), c.concl), (t,))
+
+
+def t_cl_to(t: ProofTree, target_hyps) -> ProofTree:
+    """Contract duplicates until the hypothesis multiset equals the target."""
+    target = tuple(sorted([h.key for h in target_hyps]))
+    while (cur := t.conclusion).hyp_keys != target:
+        excess = _excess(cur.hyp_keys, target)
+        if not excess:
+            raise KernelError("cannot reach target hypotheses by contraction")
+        t = t_cl(t, next(h for h in cur.hyps if h.key in excess))
+    return t
+
+
+def t_cut(t1: ProofTree, t2: ProofTree) -> ProofTree:
+    phi = t1.conclusion.concl
+    hyps = t1.conclusion.hyps + _minus(t2.conclusion.hyps, phi)
+    return ProofTree("cut", Sequent(hyps, t2.conclusion.concl), (t1, t2), phi)
+
+
+def t_impR(t: ProofTree, antecedent: Formula) -> ProofTree:
+    c = t.conclusion
+    return ProofTree("impR", Sequent(_minus(c.hyps, antecedent), Implies(antecedent, c.concl)), (t,))
+
+
+def t_impL(t1: ProofTree, t2: ProofTree, consequent: Formula) -> ProofTree:
+    phi = t1.conclusion.concl
+    principal = Implies(phi, consequent)
+    hyps = t1.conclusion.hyps + _minus(t2.conclusion.hyps, consequent) + (principal,)
+    return ProofTree("impL", Sequent(hyps, t2.conclusion.concl), (t1, t2))
+
+
+def t_andR(t1: ProofTree, t2: ProofTree) -> ProofTree:
+    c1, c2 = t1.conclusion, t2.conclusion
+    return ProofTree("andR", Sequent(c1.hyps, And(c1.concl, c2.concl)), (t1, t2))
+
+
+def t_andL1(t: ProofTree, part: Formula, partner: Formula) -> ProofTree:
+    return _left("andL1", t, part, And(part, partner))
+
+
+def t_andL2(t: ProofTree, part: Formula, partner: Formula) -> ProofTree:
+    return _left("andL2", t, part, And(partner, part))
+
+
+def t_orR1(t: ProofTree, other: Formula) -> ProofTree:
+    return _right("orR1", t, Or(t.conclusion.concl, other))
+
+
+def t_orR2(t: ProofTree, other: Formula) -> ProofTree:
+    return _right("orR2", t, Or(other, t.conclusion.concl))
+
+
+def t_orL_on(t1: ProofTree, a: Formula, t2: ProofTree, b: Formula) -> ProofTree:
+    c1, c2 = t1.conclusion, t2.conclusion
+    if c1.concl != c2.concl:
+        raise KernelError("orL premises must share a conclusion")
+    hyps = _minus(c1.hyps, a) + (Or(a, b),)
+    return ProofTree("orL", Sequent(hyps, c1.concl), (t1, t2))
+
+
+def t_exR(t: ProofTree, target: Exists, witness: Formula) -> ProofTree:
+    return _right("exR", t, target, witness)
+
+
+def t_exL(t: ProofTree, instance: Formula, principal: Exists) -> ProofTree:
+    return _left("exL", t, instance, principal)
+
+
+def t_allR(t: ProofTree, target: Forall) -> ProofTree:
+    return _right("allR", t, target)
+
+
+def t_allL(t: ProofTree, instance: Formula, principal: Forall, witness: Formula) -> ProofTree:
+    return _left("allL", t, instance, principal, witness)
+
+
+def t_schema(concl: Sequent, label: str, bindings: dict[Variable, Formula]) -> ProofTree:
+    return ProofTree("schema", concl, (), (label, dict(bindings)))
+
+
+def t_congruence(premises: tuple[ProofTree, ...], app_from: App, app_to: App) -> ProofTree:
+    ctx = premises[0].conclusion.hyps if premises else ()
+    return ProofTree("congruence", Sequent(ctx + (app_from,), app_to), tuple(premises))
+
+
+def substitute_tree(tree: ProofTree, bindings: dict[Variable, Formula]) -> ProofTree:
+    """Apply a substitution to every sequent and witness of a tree.
+
+    Valid derivations stay valid as long as no substituted variable is
+    quantified along the tree (quantifier-free trees always qualify).
+    """
+    data = tree.data
+    if isinstance(data, Formula):
+        data = substitute(data, bindings)
+    return ProofTree(
+        tree.rule,
+        tree.conclusion.substitute(bindings),
+        tuple(substitute_tree(p, bindings) for p in tree.premises),
+        data,
+    )
+
+
+# Extensionality: replacing provably equivalent subformulas preserves
+# derivability, realized as an explicit tree built by structural induction.
+
+class VariableClash(KernelError):
+    pass
+
+
+def derive_extensionality(context: Formula, hole: Variable, p: Formula, p_prime: Formula) -> ProofTree:
+    """Tree proving  p->p', p'->p, context[p/hole] |- context[p'/hole].
+
+    The free variables of p and p' must avoid the bound variables of the
+    context.  App nodes become congruence steps, which only a theory admits.
+    """
+    clash = (p.free_vars | p_prime.free_vars) & context.bound_vars()
+    if clash:
+        raise VariableClash(f"variables {sorted(v.name for v in clash)} would be captured")
+    return _ext(context, hole, p, p_prime)
+
+
+def _ext(c: Formula, hole: Variable, p: Formula, q: Formula) -> ProofTree:
+    hyp_pq = Implies(p, q)
+    hyp_qp = Implies(q, p)
+    if hole not in c.free_vars:
+        return t_ax(c, extra=(hyp_pq, hyp_qp))
+    sub_p = {hole: p}
+    sub_q = {hole: q}
+    if isinstance(c, Var):  # c is the hole itself
+        t = t_impL(t_ax(p), t_ax(q), q)  # p, p->q |- q
+        return t_wl(t, hyp_qp)
+    if isinstance(c, And):
+        ta = _ext(c.left, hole, p, q)
+        tb = _ext(c.right, hole, p, q)
+        ta = t_andL1(ta, substitute(c.left, sub_p), substitute(c.right, sub_p))
+        tb = t_andL2(tb, substitute(c.right, sub_p), substitute(c.left, sub_p))
+        return t_andR(ta, tb)
+    if isinstance(c, Or):
+        ta = t_orR1(_ext(c.left, hole, p, q), substitute(c.right, sub_q))
+        tb = t_orR2(_ext(c.right, hole, p, q), substitute(c.left, sub_q))
+        return t_orL_on(ta, substitute(c.left, sub_p), tb, substitute(c.right, sub_p))
+    if isinstance(c, Implies):
+        ta = _ext(c.left, hole, q, p)  # ..., A[q] |- A[p]
+        tb = _ext(c.right, hole, p, q)  # ..., B[p] |- B[q]
+        t = t_impL(ta, tb, substitute(c.right, sub_p))
+        t = t_cl_to(t, (hyp_pq, hyp_qp, substitute(c.left, sub_q), substitute(c, sub_p)))
+        return t_impR(t, substitute(c.left, sub_q))
+    if isinstance(c, (Exists, Forall)):
+        body_p = substitute(c.body, sub_p)
+        body_q = substitute(c.body, sub_q)
+        inner = _ext(c.body, hole, p, q)
+        if isinstance(c, Exists):
+            t = t_exR(inner, Exists(c.var, body_q), Var(c.var))
+            return t_exL(t, body_p, Exists(c.var, body_p))
+        t = t_allL(inner, body_p, Forall(c.var, body_p), Var(c.var))
+        return t_allR(t, Forall(c.var, body_q))
+    if isinstance(c, App):
+        prem_trees = []
+        for arg in c.args:
+            fwd = t_impR(_ext(arg, hole, p, q), substitute(arg, sub_p))
+            bwd = t_impR(_ext(arg, hole, q, p), substitute(arg, sub_q))
+            prem_trees.append(t_andR(fwd, bwd))
+        app_p = App(c.symbol, tuple(substitute(a, sub_p) for a in c.args))
+        app_q = App(c.symbol, tuple(substitute(a, sub_q) for a in c.args))
+        return t_congruence(tuple(prem_trees), app_p, app_q)
+    raise KernelError(f"unsupported context node {c!r}")
+
+
+# `_derive` replays on exact multisets the rule `_decide` recorded for each
+# node's set, and emits Def-1.3-style trees.  The record holds where a
 # principal's copy stays beside its replacements: a second (c -> d) -> e proves
 # c -> d iff d -> e does, and is redundant beside e (Dyckhoff, JSL 1992).
 

@@ -36,11 +36,10 @@ from .kernel import (
     Sequent,
     check_rule,
     check_tree,
-    derive_extensionality,
     merge_keys,
 )
 from .parser import FormulaSyntaxError, MalformedScript, Parser, ScriptError
-from .prover import decide
+from .prover import decide, derive_extensionality
 from .syntax import (
     And,
     App,

@@ -7,11 +7,11 @@ from pittslab.connectives import (
     extract_auxiliary,
     is_auxiliary,
 )
-from pittslab.kernel import Sequent, check_tree, t_ax, t_cl, t_cut, t_wl
+from pittslab.kernel import Sequent, check_tree
 from pittslab.kripke import find_countermodel
 from pittslab.parser import parse_formula
 from pittslab.pitts import pite_exists
-from pittslab.prover import equivalent
+from pittslab.prover import equivalent, t_ax, t_cl, t_cut, t_wl
 from pittslab.syntax import BOT, FormulaError, Variable, var
 from pittslab.trees import parse_tree
 

@@ -8,15 +8,11 @@ from pittslab.kernel import (
     ProofTree,
     SchemaTheory,
     Sequent,
-    VariableClash,
     _one_extra,
     check_tree,
-    derive_extensionality,
-    t_ax,
-    t_schema,
 )
 from pittslab.parser import parse_formula, parse_sequent
-from pittslab.prover import decide, derive
+from pittslab.prover import VariableClash, decide, derive, derive_extensionality, t_ax, t_schema
 from pittslab.replays import load_suite
 from pittslab.selftest import random_formula
 from pittslab.syntax import (
@@ -272,8 +268,6 @@ def test_check_report_pinpoints_failure_deep_in_a_chain():
 
 
 def test_cut_with_wrong_merge_rejected():
-    from pittslab.kernel import t_ax
-
     p1 = t_ax(P)
     p2 = t_ax(Q, extra=(P,))
     bad = ProofTree("cut", Sequent([Q], Q), (p1.conclusion and p1, p2), P)

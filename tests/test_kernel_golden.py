@@ -29,12 +29,9 @@ from pittslab.kernel import (
     ProofTree,
     Sequent,
     check_rule,
-    derive_extensionality,
-    t_cut,
-    t_schema,
 )
 from pittslab.parser import Parser
-from pittslab.prover import decide, derive
+from pittslab.prover import decide, derive, derive_extensionality, t_cut, t_schema
 from pittslab.replays import REPLAY_NAMES, load_suite
 from pittslab.selftest import random_formula
 from pittslab.syntax import (

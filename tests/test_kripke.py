@@ -103,6 +103,23 @@ def test_model_validation():
         KripkeModel((0, 1), frozenset({(0, 0)}), ((0, frozenset()), (1, frozenset())))
 
 
+CHAIN = frozenset({(0, 0), (1, 1), (0, 1)})
+
+
+@pytest.mark.parametrize("worlds, order, valuation, fault", [
+    ((0, 0), frozenset({(0, 0)}), ((0, frozenset({"P"})),), "worlds must be distinct"),
+    ((0, 1), CHAIN | {(1, 7), (0, 7), (7, 7)},
+     ((0, frozenset()), (1, frozenset({"P"})), (9, frozenset({"Q"}))), "order must relate"),
+    ((0, 1), CHAIN, ((0, frozenset()), (1, frozenset({"P"})), (9, frozenset({"Q"}))),
+     "valuation must value"),
+    ((0, 1), CHAIN, ((1, frozenset({"P"})), (1, frozenset())), "at most once"),
+], ids=["repeated world", "order outside the worlds", "valuation outside the worlds",
+        "world valued twice"])
+def test_model_rejects_a_malformed_world_set(worlds, order, valuation, fault):
+    with pytest.raises(ValueError, match=fault):
+        KripkeModel(worlds, order, valuation)
+
+
 def test_forcing_negation_semantics():
     model = KripkeModel(
         (0, 1),

@@ -1,9 +1,9 @@
 import pytest
 
 from pittslab.cli import main
-from pittslab.kernel import Sequent, check_tree, substitute_tree
+from pittslab.kernel import Sequent, check_tree
 from pittslab.parser import Parser, parse_sequent
-from pittslab.prover import derive
+from pittslab.prover import derive, substitute_tree
 from pittslab.replays import load_suite
 from pittslab.scripts import (
     MalformedScript,
