@@ -2,19 +2,22 @@
 
 Rules: ax, cut, wL, cL, wR, orL, orR1, orR2, andR, andL1, andL2, impL,
 impR, botL, allL, allR, exR, exL, plus `schema` and `congruence`, which are
-admitted only when a SchemaTheory is in force.  Formulas compare up to
+admitted only when a SchemaTheory is in force.  `Sequent` and `ProofTree`
+are slotted immutable records, like formulas.  Formulas compare up to
 alpha-equivalence, and a sequent's hypothesis multiset is one sorted tuple
 of their keys, `Sequent.hyp_keys`, built with the sequent; every multiset
 check compares, slices or merges these tuples.
 
-`check_rule` checks each rule shape in one place.  The `_PREMISES` table
-holds every premise count, and `_SAME_GOAL` and `_RIGHT` the conclusion
-checks that rules share.  `_principals` is the one matcher of a left rule's
-principal hypothesis and the rest of its context, and `_one_extra` finds the
-one key by which two contexts differ.  The quantifier rules share two
-definitions: a formula is an instance of `Qx. body` at T when
-`substitute(body, {x: T})` equals it (`_instance`), and the eigenvariable
-of allR and exL occurs free nowhere in the conclusion (`_eigen`).
+`_fault` checks each rule shape in one place: `check_tree` calls it on each
+node in one loop over its own stack, and `check_rule` raises its reason.
+The `_PREMISES` table holds every premise count, and `_SAME_GOAL` and
+`_RIGHT` the conclusion checks that rules share.  `_principals` is the one
+matcher of a left rule's principal hypothesis and the rest of its context,
+and `_one_extra` finds the one key by which two contexts differ.  The
+quantifier rules share two definitions: a formula is an instance of
+`Qx. body` at T when `substitute(body, {x: T})` equals it (`_instance`),
+and the eigenvariable of allR and exL occurs free nowhere in the
+conclusion (`_eigen`).
 
 `KripkeModel.refutes` checks a refuted sequent's countermodel by the
 definition of forcing.  Nothing here builds or searches: the tree builders
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .syntax import (
     And,
@@ -34,6 +38,7 @@ from .syntax import (
     Forall,
     Formula,
     FormulaError,
+    Immutable,
     Implies,
     Or,
     Signature,
@@ -51,6 +56,7 @@ RULES = (
     "allL", "allR", "exR", "exL",
     "schema", "congruence",
 )
+_KNOWN = frozenset(RULES)
 
 
 class KernelError(Exception):
@@ -70,15 +76,18 @@ class SideConditionViolated(KernelError):
         super().__init__(f"at node {list(self.path)}: {message}")
 
 
-@dataclass(frozen=True, eq=False)
-class Sequent:
-    hyps: tuple[Formula, ...]
-    concl: Formula
-    hyp_keys: tuple[str, ...] = field(init=False, repr=False)  # the multiset: sorted keys
+_set = object.__setattr__  # constructors write their slots past `Immutable.__setattr__`
+_key, _conclusion = attrgetter("key"), attrgetter("conclusion")
 
-    def __post_init__(self):
-        object.__setattr__(self, "hyps", tuple(self.hyps))
-        object.__setattr__(self, "hyp_keys", tuple(sorted([h.key for h in self.hyps])))
+
+class Sequent(Immutable):
+    __slots__ = ("hyps", "concl", "hyp_keys")
+
+    def __init__(self, hyps, concl: Formula):
+        hyps = tuple(hyps)
+        _set(self, "hyps", hyps)
+        _set(self, "concl", concl)
+        _set(self, "hyp_keys", tuple(sorted(map(_key, hyps))))  # the multiset: sorted keys
 
     def hyp(self, key: str) -> Formula:
         """The first hypothesis with this key."""
@@ -148,17 +157,16 @@ def _require_quantifier_free(label: str, template: Sequent) -> None:
 EMPTY_THEORY = SchemaTheory(name="ipc")
 
 
-@dataclass(frozen=True, eq=False)
-class ProofTree:
-    rule: str
-    conclusion: Sequent
-    premises: tuple["ProofTree", ...] = ()
-    data: object = None
+class ProofTree(Immutable):
+    __slots__ = ("rule", "conclusion", "premises", "data")
 
-    def __post_init__(self):
-        object.__setattr__(self, "premises", tuple(self.premises))
-        if self.rule not in RULES:
-            raise KernelError(f"unknown rule {self.rule!r}")
+    def __init__(self, rule: str, conclusion: Sequent, premises=(), data=None):
+        if rule not in _KNOWN:
+            raise KernelError(f"unknown rule {rule!r}")
+        _set(self, "rule", rule)
+        _set(self, "conclusion", conclusion)
+        _set(self, "premises", tuple(premises))
+        _set(self, "data", data)
 
     def nodes(self):
         """Every node, preorder."""
@@ -373,8 +381,10 @@ def _one_extra(big: tuple[str, ...], small: tuple[str, ...]) -> str | None:
     """The one key sorted `big` holds beyond sorted `small`, or None if they differ otherwise."""
     if len(big) != len(small) + 1:
         return None
-    i = next((i for i, (a, b) in enumerate(zip(big, small)) if a != b), len(small))
-    return big[i] if big[i + 1:] == small[i:] else None
+    for i, key in enumerate(small):
+        if big[i] != key:
+            return big[i] if big[i + 1:] == small[i:] else None
+    return big[-1]
 
 
 def merge_keys(first: tuple[str, ...], second: tuple[str, ...], key: str) -> tuple[str, ...] | None:
@@ -431,12 +441,16 @@ def _eigen(rule, quantified, instance: Formula, data, concl: Sequent, path) -> b
 def check_tree(tree: ProofTree, theory: SchemaTheory | None = None) -> CheckReport:
     """Accept iff every node matches its rule template and side conditions
     hold; a rejection reports the first failing node in preorder."""
-    for node in tree.nodes():
+    todo = [tree]
+    while todo:
+        node = todo.pop()
         try:
-            check_rule(node.rule, node.conclusion, tuple([p.conclusion for p in node.premises]),
-                       node.data, theory)
+            if _fault(node.rule, node.conclusion, tuple(map(_conclusion, node.premises)),
+                      node.data, theory, ()) is not None:
+                break
         except KernelError:
             break
+        todo += node.premises[::-1]
     else:
         return CheckReport(True)
     todo = [(tree, ())]  # only a rejection builds paths: walk again to the failing node
@@ -481,12 +495,14 @@ class KripkeModel:
         for w in ws:
             if (w, w) not in rel:
                 raise ValueError("order must be reflexive")
+        above = {w: set() for w in ws}
+        for (a, b) in rel:
+            above[a].add(b)
         for (a, b) in rel:
             if (b, a) in rel and a != b:
                 raise ValueError("order must be antisymmetric")
-            for (c, d) in rel:
-                if b == c and (a, d) not in rel:
-                    raise ValueError("order must be transitive")
+            if not above[b] <= above[a]:
+                raise ValueError("order must be transitive")
         val = dict(self.valuation)
         for (a, b) in rel:
             if not val.get(a, frozenset()) <= val.get(b, frozenset()):

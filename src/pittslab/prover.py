@@ -34,6 +34,7 @@ from .syntax import (
     Or,
     Var,
     Variable,
+    iff,
     require_plain,
     substitute,
 )
@@ -143,9 +144,10 @@ def decide(s: Sequent) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Witness construction.  Each tree builder returns a ProofTree whose conclusion
-# is computed from the parts, so composite constructions stay well formed by
-# construction; the kernel checks what they build and calls none of them.
+# Witness construction.  Each tree builder computes its ProofTree's conclusion
+# from the parts, so composite constructions stay well formed; a builder whose
+# rule wraps a principal formula takes it, as the search holds it, rather than
+# building it again.  The kernel checks what they build and calls none of them.
 
 def _minus(hyps: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
     """Remove one occurrence of `f` (alpha-equality)."""
@@ -208,45 +210,39 @@ def t_cut(t1: ProofTree, t2: ProofTree) -> ProofTree:
     return ProofTree("cut", Sequent(hyps, t2.conclusion.concl), (t1, t2), phi)
 
 
-def t_impR(t: ProofTree, antecedent: Formula) -> ProofTree:
+def t_impR(t: ProofTree, imp: Implies) -> ProofTree:
     c = t.conclusion
-    return ProofTree("impR", Sequent(_minus(c.hyps, antecedent), Implies(antecedent, c.concl)), (t,))
+    return ProofTree("impR", Sequent(_minus(c.hyps, imp.left), imp), (t,))
 
 
-def t_impL(t1: ProofTree, t2: ProofTree, consequent: Formula) -> ProofTree:
-    phi = t1.conclusion.concl
-    principal = Implies(phi, consequent)
-    hyps = t1.conclusion.hyps + _minus(t2.conclusion.hyps, consequent) + (principal,)
+def t_impL(t1: ProofTree, t2: ProofTree, imp: Implies) -> ProofTree:
+    hyps = t1.conclusion.hyps + _minus(t2.conclusion.hyps, imp.right) + (imp,)
     return ProofTree("impL", Sequent(hyps, t2.conclusion.concl), (t1, t2))
 
 
-def t_andR(t1: ProofTree, t2: ProofTree) -> ProofTree:
-    c1, c2 = t1.conclusion, t2.conclusion
-    return ProofTree("andR", Sequent(c1.hyps, And(c1.concl, c2.concl)), (t1, t2))
+def t_andR(t1: ProofTree, t2: ProofTree, conj: And) -> ProofTree:
+    return ProofTree("andR", Sequent(t1.conclusion.hyps, conj), (t1, t2))
 
 
-def t_andL1(t: ProofTree, part: Formula, partner: Formula) -> ProofTree:
-    return _left("andL1", t, part, And(part, partner))
+def t_andL1(t: ProofTree, part: Formula, conj: And) -> ProofTree:
+    return _left("andL1", t, part, conj)
 
 
-def t_andL2(t: ProofTree, part: Formula, partner: Formula) -> ProofTree:
-    return _left("andL2", t, part, And(partner, part))
+def t_andL2(t: ProofTree, part: Formula, conj: And) -> ProofTree:
+    return _left("andL2", t, part, conj)
 
 
-def t_orR1(t: ProofTree, other: Formula) -> ProofTree:
-    return _right("orR1", t, Or(t.conclusion.concl, other))
+def t_orR1(t: ProofTree, disj: Or) -> ProofTree:
+    return _right("orR1", t, disj)
 
 
-def t_orR2(t: ProofTree, other: Formula) -> ProofTree:
-    return _right("orR2", t, Or(other, t.conclusion.concl))
+def t_orR2(t: ProofTree, disj: Or) -> ProofTree:
+    return _right("orR2", t, disj)
 
 
-def t_orL_on(t1: ProofTree, a: Formula, t2: ProofTree, b: Formula) -> ProofTree:
-    c1, c2 = t1.conclusion, t2.conclusion
-    if c1.concl != c2.concl:
-        raise KernelError("orL premises must share a conclusion")
-    hyps = _minus(c1.hyps, a) + (Or(a, b),)
-    return ProofTree("orL", Sequent(hyps, c1.concl), (t1, t2))
+def t_orL(t1: ProofTree, t2: ProofTree, disj: Or) -> ProofTree:
+    c1 = t1.conclusion
+    return ProofTree("orL", Sequent(_minus(c1.hyps, disj.left) + (disj,), c1.concl), (t1, t2))
 
 
 def t_exR(t: ProofTree, target: Exists, witness: Formula) -> ProofTree:
@@ -315,45 +311,38 @@ def _ext(c: Formula, hole: Variable, p: Formula, q: Formula) -> ProofTree:
     hyp_qp = Implies(q, p)
     if hole not in c.free_vars:
         return t_ax(c, extra=(hyp_pq, hyp_qp))
-    sub_p = {hole: p}
-    sub_q = {hole: q}
     if isinstance(c, Var):  # c is the hole itself
-        t = t_impL(t_ax(p), t_ax(q), q)  # p, p->q |- q
+        t = t_impL(t_ax(p), t_ax(q), hyp_pq)  # p, p->q |- q
         return t_wl(t, hyp_qp)
+    # no binder of c captures p or q, so these keep c's binders
+    cp, cq = substitute(c, {hole: p}), substitute(c, {hole: q})
     if isinstance(c, And):
-        ta = _ext(c.left, hole, p, q)
-        tb = _ext(c.right, hole, p, q)
-        ta = t_andL1(ta, substitute(c.left, sub_p), substitute(c.right, sub_p))
-        tb = t_andL2(tb, substitute(c.right, sub_p), substitute(c.left, sub_p))
-        return t_andR(ta, tb)
+        ta = t_andL1(_ext(c.left, hole, p, q), cp.left, cp)
+        tb = t_andL2(_ext(c.right, hole, p, q), cp.right, cp)
+        return t_andR(ta, tb, cq)
     if isinstance(c, Or):
-        ta = t_orR1(_ext(c.left, hole, p, q), substitute(c.right, sub_q))
-        tb = t_orR2(_ext(c.right, hole, p, q), substitute(c.left, sub_q))
-        return t_orL_on(ta, substitute(c.left, sub_p), tb, substitute(c.right, sub_p))
+        ta = t_orR1(_ext(c.left, hole, p, q), cq)
+        tb = t_orR2(_ext(c.right, hole, p, q), cq)
+        return t_orL(ta, tb, cp)
     if isinstance(c, Implies):
         ta = _ext(c.left, hole, q, p)  # ..., A[q] |- A[p]
         tb = _ext(c.right, hole, p, q)  # ..., B[p] |- B[q]
-        t = t_impL(ta, tb, substitute(c.right, sub_p))
-        t = t_cl_to(t, (hyp_pq, hyp_qp, substitute(c.left, sub_q), substitute(c, sub_p)))
-        return t_impR(t, substitute(c.left, sub_q))
-    if isinstance(c, (Exists, Forall)):
-        body_p = substitute(c.body, sub_p)
-        body_q = substitute(c.body, sub_q)
-        inner = _ext(c.body, hole, p, q)
-        if isinstance(c, Exists):
-            t = t_exR(inner, Exists(c.var, body_q), Var(c.var))
-            return t_exL(t, body_p, Exists(c.var, body_p))
-        t = t_allL(inner, body_p, Forall(c.var, body_p), Var(c.var))
-        return t_allR(t, Forall(c.var, body_q))
+        t = t_cl_to(t_impL(ta, tb, cp), (hyp_pq, hyp_qp, cq.left, cp))
+        return t_impR(t, cq)
+    if isinstance(c, Exists):
+        t = t_exR(_ext(c.body, hole, p, q), cq, Var(c.var))
+        return t_exL(t, cp.body, cp)
+    if isinstance(c, Forall):
+        t = t_allL(_ext(c.body, hole, p, q), cp.body, cp, Var(c.var))
+        return t_allR(t, cq)
     if isinstance(c, App):
         prem_trees = []
-        for arg in c.args:
-            fwd = t_impR(_ext(arg, hole, p, q), substitute(arg, sub_p))
-            bwd = t_impR(_ext(arg, hole, q, p), substitute(arg, sub_q))
-            prem_trees.append(t_andR(fwd, bwd))
-        app_p = App(c.symbol, tuple(substitute(a, sub_p) for a in c.args))
-        app_q = App(c.symbol, tuple(substitute(a, sub_q) for a in c.args))
-        return t_congruence(tuple(prem_trees), app_p, app_q)
+        for arg, a, b in zip(c.args, cp.args, cq.args):
+            both = iff(a, b)
+            fwd = t_impR(_ext(arg, hole, p, q), both.left)
+            bwd = t_impR(_ext(arg, hole, q, p), both.right)
+            prem_trees.append(t_andR(fwd, bwd, both))
+        return t_congruence(tuple(prem_trees), cp, cq)
     raise KernelError(f"unsupported context node {c!r}")
 
 
@@ -362,75 +351,75 @@ def _ext(c: Formula, hole: Variable, p: Formula, q: Formula) -> ProofTree:
 # principal's copy stays beside its replacements: a second (c -> d) -> e proves
 # c -> d iff d -> e does, and is redundant beside e (Dyckhoff, JSL 1992).
 
-def _lemma_curry(h: Implies) -> ProofTree:
-    """(A /\\ B) -> C |- A -> (B -> C)"""
-    a, b, c = h.left.left, h.left.right, h.right
-    ta = t_andR(t_ax(a, extra=(b,)), t_ax(b, extra=(a,)))
-    t = t_impL(ta, t_ax(c), c)  # A, B, (A/\B)->C |- C
-    return t_impR(t_impR(t, b), a)
-
-
-def _lemma_or_part(h: Implies, first: bool) -> ProofTree:
-    """(A \\/ B) -> C |- A -> C   (or B -> C when not `first`)"""
+def _lemma_curry(h: Implies, curried: Implies) -> ProofTree:
+    """(A /\\ B) -> C |- A -> (B -> C), the last given as `curried`"""
     a, b = h.left.left, h.left.right
-    inj = t_orR1(t_ax(a), b) if first else t_orR2(t_ax(b), a)
-    t = t_impL(inj, t_ax(h.right), h.right)  # A (or B), (A\/B)->C |- C
-    return t_impR(t, a if first else b)
+    ta = t_andR(t_ax(a, extra=(b,)), t_ax(b, extra=(a,)), h.left)
+    t = t_impL(ta, t_ax(h.right), h)  # A, B, (A/\B)->C |- C
+    return t_impR(t_impR(t, curried.right), curried)
 
 
-def _lemma_nested(h: Implies) -> ProofTree:
-    """(A -> B) -> C |- B -> C"""
-    a, b, c = h.left.left, h.left.right, h.right
-    tb = t_impR(t_ax(b, extra=(a,)), a)  # B |- A -> B
-    t = t_impL(tb, t_ax(c), c)  # B, (A->B)->C |- C
-    return t_impR(t, b)
+def _lemma_or_part(h: Implies, part: Implies, first: bool) -> ProofTree:
+    """(A \\/ B) -> C |- A -> C, given as `part` (B -> C when not `first`)"""
+    inj = (t_orR1 if first else t_orR2)(t_ax(part.left), h.left)
+    t = t_impL(inj, t_ax(h.right), h)  # A (or B), (A\/B)->C |- C
+    return t_impR(t, part)
+
+
+def _lemma_nested(h: Implies, d_e: Implies) -> ProofTree:
+    """(A -> B) -> C |- B -> C, the last given as `d_e`"""
+    a_b = h.left
+    tb = t_impR(t_ax(a_b.right, extra=(a_b.left,)), a_b)  # B |- A -> B
+    t = t_impL(tb, t_ax(h.right), h)  # B, (A->B)->C |- C
+    return t_impR(t, d_e)
 
 
 def _derive(hyps: tuple, goal: Formula) -> ProofTree:
-    for h in hyps:
+    for i, h in enumerate(hyps):
         if isinstance(h, Bottom):
-            return t_botL(goal, extra=_minus(hyps, h))
-        if h == goal:
-            return t_ax(goal, extra=_minus(hyps, h))
+            return t_botL(goal, extra=hyps[:i] + hyps[i + 1:])
+        if h.key == goal.key:
+            return t_ax(goal, extra=hyps[:i] + hyps[i + 1:])
 
     base = frozenset(hyps)
     rule = _decide(base, goal)
     if rule is _RIGHT:
         if isinstance(goal, And):
-            return t_andR(_derive(hyps, goal.left), _derive(hyps, goal.right))
-        return t_impR(_derive(hyps + (goal.left,), goal.right), goal.left)
+            return t_andR(_derive(hyps, goal.left), _derive(hyps, goal.right), goal)
+        return t_impR(_derive(hyps + (goal.left,), goal.right), goal)
     if rule is _FIRST:
-        return t_orR1(_derive(hyps, goal.left), goal.right)
+        return t_orR1(_derive(hyps, goal.left), goal)
     if rule is _SECOND:
-        return t_orR2(_derive(hyps, goal.right), goal.left)
+        return t_orR2(_derive(hyps, goal.right), goal)
 
-    h = rule
-    rest = _minus(hyps, h)
+    i = [h.key for h in hyps].index(rule.key)  # this sequent's copy of the memo's principal
+    h, rest = hyps[i], hyps[:i] + hyps[i + 1:]
     step = _left_step((h,), base)
     if step is None:  # the (c -> d) -> e choice
         d_e, e = _nested_premises(h)
         # rest, h |- c -> d, then the implication left rule on h
-        q = t_cut(_lemma_nested(h), _derive(rest + (d_e,), h.left))
-        return t_cl_to(t_impL(q, _derive(rest + (e,), goal), e), hyps)
+        q = t_cut(_lemma_nested(h, d_e), _derive(rest + (d_e,), h.left))
+        return t_cl_to(t_impL(q, _derive(rest + (e,), goal), h), hyps)
 
     ts = [_derive(rest + replacement, goal) for replacement in step[1]]
     # The rule's tree over its premises' trees.
     if isinstance(h, And):
-        t = t_andL2(ts[0], h.right, h.left)
-        t = t_andL1(t, h.left, h.right)
+        t = t_andL2(ts[0], h.right, h)
+        t = t_andL1(t, h.left, h)
         return t_cl(t, h)
     if isinstance(h, Or):
-        return t_orL_on(ts[0], h.left, ts[1], h.right)
+        return t_orL(ts[0], ts[1], h)
     a = h.left
     if isinstance(a, Bottom):
         return t_wl(ts[0], h)
     if isinstance(a, Var):
-        t = t_impL(t_ax(a), ts[0], h.right)
+        t = t_impL(t_ax(a), ts[0], h)
         return t_cl(t, a)
     if isinstance(a, And):
-        return t_cut(_lemma_curry(h), ts[0])
-    t = t_cut(_lemma_or_part(h, True), ts[0])
-    t = t_cut(_lemma_or_part(h, False), t)
+        return t_cut(_lemma_curry(h, step[1][0][0]), ts[0])
+    first, second = step[1][0]
+    t = t_cut(_lemma_or_part(h, first, True), ts[0])
+    t = t_cut(_lemma_or_part(h, second, False), t)
     return t_cl(t, h)
 
 

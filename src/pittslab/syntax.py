@@ -76,7 +76,20 @@ class Signature:
         return all(other.get(s.name) == s for s in self.symbols.values())
 
 
-class Formula:
+class Immutable:
+    """Base of slotted records whose constructors write every slot once, with
+    `object.__setattr__`; afterwards assigning or deleting one raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
+
+
+class Formula(Immutable):
     """Base class; concrete nodes are Var, Bottom, And, Or, Implies, Exists, Forall, App.
 
     A node is built after its children, so its constructor sets its key,
@@ -92,12 +105,6 @@ class Formula:
     has_quantifier: bool
     has_app: bool
     free_vars: frozenset[Variable]
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: formulas are immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: formulas are immutable")
 
     def __eq__(self, other):
         if self is other:
@@ -124,7 +131,7 @@ class Formula:
         return f"<{type(self).__name__} {self}>"
 
 
-# Constructors write their slots past `Formula.__setattr__`.
+# Constructors write their slots past `Immutable.__setattr__`.
 _set = object.__setattr__
 
 

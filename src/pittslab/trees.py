@@ -88,9 +88,10 @@ def print_tree(tree: ProofTree) -> str:
     texts: dict[str, str] = {}
 
     def show(f: Formula) -> str:
-        if f.has_quantifier or f.key not in texts:  # alpha-variants share a key, not a text
-            texts[f.key] = print_formula(f)
-        return texts[f.key]
+        text = texts.get(f.key)
+        if text is None or f.has_quantifier:  # alpha-variants share a key, not a text
+            text = texts[f.key] = print_formula(f)
+        return text
 
     lines = []
     todo = [(tree, 0, 1)]  # node, depth, ')'s owed once its subtree is written

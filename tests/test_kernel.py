@@ -5,6 +5,7 @@ import pytest
 
 from pittslab.kernel import (
     EMPTY_THEORY,
+    KernelError,
     ProofTree,
     SchemaTheory,
     Sequent,
@@ -34,6 +35,34 @@ from pittslab.trees import parse_tree, print_tree
 
 P, Q, Z = var("P"), var("Q"), var("Z")
 HOLE = Variable("HOLE")
+
+
+def test_sequents_and_tree_nodes_refuse_assignment_and_deletion():
+    s = Sequent([P, Q], P)
+    node = ProofTree("ax", Sequent([P], P))
+    for record in (s, node):
+        assert not hasattr(record, "__dict__")
+        for name in type(record).__slots__ + ("extra",):
+            before = getattr(record, name, None)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name, None) is before
+
+
+def test_an_unknown_rule_is_a_kernel_error():
+    with pytest.raises(KernelError, match="unknown rule 'nosuch'"):
+        ProofTree("nosuch", Sequent([P], P))
+
+
+def test_sequents_compare_as_multisets_and_are_unhashable():
+    assert Sequent([P, Q, P], Z) == Sequent((Q, P, P), Z)
+    assert Sequent([P, Q], Z) != Sequent([P, Q, Q], Z)
+    assert Sequent([P], Z) != Sequent([P], Q)
+    assert Sequent([P, Q], Z).hyp_keys == ("vP", "vQ")
+    with pytest.raises(TypeError):
+        hash(Sequent([P], P))
 
 
 def test_single_ax_node_accepted():

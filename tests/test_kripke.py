@@ -120,6 +120,19 @@ def test_model_rejects_a_malformed_world_set(worlds, order, valuation, fault):
         KripkeModel(worlds, order, valuation)
 
 
+def test_order_checks_take_one_pass_per_pair():
+    # a 60-world chain has 1,830 pairs; a pairwise transitivity test took 0.15 s
+    n = 60
+    chain = frozenset((a, b) for a in range(n) for b in range(a, n))
+    start = time.perf_counter()
+    KripkeModel(tuple(range(n)), chain, ())
+    assert time.perf_counter() - start < 0.05
+    with pytest.raises(ValueError, match="order must be transitive"):
+        KripkeModel(tuple(range(3)), frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 2)}), ())
+    with pytest.raises(ValueError, match="order must be antisymmetric"):
+        KripkeModel((0, 1), frozenset({(0, 0), (1, 1), (0, 1), (1, 0)}), ())
+
+
 def test_forcing_negation_semantics():
     model = KripkeModel(
         (0, 1),

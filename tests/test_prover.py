@@ -17,7 +17,7 @@ from pittslab.prover import (
     prove,
 )
 from pittslab.selftest import random_formula
-from pittslab.syntax import UnsupportedFormula
+from pittslab.syntax import And, Implies, Or, UnsupportedFormula, _Binary
 
 
 def seq(text):
@@ -32,6 +32,26 @@ def test_identity_and_simple_facts():
     assert not decide(seq("~~P |- P"))
     assert decide(seq("~~~P |- ~P"))
     assert decide(seq("|- bot -> Q"))
+
+
+@pytest.mark.parametrize("text", ["A /\\ B |- B /\\ A", "P \\/ Q, P -> R, Q -> R |- R"])
+def test_derive_reuses_the_sequents_formulas(text, monkeypatch):
+    # every principal and goal a rule wraps is one the search already holds
+    built = []
+    for cls in (And, Or, Implies):
+        def counting(self, left, right, cls=cls):
+            built.append(cls)
+            _Binary.__init__(self, left, right)
+        monkeypatch.setattr(cls, "__init__", counting)
+    decide(seq(text))  # the memo now holds equal formulas that are other objects
+    s = seq(text)
+    assert built  # the parser's nodes were counted
+    built.clear()
+    tree = derive(s)
+    assert built == [] and check_tree(tree).ok
+    root = tree.conclusion
+    assert root.concl is s.concl and root == s
+    assert all(any(h is g for g in s.hyps) for h in root.hyps)
 
 
 def test_monstrous_sequent_is_provable():
