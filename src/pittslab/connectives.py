@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .kernel import ProofTree, Sequent, check_tree, is_cut_free
 from .pitts import pite_exists
-from .prover import decide, derive, t_exR
+from .prover import decide, derive, t_right
 from .syntax import (
     BOT,
     Exists,
@@ -91,7 +91,7 @@ def is_auxiliary(c: RegularConnective, candidate: Formula) -> AuxiliaryReport:
             raise AssertionError("interpolant lost the forward direction")
         # backward: interpolant |- Phi(candidate), then exists-right
         base = derive(Sequent((interpolant,), c.instance(candidate)))
-        tree = t_exR(base, c.quantified(), candidate)
+        tree = t_right("exR", c.quantified(), base, data=candidate)
         rep = check_tree(tree)
         if not rep.ok:
             raise AssertionError(f"witness tree failed the kernel: {rep.message}")

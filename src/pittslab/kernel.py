@@ -479,54 +479,54 @@ class KripkeModel:
     worlds: tuple
     order: frozenset  # reflexive-transitive pairs (u, v) meaning u <= v
     valuation: tuple  # tuple of (world, frozenset of atom names)
+    # read once: each world's index, the mask of the worlds above each world
+    # (itself included), and the mask of the worlds forcing each atom
+    _frame: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        ws = set(self.worlds)
-        if len(ws) != len(self.worlds):
+        index = {w: i for i, w in enumerate(self.worlds)}
+        if len(index) != len(self.worlds):
             raise ValueError("worlds must be distinct")
-        rel = self.order
-        if not {w for pair in rel for w in pair} <= ws:
+        if not all(a in index and b in index for a, b in self.order):
             raise ValueError("order must relate worlds of the model")
         valued = [w for w, _ in self.valuation]
         if len(set(valued)) != len(valued):
             raise ValueError("a world must be valued at most once")
-        if not ws.issuperset(valued):
+        if not all(w in index for w in valued):
             raise ValueError("valuation must value worlds of the model")
-        for w in ws:
-            if (w, w) not in rel:
-                raise ValueError("order must be reflexive")
-        above = {w: set() for w in ws}
-        for (a, b) in rel:
-            above[a].add(b)
-        for (a, b) in rel:
-            if (b, a) in rel and a != b:
+        up = [0] * len(index)
+        for a, b in self.order:
+            up[index[a]] |= 1 << index[b]
+        if not all(u >> i & 1 for i, u in enumerate(up)):
+            raise ValueError("order must be reflexive")
+        for a, b in self.order:
+            i, j = index[a], index[b]
+            if i != j and up[j] >> i & 1:
                 raise ValueError("order must be antisymmetric")
-            if not above[b] <= above[a]:
+            if up[j] & ~up[i]:
                 raise ValueError("order must be transitive")
-        val = dict(self.valuation)
-        for (a, b) in rel:
-            if not val.get(a, frozenset()) <= val.get(b, frozenset()):
+        atoms: dict[str, int] = {}
+        for w, names in self.valuation:
+            for name in names:
+                atoms[name] = atoms.get(name, 0) | 1 << index[w]
+        for w, names in self.valuation:
+            if any(up[index[w]] & ~atoms[name] for name in names):
                 raise ValueError("valuation must be persistent along the order")
+        object.__setattr__(self, "_frame", (index, up, atoms))
 
     def forces(self, w, f: Formula) -> bool:
-        return bool(self._forced((f,))[f.key] >> self.worlds.index(w) & 1)
+        return bool(self._forced((f,))[f.key] >> self._frame[0][w] & 1)
 
     def refutes(self, w, s: Sequent) -> bool:
         forced = self._forced((*s.hyps, s.concl))
-        bit = 1 << self.worlds.index(w)
+        bit = 1 << self._frame[0][w]
         return all(forced[h.key] & bit for h in s.hyps) and not forced[s.concl.key] & bit
 
     def _forced(self, fs) -> dict[str, int]:
         """The worlds forcing each subformula of `fs`, by key, as a mask with
         bit i for world `worlds[i]`, by the definition: each distinct
         subformula once, children first, over an explicit stack."""
-        val = dict(self.valuation)
-        atoms: dict[str, int] = {}
-        up = []  # up[i]: the worlds above worlds[i], itself included
-        for i, w in enumerate(self.worlds):
-            for name in val.get(w, ()):
-                atoms[name] = atoms.get(name, 0) | 1 << i
-            up.append(sum(1 << j for j, v in enumerate(self.worlds) if (w, v) in self.order))
+        _, up, atoms = self._frame
         # A connective is pushed again below a None marker, under its
         # operands; popping the marker combines the last two masks of `done`.
         out: dict[str, int] = {}

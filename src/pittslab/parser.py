@@ -199,14 +199,18 @@ class Parser:
                 pending.append((_OPEN, None, None, 0))
                 continue
             if kind == "ident":
-                if toks.peek()[0] == "lpar":
+                if toks.peek()[0] != "lpar":
+                    f = _leaf(value)
+                else:
                     sym = self.signature.get(value)
                     if sym is None:
                         raise FormulaSyntaxError(f"unknown connective {value!r}", off)
                     toks.next()
-                    pending.append((_OPEN, sym, [], 0))
-                    continue
-                f = _leaf(value)
+                    if sym.arity or toks.peek()[0] != "rpar":
+                        pending.append((_OPEN, sym, [], 0))
+                        continue
+                    toks.next()  # `name()`, a nullary connective
+                    f = App(sym, ())
             elif kind in _CONSTANTS:
                 f = _CONSTANTS[kind]
             elif kind == "hole":

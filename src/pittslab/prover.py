@@ -3,8 +3,9 @@
 Proof search runs in a contraction-free calculus (G4ip): the left rules for
 implication are split on the head connective of the antecedent, so search
 terminates without loop checking.  Successful searches are replayed into
-plain sequent-calculus trees (with cuts) that the kernel checks.  The tree
-builders (`t_*`, `derive_extensionality`) are here; the kernel calls none.
+plain sequent-calculus trees (with cuts) that the kernel checks, built here
+by the `t_*` builders; the two shape builders `t_left` and `t_right` take the
+rule's name, and the kernel calls none of them.
 
 The rule schedule is written once: `_left_step` applies the invertible
 left rules to the first reducible hypothesis in key order (`_by_key`), and
@@ -147,7 +148,8 @@ def decide(s: Sequent) -> bool:
 # Witness construction.  Each tree builder computes its ProofTree's conclusion
 # from the parts, so composite constructions stay well formed; a builder whose
 # rule wraps a principal formula takes it, as the search holds it, rather than
-# building it again.  The kernel checks what they build and calls none of them.
+# building it again.  `t_left` and `t_right` build every rule whose conclusion
+# has their shape.  The kernel checks what they build and calls none of them.
 
 def _minus(hyps: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
     """Remove one occurrence of `f` (alpha-equality)."""
@@ -162,17 +164,6 @@ def _weakened(t: ProofTree, extra) -> ProofTree:
     for g in extra:
         t = t_wl(t, g)
     return t
-
-
-def _left(rule: str, t: ProofTree, old: Formula, new: Formula, data=None) -> ProofTree:
-    """`rule` below t: one copy of hypothesis `old` becomes `new`."""
-    c = t.conclusion
-    return ProofTree(rule, Sequent(_minus(c.hyps, old) + (new,), c.concl), (t,), data)
-
-
-def _right(rule: str, t: ProofTree, goal: Formula, data=None) -> ProofTree:
-    """`rule` below t: the same hypotheses prove `goal`."""
-    return ProofTree(rule, Sequent(t.conclusion.hyps, goal), (t,), data)
 
 
 def t_ax(f: Formula, extra=()) -> ProofTree:
@@ -220,49 +211,16 @@ def t_impL(t1: ProofTree, t2: ProofTree, imp: Implies) -> ProofTree:
     return ProofTree("impL", Sequent(hyps, t2.conclusion.concl), (t1, t2))
 
 
-def t_andR(t1: ProofTree, t2: ProofTree, conj: And) -> ProofTree:
-    return ProofTree("andR", Sequent(t1.conclusion.hyps, conj), (t1, t2))
+def t_left(rule: str, old: Formula, new: Formula, *premises: ProofTree, data=None) -> ProofTree:
+    """`rule` below its premises: the first premise's hypotheses, with one copy
+    of `old` replaced by `new`, prove the same goal."""
+    c = premises[0].conclusion
+    return ProofTree(rule, Sequent(_minus(c.hyps, old) + (new,), c.concl), premises, data)
 
 
-def t_andL1(t: ProofTree, part: Formula, conj: And) -> ProofTree:
-    return _left("andL1", t, part, conj)
-
-
-def t_andL2(t: ProofTree, part: Formula, conj: And) -> ProofTree:
-    return _left("andL2", t, part, conj)
-
-
-def t_orR1(t: ProofTree, disj: Or) -> ProofTree:
-    return _right("orR1", t, disj)
-
-
-def t_orR2(t: ProofTree, disj: Or) -> ProofTree:
-    return _right("orR2", t, disj)
-
-
-def t_orL(t1: ProofTree, t2: ProofTree, disj: Or) -> ProofTree:
-    c1 = t1.conclusion
-    return ProofTree("orL", Sequent(_minus(c1.hyps, disj.left) + (disj,), c1.concl), (t1, t2))
-
-
-def t_exR(t: ProofTree, target: Exists, witness: Formula) -> ProofTree:
-    return _right("exR", t, target, witness)
-
-
-def t_exL(t: ProofTree, instance: Formula, principal: Exists) -> ProofTree:
-    return _left("exL", t, instance, principal)
-
-
-def t_allR(t: ProofTree, target: Forall) -> ProofTree:
-    return _right("allR", t, target)
-
-
-def t_allL(t: ProofTree, instance: Formula, principal: Forall, witness: Formula) -> ProofTree:
-    return _left("allL", t, instance, principal, witness)
-
-
-def t_schema(concl: Sequent, label: str, bindings: dict[Variable, Formula]) -> ProofTree:
-    return ProofTree("schema", concl, (), (label, dict(bindings)))
+def t_right(rule: str, goal: Formula, *premises: ProofTree, data=None) -> ProofTree:
+    """`rule` below its premises: the first premise's hypotheses prove `goal`."""
+    return ProofTree(rule, Sequent(premises[0].conclusion.hyps, goal), premises, data)
 
 
 def t_congruence(premises: tuple[ProofTree, ...], app_from: App, app_to: App) -> ProofTree:
@@ -317,31 +275,31 @@ def _ext(c: Formula, hole: Variable, p: Formula, q: Formula) -> ProofTree:
     # no binder of c captures p or q, so these keep c's binders
     cp, cq = substitute(c, {hole: p}), substitute(c, {hole: q})
     if isinstance(c, And):
-        ta = t_andL1(_ext(c.left, hole, p, q), cp.left, cp)
-        tb = t_andL2(_ext(c.right, hole, p, q), cp.right, cp)
-        return t_andR(ta, tb, cq)
+        ta = t_left("andL1", cp.left, cp, _ext(c.left, hole, p, q))
+        tb = t_left("andL2", cp.right, cp, _ext(c.right, hole, p, q))
+        return t_right("andR", cq, ta, tb)
     if isinstance(c, Or):
-        ta = t_orR1(_ext(c.left, hole, p, q), cq)
-        tb = t_orR2(_ext(c.right, hole, p, q), cq)
-        return t_orL(ta, tb, cp)
+        ta = t_right("orR1", cq, _ext(c.left, hole, p, q))
+        tb = t_right("orR2", cq, _ext(c.right, hole, p, q))
+        return t_left("orL", cp.left, cp, ta, tb)
     if isinstance(c, Implies):
         ta = _ext(c.left, hole, q, p)  # ..., A[q] |- A[p]
         tb = _ext(c.right, hole, p, q)  # ..., B[p] |- B[q]
         t = t_cl_to(t_impL(ta, tb, cp), (hyp_pq, hyp_qp, cq.left, cp))
         return t_impR(t, cq)
     if isinstance(c, Exists):
-        t = t_exR(_ext(c.body, hole, p, q), cq, Var(c.var))
-        return t_exL(t, cp.body, cp)
+        t = t_right("exR", cq, _ext(c.body, hole, p, q), data=Var(c.var))
+        return t_left("exL", cp.body, cp, t)
     if isinstance(c, Forall):
-        t = t_allL(_ext(c.body, hole, p, q), cp.body, cp, Var(c.var))
-        return t_allR(t, cq)
+        t = t_left("allL", cp.body, cp, _ext(c.body, hole, p, q), data=Var(c.var))
+        return t_right("allR", cq, t)
     if isinstance(c, App):
         prem_trees = []
         for arg, a, b in zip(c.args, cp.args, cq.args):
             both = iff(a, b)
             fwd = t_impR(_ext(arg, hole, p, q), both.left)
             bwd = t_impR(_ext(arg, hole, q, p), both.right)
-            prem_trees.append(t_andR(fwd, bwd, both))
+            prem_trees.append(t_right("andR", both, fwd, bwd))
         return t_congruence(tuple(prem_trees), cp, cq)
     raise KernelError(f"unsupported context node {c!r}")
 
@@ -354,14 +312,14 @@ def _ext(c: Formula, hole: Variable, p: Formula, q: Formula) -> ProofTree:
 def _lemma_curry(h: Implies, curried: Implies) -> ProofTree:
     """(A /\\ B) -> C |- A -> (B -> C), the last given as `curried`"""
     a, b = h.left.left, h.left.right
-    ta = t_andR(t_ax(a, extra=(b,)), t_ax(b, extra=(a,)), h.left)
+    ta = t_right("andR", h.left, t_ax(a, extra=(b,)), t_ax(b, extra=(a,)))
     t = t_impL(ta, t_ax(h.right), h)  # A, B, (A/\B)->C |- C
     return t_impR(t_impR(t, curried.right), curried)
 
 
-def _lemma_or_part(h: Implies, part: Implies, first: bool) -> ProofTree:
-    """(A \\/ B) -> C |- A -> C, given as `part` (B -> C when not `first`)"""
-    inj = (t_orR1 if first else t_orR2)(t_ax(part.left), h.left)
+def _lemma_or_part(h: Implies, part: Implies, rule: str) -> ProofTree:
+    """(A \\/ B) -> C |- A -> C, given as `part` (B -> C when `rule` is orR2)"""
+    inj = t_right(rule, h.left, t_ax(part.left))
     t = t_impL(inj, t_ax(h.right), h)  # A (or B), (A\/B)->C |- C
     return t_impR(t, part)
 
@@ -385,12 +343,12 @@ def _derive(hyps: tuple, goal: Formula) -> ProofTree:
     rule = _decide(base, goal)
     if rule is _RIGHT:
         if isinstance(goal, And):
-            return t_andR(_derive(hyps, goal.left), _derive(hyps, goal.right), goal)
+            return t_right("andR", goal, _derive(hyps, goal.left), _derive(hyps, goal.right))
         return t_impR(_derive(hyps + (goal.left,), goal.right), goal)
     if rule is _FIRST:
-        return t_orR1(_derive(hyps, goal.left), goal)
+        return t_right("orR1", goal, _derive(hyps, goal.left))
     if rule is _SECOND:
-        return t_orR2(_derive(hyps, goal.right), goal)
+        return t_right("orR2", goal, _derive(hyps, goal.right))
 
     i = [h.key for h in hyps].index(rule.key)  # this sequent's copy of the memo's principal
     h, rest = hyps[i], hyps[:i] + hyps[i + 1:]
@@ -404,11 +362,11 @@ def _derive(hyps: tuple, goal: Formula) -> ProofTree:
     ts = [_derive(rest + replacement, goal) for replacement in step[1]]
     # The rule's tree over its premises' trees.
     if isinstance(h, And):
-        t = t_andL2(ts[0], h.right, h)
-        t = t_andL1(t, h.left, h)
+        t = t_left("andL2", h.right, h, ts[0])
+        t = t_left("andL1", h.left, h, t)
         return t_cl(t, h)
     if isinstance(h, Or):
-        return t_orL(ts[0], ts[1], h)
+        return t_left("orL", h.left, h, *ts)
     a = h.left
     if isinstance(a, Bottom):
         return t_wl(ts[0], h)
@@ -418,8 +376,8 @@ def _derive(hyps: tuple, goal: Formula) -> ProofTree:
     if isinstance(a, And):
         return t_cut(_lemma_curry(h, step[1][0][0]), ts[0])
     first, second = step[1][0]
-    t = t_cut(_lemma_or_part(h, first, True), ts[0])
-    t = t_cut(_lemma_or_part(h, second, False), t)
+    t = t_cut(_lemma_or_part(h, first, "orR1"), ts[0])
+    t = t_cut(_lemma_or_part(h, second, "orR2"), t)
     return t_cl(t, h)
 
 

@@ -4,9 +4,10 @@ S-expression format, one node per parenthesized group:
 
     (<rule> "<sequent>" ["<extra>"] <child>*)
 
-The extra string is positional: the cut formula for `cut`, the witness for
-`exR` / `allL`, and `<name> {X := ...}` for `schema`.  A subtree's closing
-`)`s end its last line.  Both directions walk the tree over an explicit stack.
+`_DATUM` names the one extra string each rule may carry, the only data the
+kernel reads: the cut formula, the exR / allL witness, the allR / exL
+eigenvariable, or `<name> {X := ...}` for schema.  A subtree's closing `)`s
+end its last line.  Both directions walk the tree over an explicit stack.
 """
 from __future__ import annotations
 
@@ -15,8 +16,10 @@ import re
 from .kernel import RULES, ProofTree
 from .parser import MalformedScript, Parser
 from .printer import print_formula
-from .syntax import Formula, Signature
+from .syntax import Formula, Signature, Variable
 
+_DATUM = {"cut": Formula, "exR": Formula, "allL": Formula,
+          "allR": Variable, "exL": Variable, "schema": tuple}
 _TOKEN = re.compile(r'\s*(\(|\)|"(?:[^"\\]|\\.)*"|[^\s()"]+)')
 
 
@@ -56,10 +59,12 @@ def _node(tokens: list[str], i: int, parser: Parser):
     seq = parser.parse_sequent(quoted[1:-1])
     i += 1
     data = None
-    if rule in ("cut", "exR", "allL", "schema") and _token(tokens, i).startswith('"'):
+    kind = _DATUM.get(rule)
+    if kind is not None and _token(tokens, i).startswith('"'):
         raw = tokens[i][1:-1]
         i += 1
-        data = parser.schema_reference(raw) if rule == "schema" else parser.parse(raw)
+        data = (parser.parse(raw) if kind is Formula else Variable(raw) if kind is Variable
+                else parser.schema_reference(raw))
     return rule, seq, data, i
 
 
@@ -98,12 +103,13 @@ def print_tree(tree: ProofTree) -> str:
     while todo:
         node, depth, close = todo.pop()
         line = f'{"  " * depth}({node.rule} "{node.conclusion.text(show)}"'
-        if isinstance(node.data, Formula):
-            line += f' "{show(node.data)}"'
-        elif isinstance(node.data, tuple) and node.rule == "schema":
-            name, bindings = node.data
-            inner = ", ".join(f"{v.name} := {show(f)}" for v, f in sorted(bindings.items()))
-            line += f' "{name} {{{inner}}}"'
+        data = node.data
+        if isinstance(data, _DATUM.get(node.rule, ())):
+            if isinstance(data, tuple):
+                name, bindings = data
+                inner = ", ".join(f"{v.name} := {show(f)}" for v, f in sorted(bindings.items()))
+                data = f"{name} {{{inner}}}"
+            line += f' "{show(data) if isinstance(data, Formula) else data}"'
         if node.premises:
             todo.append((node.premises[-1], depth + 1, close + 1))
             todo.extend((p, depth + 1, 1) for p in reversed(node.premises[:-1]))

@@ -13,7 +13,7 @@ from pittslab.kernel import (
     check_tree,
 )
 from pittslab.parser import parse_formula, parse_sequent
-from pittslab.prover import VariableClash, decide, derive, derive_extensionality, t_ax, t_schema
+from pittslab.prover import VariableClash, decide, derive, derive_extensionality, t_ax
 from pittslab.replays import load_suite
 from pittslab.selftest import random_formula
 from pittslab.syntax import (
@@ -146,7 +146,7 @@ def test_a_schema_node_with_bindings_survives_printing():
     theory, _ = load_suite("tara")
     bindings = {Variable("P"): parse_formula("A /\\ t(A, B)", theory.signature), Variable("Q"): BOT}
     concl = theory.instantiate("left", bindings)
-    node = t_schema(Sequent(concl.hyps + (Z,), concl.concl), "left", bindings)
+    node = ProofTree("schema", Sequent(concl.hyps + (Z,), concl.concl), (), ("left", bindings))
     again = parse_tree(print_tree(node), theory.signature)
     assert (again.rule, again.conclusion, again.data) == (node.rule, node.conclusion, node.data)
     assert check_tree(again, theory).ok
@@ -156,7 +156,7 @@ def test_schema_requires_theory():
     sig = Signature([ConnectiveSymbol("t", 1)])
     theory = SchemaTheory("toy", sig)
     theory.add_schema("refl", parse_sequent("P |- P"))
-    node = t_schema(parse_sequent("Q |- Q"), "refl", {Variable("P"): Q})
+    node = ProofTree("schema", parse_sequent("Q |- Q"), (), ("refl", {Variable("P"): Q}))
     assert not check_tree(node).ok
     assert not check_tree(node, EMPTY_THEORY).ok
     assert check_tree(node, theory).ok
@@ -172,7 +172,7 @@ def test_a_missing_formula_is_not_taken_from_another_hypothesis():
     assert "no implication hypothesis" in check_tree(impl).message
     theory = SchemaTheory("toy")
     theory.add_schema("refl", parse_sequent("P |- P"))
-    node = t_schema(parse_sequent("R |- Q"), "refl", {Variable("P"): Q})
+    node = ProofTree("schema", parse_sequent("R |- Q"), (), ("refl", {Variable("P"): Q}))
     assert "not an instance of schema" in check_tree(node, theory).message
 
 

@@ -31,7 +31,7 @@ from pittslab.kernel import (
     check_rule,
 )
 from pittslab.parser import Parser
-from pittslab.prover import decide, derive, derive_extensionality, t_cut, t_schema
+from pittslab.prover import decide, derive, derive_extensionality, t_cut
 from pittslab.replays import REPLAY_NAMES, load_suite
 from pittslab.selftest import random_formula
 from pittslab.syntax import (
@@ -173,7 +173,7 @@ def _instances(rng):
             for line in script.lines:
                 j = line.justification
                 if j.kind == "ax-schema":
-                    node = t_schema(line.sequent, j.name, dict(j.bindings))
+                    node = ProofTree("schema", line.sequent, (), (j.name, dict(j.bindings)))
                     trees.append((node, name, name))
                 elif j.kind == "ext":
                     ctx, p, q = j.formulas

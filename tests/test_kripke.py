@@ -133,6 +133,18 @@ def test_order_checks_take_one_pass_per_pair():
         KripkeModel((0, 1), frozenset({(0, 0), (1, 1), (0, 1), (1, 0)}), ())
 
 
+def test_forcing_reads_the_order_once():
+    # a 250-world chain has 31,375 pairs; rescanning them per call took 0.1 s
+    n = 250
+    chain = frozenset((a, b) for a in range(n) for b in range(a, n))
+    model = KripkeModel(tuple(range(n)), chain, ((n - 1, frozenset({"P"})),))
+    s = parse_sequent("|- P \\/ ~P")
+    start = time.perf_counter()
+    for _ in range(10):
+        assert model.refutes(0, s)
+    assert time.perf_counter() - start < 0.05
+
+
 def test_forcing_negation_semantics():
     model = KripkeModel(
         (0, 1),

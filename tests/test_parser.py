@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -234,8 +235,6 @@ def test_error_offsets_start_a_token(text, hole):
 
 
 def test_parser_never_crashes_on_noise():
-    import random
-
     rng = random.Random(12)
     alphabet = "PQXY ()~/\\->.<b ot,exists foral_'"
     for _ in range(500):
@@ -244,3 +243,33 @@ def test_parser_never_crashes_on_noise():
             parse_formula(text)
         except FormulaSyntaxError:
             pass
+
+
+def _random_application(rng, symbols, depth):
+    """A seeded formula over P, Q and bot whose nodes include applications of
+    every arity in `symbols`."""
+    if depth == 0:
+        return rng.choice([BOT, P, Q, App(symbols[0], ())])
+    sub = [_random_application(rng, symbols, depth - 1) for _ in range(2)]
+    kind = rng.randrange(5)
+    if kind == 0:
+        sym = rng.choice(symbols)
+        return App(sym, sub[:sym.arity])
+    if kind == 1:
+        return Exists(Variable(rng.choice("PQ")), sub[0])
+    return (And, Or, Implies)[kind - 2](*sub)
+
+
+def test_nullary_applications_round_trip():
+    # `c()` writes the nullary connective c; a bare `c` stays an atom
+    symbols = (ConnectiveSymbol("c", 0), ConnectiveSymbol("t", 1), ConnectiveSymbol("s", 2))
+    sig = Signature(list(symbols))
+    rng = random.Random(29)
+    for _ in range(300):
+        f = _random_application(rng, symbols, rng.randint(0, 4))
+        assert parse_formula(print_formula(f), sig) == f
+    assert parse_formula("c() -> c", sig) == Implies(App(symbols[0], ()), var("c"))
+    with pytest.raises(FormulaSyntaxError, match=re.escape("unexpected ')' at offset 2")):
+        parse_formula("t()", sig)
+    with pytest.raises(FormulaError, match="c expects 0 arguments, got 1"):
+        parse_formula("c(P)", sig)

@@ -210,6 +210,12 @@ def test_schema_instance_may_contract_a_repeated_hypothesis():
     assert rep.failure == (1, "not an instance of schema 'dup': wanted P, P |- Q")
 
 
+def test_a_nullary_connective_is_written_with_parentheses():
+    th = parse_theory("connective c 0\nschema s: |- c()\n", name="nullary")
+    assert check_script(parse_script("1 | |- c() | ax-schema s", th)).ok
+    assert not check_script(parse_script("1 | |- c | ax-schema s", th)).ok
+
+
 def test_extensionality_line_may_contract_a_repeated_hypothesis():
     # the tree concludes P, P -> P, P -> P |- P
     assert check_script(parse_script("1 | P -> P, P |- P | ext _ P P", theory())).ok
