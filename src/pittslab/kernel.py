@@ -76,7 +76,6 @@ class SideConditionViolated(KernelError):
         super().__init__(f"at node {list(self.path)}: {message}")
 
 
-_set = object.__setattr__  # constructors write their slots past `Immutable.__setattr__`
 _key, _conclusion = attrgetter("key"), attrgetter("conclusion")
 
 
@@ -85,9 +84,9 @@ class Sequent(Immutable):
 
     def __init__(self, hyps, concl: Formula):
         hyps = tuple(hyps)
-        _set(self, "hyps", hyps)
-        _set(self, "concl", concl)
-        _set(self, "hyp_keys", tuple(sorted(map(_key, hyps))))  # the multiset: sorted keys
+        _set_hyps(self, hyps)
+        _set_concl(self, concl)
+        _set_hyp_keys(self, tuple(sorted(map(_key, hyps))))  # the multiset: sorted keys
 
     def hyp(self, key: str) -> Formula:
         """The first hypothesis with this key."""
@@ -163,10 +162,10 @@ class ProofTree(Immutable):
     def __init__(self, rule: str, conclusion: Sequent, premises=(), data=None):
         if rule not in _KNOWN:
             raise KernelError(f"unknown rule {rule!r}")
-        _set(self, "rule", rule)
-        _set(self, "conclusion", conclusion)
-        _set(self, "premises", tuple(premises))
-        _set(self, "data", data)
+        _set_rule(self, rule)
+        _set_conclusion(self, conclusion)
+        _set_premises(self, tuple(premises))
+        _set_data(self, data)
 
     def nodes(self):
         """Every node, preorder."""
@@ -175,6 +174,12 @@ class ProofTree(Immutable):
             node = todo.pop()
             yield node
             todo.extend(reversed(node.premises))
+
+
+# The slot setters that the constructors above write through.
+_set_hyps, _set_concl, _set_hyp_keys, _set_rule, _set_conclusion, _set_premises, _set_data = (
+    d.__set__ for d in (Sequent.hyps, Sequent.concl, Sequent.hyp_keys,
+                        ProofTree.rule, ProofTree.conclusion, ProofTree.premises, ProofTree.data))
 
 
 @dataclass

@@ -86,6 +86,10 @@ class MalformedScript(ScriptError):
     pass
 
 
+def _unexpected(tok: tuple[str, str, int], *expected: str) -> FormulaSyntaxError:
+    return FormulaSyntaxError(f"unexpected {tok[1] or 'end of input'!r}", tok[2], expected)
+
+
 class _Tokens:
     """The input's tokens as (kind, text, offset), then ("eof", "", len(text))."""
 
@@ -114,7 +118,7 @@ class _Tokens:
     def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.peek()
         if tok[0] != kind:
-            raise FormulaSyntaxError(f"unexpected {tok[1] or 'end of input'!r}", tok[2], (kind,))
+            raise _unexpected(tok, kind)
         return self.next()
 
     def end(self) -> None:
@@ -180,36 +184,41 @@ class Parser:
         return name, self.bindings(brace or "{}")
 
     def _formula(self, toks: _Tokens) -> Formula:
-        """One expression, read by one loop over one explicit stack.  A
-        pending operator waits as (level, constructor, left operand or bound
-        variable, offset); an open `(` or `name(` waits as (_OPEN, symbol or
-        None, the arguments read so far, 0), and no reduction passes it."""
+        """One expression from `toks.i`, read by one loop over one explicit
+        stack and a local index, written back on return.  A pending operator
+        waits as (level, constructor, left operand or bound variable,
+        offset); an open `(` or `name(` waits as (_OPEN, symbol or None, the
+        arguments read so far, 0), and no reduction passes it."""
+        tl, i = toks.toks, toks.i
         pending: list[tuple] = []
         while True:
-            kind, value, off = toks.next()
+            kind, value, off = tl[i]
+            i += 1
             if kind == "neg":
                 pending.append((NEG_LEVEL, neg, None, 0))
                 continue
             if kind in ("exists", "forall"):
-                v = Variable(toks.expect("ident")[1])
-                toks.expect("dot")
+                for tok, expected in zip(tl[i:i + 2], ("ident", "dot")):
+                    if tok[0] != expected:
+                        raise _unexpected(tok, expected)
+                v, i = Variable(tl[i][1]), i + 2
                 pending.append((QUANTIFIER_LEVEL, Exists if kind == "exists" else Forall, v, 0))
                 continue
             if kind == "lpar":
                 pending.append((_OPEN, None, None, 0))
                 continue
             if kind == "ident":
-                if toks.peek()[0] != "lpar":
+                if tl[i][0] != "lpar":
                     f = _leaf(value)
                 else:
                     sym = self.signature.get(value)
                     if sym is None:
                         raise FormulaSyntaxError(f"unknown connective {value!r}", off)
-                    toks.next()
-                    if sym.arity or toks.peek()[0] != "rpar":
+                    i += 1
+                    if sym.arity or tl[i][0] != "rpar":
                         pending.append((_OPEN, sym, [], 0))
                         continue
-                    toks.next()  # `name()`, a nullary connective
+                    i += 1  # `name()`, a nullary connective
                     f = App(sym, ())
             elif kind in _CONSTANTS:
                 f = _CONSTANTS[kind]
@@ -218,15 +227,11 @@ class Parser:
                     raise FormulaSyntaxError("hole '_' not allowed here", off)
                 f = _leaf(self.hole.name)
             else:
-                raise FormulaSyntaxError(
-                    f"unexpected {value or 'end of input'!r}",
-                    off,
-                    ("ident", "bot", "top", "~", "(", "exists", "forall"),
-                )
+                raise _unexpected(tl[i - 1], "ident", "bot", "top", "~", "(", "exists", "forall")
             # f is an operand: reduce, then go on to the next operand, close
             # an open group, or end
             while True:
-                kind = toks.peek()[0]
+                kind = tl[i][0]
                 op = _INFIX.get(kind)
                 # reduce what binds at least as tightly as op; everything at the end
                 floor = op.level + op.right if op else QUANTIFIER_LEVEL
@@ -236,16 +241,20 @@ class Parser:
                         raise FormulaSyntaxError(f"'<->' expands past {_MAX_IFF_NODES} nodes", off)
                     f = build(f) if arg is None else build(arg, f)
                 if op is not None:
-                    pending.append((op.level, op.build, f, toks.next()[2]))
+                    pending.append((op.level, op.build, f, tl[i][2]))
+                    i += 1
                     break
                 if not pending:
+                    toks.i = i
                     return f
                 _, sym, args, _ = pending[-1]
                 if sym is not None and kind == "comma":
-                    toks.next()
+                    i += 1
                     args.append(f)
                     break
-                toks.expect("rpar")
+                if kind != "rpar":
+                    raise _unexpected(tl[i], "rpar")
+                i += 1
                 pending.pop()
                 if sym is not None:
                     f = App(sym, (*args, f))

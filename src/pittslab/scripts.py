@@ -211,7 +211,12 @@ def parse_theory(text: str, name: str = "") -> SchemaTheory:
     theory = SchemaTheory(name, sig)
     parser = Parser(sig)
     for label, body in schemas:
-        theory.add_schema(label, parser.parse_sequent(body))
+        template = parser.parse_sequent(body)
+        for v in sorted(template.free_vars()):  # a bare connective name parses as a variable
+            if (sym := sig.get(v.name)) is not None:
+                raise MalformedScript(f"schema {label}: {v.name} is a connective, not a "
+                                      f"metavariable; write {v.name}({'...' if sym.arity else ''})")
+        theory.add_schema(label, template)
     return theory
 
 

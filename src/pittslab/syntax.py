@@ -77,8 +77,8 @@ class Signature:
 
 
 class Immutable:
-    """Base of slotted records whose constructors write every slot once, with
-    `object.__setattr__`; afterwards assigning or deleting one raises AttributeError."""
+    """Base of slotted records whose constructors write each slot once, through
+    its setter `Class.slot.__set__`; assigning or deleting one afterwards raises AttributeError."""
 
     __slots__ = ()
 
@@ -131,31 +131,27 @@ class Formula(Immutable):
         return f"<{type(self).__name__} {self}>"
 
 
-# Constructors write their slots past `Immutable.__setattr__`.
-_set = object.__setattr__
-
-
 class Var(Formula):
     __slots__ = ("var",)
 
     def __init__(self, var: Variable):
-        _set(self, "var", var)
-        _set(self, "key", f"v{var.name}")
-        _set(self, "size", 1)
-        _set(self, "has_quantifier", False)
-        _set(self, "has_app", False)
-        _set(self, "free_vars", frozenset((var,)))
+        _set_var(self, var)
+        _set_key(self, f"v{var.name}")
+        _set_size(self, 1)
+        _set_quantifier(self, False)
+        _set_app(self, False)
+        _set_free(self, frozenset((var,)))
 
 
 class Bottom(Formula):
     __slots__ = ()
 
     def __init__(self):
-        _set(self, "key", "F")
-        _set(self, "size", 1)
-        _set(self, "has_quantifier", False)
-        _set(self, "has_app", False)
-        _set(self, "free_vars", frozenset())
+        _set_key(self, "F")
+        _set_size(self, 1)
+        _set_quantifier(self, False)
+        _set_app(self, False)
+        _set_free(self, frozenset())
 
 
 class _Binary(Formula):
@@ -166,13 +162,13 @@ class _Binary(Formula):
     def __init__(self, left: Formula, right: Formula):
         # a child's set is reused when it holds the other's
         lf, rf = left.free_vars, right.free_vars
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "key", self.key_of(left.key, right.key))
-        _set(self, "size", left.size + right.size + 1)
-        _set(self, "has_quantifier", left.has_quantifier or right.has_quantifier)
-        _set(self, "has_app", left.has_app or right.has_app)
-        _set(self, "free_vars", lf if rf <= lf else rf if lf <= rf else lf | rf)
+        _set_left(self, left)
+        _set_right(self, right)
+        _set_key(self, self.key_of(left.key, right.key))
+        _set_size(self, left.size + right.size + 1)
+        _set_quantifier(self, left.has_quantifier or right.has_quantifier)
+        _set_app(self, left.has_app or right.has_app)
+        _set_free(self, lf if rf <= lf else rf if lf <= rf else lf | rf)
 
     @classmethod
     def key_of(cls, left_key: str, right_key: str) -> str:
@@ -221,13 +217,13 @@ class _Binder(Formula):
                 return f"#{int(token[1:]) + 1}"
             return "#0" if token == free else token
 
-        _set(self, "var", var)
-        _set(self, "body", body)
-        _set(self, "key", f"{self.tag}({_VAR_TOKEN.sub(renumber, body.key)})")
-        _set(self, "size", body.size + 1)
-        _set(self, "has_quantifier", True)
-        _set(self, "has_app", body.has_app)
-        _set(self, "free_vars", body.free_vars - {var})
+        _set_bound(self, var)
+        _set_body(self, body)
+        _set_key(self, f"{self.tag}({_VAR_TOKEN.sub(renumber, body.key)})")
+        _set_size(self, body.size + 1)
+        _set_quantifier(self, True)
+        _set_app(self, body.has_app)
+        _set_free(self, body.free_vars - {var})
 
     def children(self):
         return (self.body,)
@@ -250,16 +246,23 @@ class App(Formula):
         args = tuple(args)
         if len(args) != symbol.arity:
             raise FormulaError(f"{symbol.name} expects {symbol.arity} arguments, got {len(args)}")
-        _set(self, "symbol", symbol)
-        _set(self, "args", args)
-        _set(self, "key", f"@{symbol.name}/{symbol.arity}({','.join(a.key for a in args)})")
-        _set(self, "size", sum(a.size for a in args) + 1)
-        _set(self, "has_quantifier", any(a.has_quantifier for a in args))
-        _set(self, "has_app", True)
-        _set(self, "free_vars", frozenset().union(*(a.free_vars for a in args)))
+        _set_symbol(self, symbol)
+        _set_args(self, args)
+        _set_key(self, f"@{symbol.name}/{symbol.arity}({','.join(a.key for a in args)})")
+        _set_size(self, sum(a.size for a in args) + 1)
+        _set_quantifier(self, any(a.has_quantifier for a in args))
+        _set_app(self, True)
+        _set_free(self, frozenset().union(*(a.free_vars for a in args)))
 
     def children(self):
         return self.args
+
+
+# The slot setters that the constructors above write through.
+_set_key, _set_size, _set_quantifier, _set_app, _set_free, _set_var, _set_left, _set_right, \
+    _set_bound, _set_body, _set_symbol, _set_args = (d.__set__ for d in (
+        Formula.key, Formula.size, Formula.has_quantifier, Formula.has_app, Formula.free_vars,
+        Var.var, _Binary.left, _Binary.right, _Binder.var, _Binder.body, App.symbol, App.args))
 
 
 # Abbreviations.  Negation, biconditional and verum are derived forms, never

@@ -31,9 +31,8 @@ def _tokens(text: str):
         m = _TOKEN.match(text, pos)
         if not m:
             raise MalformedScript(f"bad tree syntax at offset {pos}")
-        tok = m.group(1)
+        out.append(m.group(1))
         pos = m.end()
-        out.append(tok)
     return out
 
 
@@ -88,32 +87,36 @@ def parse_tree(text: str, signature: Signature | None = None) -> ProofTree:
 
 
 def print_tree(tree: ProofTree) -> str:
-    """One preorder pass: each node's line is written once, with the closing
+    """One preorder loop: each node's line is written once, with the closing
     ')'s of the subtrees it ends, and each distinct formula printed once."""
     texts: dict[str, str] = {}
-
-    def show(f: Formula) -> str:
-        text = texts.get(f.key)
-        if text is None or f.has_quantifier:  # alpha-variants share a key, not a text
-            text = texts[f.key] = print_formula(f)
-        return text
-
     lines = []
-    todo = [(tree, 0, 1)]  # node, depth, ')'s owed once its subtree is written
+    todo = [(tree, "", ")")]  # node, indent, the ')'s owed once its subtree is written
     while todo:
-        node, depth, close = todo.pop()
-        line = f'{"  " * depth}({node.rule} "{node.conclusion.text(show)}"'
+        node, indent, close = todo.pop()
+        seq = node.conclusion
+        shown = []
+        for f in (*seq.hyps, seq.concl):
+            text = texts.get(f.key)
+            if text is None or f.has_quantifier:  # alpha-variants share a key, not a text
+                text = texts[f.key] = print_formula(f)
+            shown.append(text)
+        concl = shown.pop()
+        line = f'{indent}({node.rule} "{", ".join(shown) + " " if shown else ""}|- {concl}"'
         data = node.data
-        if isinstance(data, _DATUM.get(node.rule, ())):
+        if data is not None and isinstance(data, _DATUM.get(node.rule, ())):
             if isinstance(data, tuple):
                 name, bindings = data
-                inner = ", ".join(f"{v.name} := {show(f)}" for v, f in sorted(bindings.items()))
+                inner = ", ".join(f"{v.name} := {f}" for v, f in sorted(bindings.items()))
                 data = f"{name} {{{inner}}}"
-            line += f' "{show(data) if isinstance(data, Formula) else data}"'
-        if node.premises:
-            todo.append((node.premises[-1], depth + 1, close + 1))
-            todo.extend((p, depth + 1, 1) for p in reversed(node.premises[:-1]))
+            line += f' "{data}"'
+        premises = node.premises
+        if premises:
+            deeper = indent + "  "
+            todo.append((premises[-1], deeper, close + ")"))
+            for p in premises[-2::-1]:
+                todo.append((p, deeper, ")"))
         else:
-            line += ")" * close
+            line += close
         lines.append(line)
     return "\n".join(lines)

@@ -247,6 +247,18 @@ def test_check_malformed_is_exit_two(capsys, tmp_path, script, theory):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("theory, hint", [
+    pytest.param("connective c 0\nschema s: |- c\n", "write c()", id="nullary"),
+    pytest.param("connective c 1\nschema s: |- c\n", "write c(...)", id="unary"),
+])
+def test_check_rejects_a_connective_used_as_a_metavariable(capsys, tmp_path, theory, hint):
+    # read as a metavariable, the bare `c` would let the schema prove bot
+    script = _input_file(tmp_path, "clash.pfs", "1 | |- bot | ax-schema s {c := bot}\n")
+    argv = ["check", str(script), "--theory", str(_input_file(tmp_path, "clash.thy", theory))]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ") and hint in err
+
+
 @pytest.mark.parametrize("line, message", [
     pytest.param("2 | Q |- Q | subst 1 {P := Q /\\}", "unexpected 'end of input' at offset 4",
                  id="binding-syntax"),

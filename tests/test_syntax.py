@@ -307,3 +307,29 @@ def test_nodes_are_immutable_and_have_no_dict():
             with pytest.raises(AttributeError):
                 delattr(node, name)
             assert getattr(node, name, None) is before
+
+
+def _slots(record):
+    return [n for cls in type(record).__mro__ for n in getattr(cls, "__slots__", ())]
+
+
+def test_every_slot_of_every_record_is_written():
+    # reading a slot that its constructor never wrote raises AttributeError
+    from pittslab.kernel import ProofTree, Sequent
+
+    seq = Sequent((X, And(X, Y)), Y)
+    tree = ProofTree("wL", seq, (ProofTree("andL2", Sequent((And(X, Y),), Y)),))
+    records = [X, BOT, And(X, Y), Or(X, Y), Implies(X, Y), Exists(_vX, X), Forall(_vY, X),
+               App(_t, (X, Y)), App(ConnectiveSymbol("c", 0), ()), seq, tree]
+    for record in records:
+        for name in _slots(record):
+            getattr(record, name)
+    for record in (seq, tree):
+        assert not hasattr(record, "__dict__"), type(record)
+        for name in _slots(record) + ["extra"]:
+            before = getattr(record, name, None)
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+            assert getattr(record, name, None) is before

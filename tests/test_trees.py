@@ -1,8 +1,12 @@
+import hashlib
+import random
+
 import pytest
 
-from pittslab.kernel import EMPTY_THEORY, ProofTree, SchemaTheory, check_tree
+from pittslab.kernel import EMPTY_THEORY, ProofTree, SchemaTheory, Sequent, check_tree
 from pittslab.parser import Parser, parse_sequent
-from pittslab.prover import derive, derive_extensionality
+from pittslab.prover import decide, derive, derive_extensionality
+from pittslab.selftest import random_formula
 from pittslab.syntax import And, ConnectiveSymbol, Signature, Variable, var
 from pittslab.trees import parse_tree, print_tree
 
@@ -157,3 +161,32 @@ def test_extensionality_trees_are_pinned(context):
     assert print_tree(tree) == _EXTENSIONALITY_TREES[context]
     theory = SchemaTheory("congruence", sig) if context == "t(_)" else EMPTY_THEORY
     assert check_tree(tree, theory).ok
+
+
+# Contexts through both quantifiers; in the last, `exists X. X` and
+# `exists Y. Y` share a key but not a text.
+_QUANTIFIED_CONTEXTS = (
+    "exists X. (X /\\ _)",
+    "forall X. (_ -> exists Y. (Y \\/ X))",
+    "(exists X. X) /\\ ((exists Y. Y) -> _)",
+)
+
+
+def test_print_tree_bytes_are_pinned():
+    # The derive trees of the provable ones among 600 seeded sequents (0-3
+    # hypotheses over P, Q, R), then extensionality trees; each text is
+    # hashed followed by one NUL byte.  The digest was taken before
+    # print_tree became one flat loop.
+    rng = random.Random(30)
+    texts = []
+    for i in range(600):
+        hyps = tuple(random_formula(rng, "PQR", rng.choice((1, 3, 5, 7))) for _ in range(i % 4))
+        s = Sequent(hyps, random_formula(rng, "PQR", rng.choice((5, 7, 9, 11, 13))))
+        if decide(s):
+            texts.append(print_tree(derive(s)))
+    hole = Variable("HOLE")
+    for context in _QUANTIFIED_CONTEXTS:
+        tree = derive_extensionality(Parser(hole=hole).parse(context), hole, var("P"), var("Q"))
+        texts.append(print_tree(tree))
+    digest = hashlib.sha256(b"".join(t.encode() + b"\0" for t in texts)).hexdigest()
+    assert (len(texts), digest) == (329, "b3a65e624340d3a3f8f4cbe76e21b30a21a41372d31cc8c4b925ef6378af07ce")
