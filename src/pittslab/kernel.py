@@ -109,10 +109,10 @@ class Sequent(Immutable):
             tuple(substitute(h, bindings) for h in self.hyps), substitute(self.concl, bindings)
         )
 
-    def text(self, show=str) -> str:
-        """`hyps |- concl`, each formula written by `show`."""
-        left = ", ".join(map(show, self.hyps))
-        return f"{left} |- {show(self.concl)}" if left else f"|- {show(self.concl)}"
+    def text(self) -> str:
+        """`hyps |- concl`."""
+        left = ", ".join(map(str, self.hyps))
+        return f"{left} |- {self.concl}" if left else f"|- {self.concl}"
 
     __str__ = text
 

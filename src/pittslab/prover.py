@@ -2,16 +2,18 @@
 
 Proof search runs in a contraction-free calculus (G4ip): the left rules for
 implication are split on the head connective of the antecedent, so search
-terminates without loop checking.  Successful searches are replayed into
-plain sequent-calculus trees (with cuts) that the kernel checks, built here
-by the `t_*` builders; the two shape builders `t_left` and `t_right` take the
-rule's name, and the kernel calls none of them.
+terminates without loop checking.  Successful searches become plain
+sequent-calculus trees (with cuts) that the kernel checks, built here by the
+`t_*` builders; the two shape builders `t_left` and `t_right` take the rule's
+name, and the kernel calls none of them.  A tree is built on the search's
+sets and reads each of its hypotheses; `derive` weakens it once, at the root,
+up to the input's multiset.
 
 The rule schedule is written once: `_left_step` applies the invertible
 left rules to the first reducible hypothesis in key order (`_by_key`), and
 `_nested_premises` gives the premises of the (c -> d) -> e choice point.
 `_decide` searches with them and records the rule that closes each provable
-sequent; the witness builder replays that record, and the uniform
+sequent; the witness builder `_rd` follows that record, and the uniform
 interpolants in `pitts` combine the rules' premises their own way.
 """
 from __future__ import annotations
@@ -160,18 +162,11 @@ def _minus(hyps: tuple[Formula, ...], f: Formula) -> tuple[Formula, ...]:
     raise KernelError(f"{f} not among hypotheses")
 
 
-def _weakened(t: ProofTree, extra) -> ProofTree:
+def t_ax(f: Formula, extra=()) -> ProofTree:
+    t = ProofTree("ax", Sequent((f,), f))
     for g in extra:
         t = t_wl(t, g)
     return t
-
-
-def t_ax(f: Formula, extra=()) -> ProofTree:
-    return _weakened(ProofTree("ax", Sequent((f,), f)), extra)
-
-
-def t_botL(concl: Formula, extra=()) -> ProofTree:
-    return _weakened(ProofTree("botL", Sequent((BOT,), concl)), extra)
 
 
 def t_wl(t: ProofTree, f: Formula) -> ProofTree:
@@ -304,10 +299,13 @@ def _ext(c: Formula, hole: Variable, p: Formula, q: Formula) -> ProofTree:
     raise KernelError(f"unsupported context node {c!r}")
 
 
-# `_derive` replays on exact multisets the rule `_decide` recorded for each
-# node's set, and emits Def-1.3-style trees.  The record holds where a
-# principal's copy stays beside its replacements: a second (c -> d) -> e proves
-# c -> d iff d -> e does, and is redundant beside e (Dyckhoff, JSL 1992).
+# `_rd` builds the tree of the rule `_decide` recorded for each node's set, on
+# that set: G4ip search is sound on sets (Dyckhoff, JSL 1992), and so is the
+# tree.  Its conclusion holds only the hypotheses the tree reads, each once,
+# and `_rooted` weakens it up to the input's multiset once, at the root.  A
+# left rule is applied only where its premise reads a formula the rule
+# introduced, one not already among the other hypotheses; otherwise the
+# premise is itself the tree.
 
 def _lemma_curry(h: Implies, curried: Implies) -> ProofTree:
     """(A /\\ B) -> C |- A -> (B -> C), the last given as `curried`"""
@@ -332,53 +330,94 @@ def _lemma_nested(h: Implies, d_e: Implies) -> ProofTree:
     return t_impR(t, d_e)
 
 
-def _derive(hyps: tuple, goal: Formula) -> ProofTree:
-    for i, h in enumerate(hyps):
-        if isinstance(h, Bottom):
-            return t_botL(goal, extra=hyps[:i] + hyps[i + 1:])
-        if h.key == goal.key:
-            return t_ax(goal, extra=hyps[:i] + hyps[i + 1:])
+def _with(t: ProofTree, fs, skip: str = "") -> ProofTree:
+    """`t` weakened by each of the distinct `fs` its conclusion lacks, but the
+    one whose key is `skip`."""
+    keys = t.conclusion.hyp_keys
+    for f in fs:
+        if f.key not in keys and f.key != skip:
+            t = t_wl(t, f)
+    return t
 
-    base = frozenset(hyps)
-    rule = _decide(base, goal)
+
+def _as_set(t: ProofTree) -> ProofTree:
+    """`t` with every repeated hypothesis contracted to one copy."""
+    keys = t.conclusion.hyp_keys
+    for i in range(1, len(keys)):
+        if keys[i] == keys[i - 1]:
+            t = t_cl(t, t.conclusion.hyp(keys[i]))
+    return t
+
+
+def _introduced(t: ProofTree, f: Formula, rest: frozenset) -> bool:
+    """Whether `t` reads `f` and `f` is none of the hypotheses `rest`."""
+    return f.key in t.conclusion.hyp_keys and f not in rest
+
+
+def _rd(hyps: frozenset, goal: Formula) -> ProofTree:
+    """A tree for the provable `hyps |- goal` whose conclusion holds a set of
+    hypotheses drawn from `hyps`, each read by the tree."""
+    if goal in hyps:
+        return ProofTree("ax", Sequent((goal,), goal))
+    if BOT in hyps:
+        return ProofTree("botL", Sequent((BOT,), goal))
+
+    rule = _decide(hyps, goal)
     if rule is _RIGHT:
         if isinstance(goal, And):
-            return t_right("andR", goal, _derive(hyps, goal.left), _derive(hyps, goal.right))
-        return t_impR(_derive(hyps + (goal.left,), goal.right), goal)
+            t1, t2 = _rd(hyps, goal.left), _rd(hyps, goal.right)
+            return t_right("andR", goal, _with(t1, t2.conclusion.hyps), _with(t2, t1.conclusion.hyps))
+        a = goal.left
+        t = _rd(hyps | {a}, goal.right)
+        return t_impR(t if a.key in t.conclusion.hyp_keys else t_wl(t, a), goal)
     if rule is _FIRST:
-        return t_right("orR1", goal, _derive(hyps, goal.left))
+        return t_right("orR1", goal, _rd(hyps, goal.left))
     if rule is _SECOND:
-        return t_right("orR2", goal, _derive(hyps, goal.right))
+        return t_right("orR2", goal, _rd(hyps, goal.right))
 
-    i = [h.key for h in hyps].index(rule.key)  # this sequent's copy of the memo's principal
-    h, rest = hyps[i], hyps[:i] + hyps[i + 1:]
-    step = _left_step((h,), base)
+    rest = hyps - {rule}
+    (h,) = hyps - rest  # this sequent's copy of the memo's principal
+
+    step = _left_step((h,), hyps)
     if step is None:  # the (c -> d) -> e choice
         d_e, e = _nested_premises(h)
+        t2 = _rd(rest | {e}, goal)
+        if not _introduced(t2, e, rest):
+            return t2
         # rest, h |- c -> d, then the implication left rule on h
-        q = t_cut(_lemma_nested(h, d_e), _derive(rest + (d_e,), h.left))
-        return t_cl_to(t_impL(q, _derive(rest + (e,), goal), h), hyps)
+        t1 = _rd(rest | {d_e}, h.left)
+        if _introduced(t1, d_e, rest):
+            t1 = t_cut(_lemma_nested(h, d_e), t1)
+        return _as_set(t_impL(t1, t2, h))
 
-    ts = [_derive(rest + replacement, goal) for replacement in step[1]]
-    # The rule's tree over its premises' trees.
-    if isinstance(h, And):
-        t = t_left("andL2", h.right, h, ts[0])
-        t = t_left("andL1", h.left, h, t)
-        return t_cl(t, h)
+    ts = []
+    for replacement in step[1]:
+        t = _rd(rest.union(replacement), goal)
+        for f in replacement:
+            if _introduced(t, f, rest):
+                break
+        else:
+            return t  # the premise proves the sequent without h
+        ts.append(t)
+    t = ts[0]
+    # The rule's tree over its premises' trees, once per introduced formula read.
     if isinstance(h, Or):
-        return t_left("orL", h.left, h, *ts)
-    a = h.left
-    if isinstance(a, Bottom):
-        return t_wl(ts[0], h)
-    if isinstance(a, Var):
-        t = t_impL(t_ax(a), ts[0], h)
-        return t_cl(t, a)
-    if isinstance(a, And):
-        return t_cut(_lemma_curry(h, step[1][0][0]), ts[0])
-    first, second = step[1][0]
-    t = t_cut(_lemma_or_part(h, first, "orR1"), ts[0])
-    t = t_cut(_lemma_or_part(h, second, "orR2"), t)
-    return t_cl(t, h)
+        return t_left("orL", h.left, h, _with(t, ts[1].conclusion.hyps, h.right.key),
+                      _with(ts[1], t.conclusion.hyps, h.left.key))
+    if isinstance(h, And):
+        parts = ("andL2", h.right), ("andL1", h.left)
+    elif isinstance(h.left, Var):
+        return _as_set(t_impL(t_ax(h.left), t, h))
+    elif isinstance(h.left, And):
+        return t_cut(_lemma_curry(h, step[1][0][0]), t)
+    else:
+        parts = ("orR1", step[1][0][0]), ("orR2", step[1][0][1])
+    applied = 0
+    for name, f in parts:
+        if _introduced(t, f, rest):  # asked again after the first: the two may be one formula
+            t = t_left(name, f, h, t) if isinstance(h, And) else t_cut(_lemma_or_part(h, f, name), t)
+            applied += 1
+    return t_cl(t, h) if applied == 2 else t
 
 
 @dataclass
@@ -398,13 +437,26 @@ def derive(s: Sequent) -> ProofTree:
     """Kernel-checkable tree for a provable sequent."""
     if not decide(s):
         raise ValueError(f"not provable: {s}")
-    return _derive(s.hyps, s.concl)
+    return _rooted(s)
+
+
+def _rooted(s: Sequent) -> ProofTree:
+    """`_rd`'s tree for `s`, weakened once, at the root, by the hypotheses it
+    does not read and by the extra copies of those it does."""
+    t = _rd(frozenset(s.hyps), s.concl)
+    read = set(t.conclusion.hyp_keys)
+    for h in s.hyps:
+        if h.key in read:
+            read.remove(h.key)
+        else:
+            t = t_wl(t, h)
+    return t
 
 
 def prove(s: Sequent, countermodel_bound: int = DEFAULT_BOUND) -> Verdict:
     """Decide a sequent; attach a proof tree or a countermodel witness."""
     if decide(s):
-        return Verdict(True, _derive(s.hyps, s.concl))
+        return Verdict(True, _rooted(s))
     found = find_countermodel(s, countermodel_bound)
     return Verdict(False, found if found is not None else Unknown(countermodel_bound))
 

@@ -3,10 +3,10 @@
 `engine_golden.json` holds the witness-tree text of sequents that together
 fire every rule of the schedule, and the raw and the simplified interpolant
 keys of the five reference bodies.  Its `duplicates` section holds the trees
-of sequents that list a hypothesis twice, where the witness builder works on
-the exact multiset while the decision procedure memoizes on its set.  A
-change to the schedule or to `simplify` that alters any of them fails here,
-even when the new output is still correct.
+of sequents that list a hypothesis twice: the witness builder works on the
+set, as the decision procedure does, and weakens the extra copy in at the
+root.  A change to the schedule or to `simplify` that alters any of them
+fails here, even when the new output is still correct.
 
 Regenerate with `PYTHONPATH=src python tests/test_engine_golden.py`, and
 only when a change means to alter an output.

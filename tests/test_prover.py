@@ -8,6 +8,8 @@ import pytest
 
 from pittslab.kernel import Sequent, check_tree
 from pittslab.parser import parse_formula, parse_sequent
+from pittslab.pitts import pite_exists, simplify
+from pittslab.printer import print_formula
 from pittslab.prover import (
     Unknown,
     classical_tautology,
@@ -17,7 +19,7 @@ from pittslab.prover import (
     prove,
 )
 from pittslab.selftest import random_formula
-from pittslab.syntax import And, Implies, Or, UnsupportedFormula, _Binary
+from pittslab.syntax import And, Implies, Or, UnsupportedFormula, Variable, _Binary
 
 
 def seq(text):
@@ -173,3 +175,75 @@ def test_disjunct_among_the_hypotheses_closes_the_goal_at_once():
         assert check_tree(derive(s)).ok
     """)
     subprocess.run([sys.executable, "-c", code], cwd=src, check=True, timeout=60)
+
+
+def _size(tree):
+    return sum(1 for _ in tree.nodes())
+
+
+def _read(tree):
+    """The keys of the tree's hypotheses that some ax, botL or principal step
+    of the tree reads; a weakening reads nothing."""
+    keys = set(tree.conclusion.hyp_keys)
+    read = set().union(*map(_read, tree.premises))
+    if tree.rule in ("ax", "botL", "andL1", "andL2", "orL", "impL"):
+        read |= keys.difference(*(p.conclusion.hyp_keys for p in tree.premises))
+    return read & keys
+
+
+def _random_sequents(seed, count):
+    # 0-3 hypotheses over P, Q, R, and up to two repeated copies
+    rng = random.Random(seed)
+    for i in range(count):
+        hyps = [random_formula(rng, "PQR", rng.choice((1, 3, 5))) for _ in range(i % 4)]
+        hyps += [rng.choice(hyps) for _ in range(i % 3)] if hyps else []
+        yield rng, Sequent(tuple(hyps), random_formula(rng, "PQR", rng.choice((3, 5, 7, 9))))
+
+
+def test_derive_weakens_once_at_the_root_a_tree_that_reads_a_set():
+    found = 0
+    for _, s in _random_sequents(31, 300):
+        if not decide(s):
+            continue
+        tree = derive(s)
+        assert check_tree(tree).ok and tree.conclusion == s
+        core = tree
+        while core.rule == "wL":
+            core = core.premises[0]
+        keys = core.conclusion.hyp_keys
+        assert len(set(keys)) == len(keys), str(s)
+        assert _read(core) == set(keys), str(s)
+        found += 1
+    assert found > 50
+
+
+def test_each_extra_copy_of_a_hypothesis_is_one_more_node():
+    # at a multiset replay these took 27, 46 and 65 nodes
+    s = seq("~(P \\/ ~P) |- bot")
+    sizes = [_size(derive(Sequent(s.hyps * k, s.concl))) for k in (1, 2, 3)]
+    assert sizes[1:] == [sizes[0] + 1, sizes[0] + 2]
+    found = 0
+    for rng, s in _random_sequents(32, 300):
+        distinct = tuple({h.key: h for h in s.hyps}.values())
+        if not distinct or not decide(s):
+            continue
+        k = rng.randint(1, 3)
+        more = Sequent(distinct + tuple(rng.choice(distinct) for _ in range(k)), s.concl)
+        assert _size(derive(more)) == _size(derive(Sequent(distinct, s.concl))) + k, str(s)
+        found += 1
+    assert found > 50
+
+
+@pytest.mark.parametrize("body, goal, length", [
+    ("(X -> (~Y \\/ ~~Y)) -> X", "~~(X -> X)", 304),
+    ("P <-> (~Y \\/ ~~Y)", "~~(P -> P)", 440),
+])
+def test_interpolant_against_a_double_negation_derives_a_small_tree(body, goal, length):
+    # the simplified exists-interpolant as hypothesis: a multiset replay
+    # decomposed each copy of its repeated parts and did not finish
+    e = simplify(pite_exists(parse_formula(body), Variable("Y")))
+    assert len(print_formula(e)) == length
+    s = Sequent((e,), parse_formula(goal))
+    tree = derive(s)
+    assert check_tree(tree).ok and tree.conclusion == s
+    assert _size(tree) < 100
