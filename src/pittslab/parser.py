@@ -5,7 +5,11 @@ Infix symbols, levels and associativity come from `syntax.INFIX`: /\\,
 binds tighter than all of them.  `exists X.` / `forall X.` scope to the end
 of the enclosing expression unless parenthesized.  `top` and `~`/`<->` are
 sugar for their expansions; the AST never contains them.  The input is
-tokenized by one `findall`, and one loop over one explicit stack reads
+tokenized by one `findall`, whose strings are the tokens: a token outside
+`_FIXED` is an identifier when it starts with an ASCII letter and an
+unexpected character otherwise, checked by one set difference before any
+grammar step.  Tokens carry no offsets; an error, and `parse_prefix`'s end,
+find theirs again by a second scan.  One loop over one explicit stack reads
 prefixes, operands, parentheses and application arguments, so nothing
 recurses and any depth parses.  Atoms are shared: every parse of `P` gives
 the same `Var` object while `_leaf` keeps it cached.  The `{X := f, ...}`
@@ -38,16 +42,11 @@ from .syntax import (
 
 _INFIX = {op.symbol: op for op in INFIX}
 
-# Each match is (whitespace, identifier, other token); a one-character
-# `other` that names no kind is an unexpected character.
-_TOKEN_RE = re.compile(
-    r"(\s*)(?:(%s)|(\|-|%s|\S))" % (IDENT, "|".join(re.escape(op.symbol) for op in INFIX))
-)
-_KINDS = {
-    "bot": "bot", "top": "top", "exists": "exists", "forall": "forall", "|-": "turnstile",
-    "_": "hole", "~": "neg", "(": "lpar", ")": "rpar", ",": "comma", ".": "dot",
-    **{op.symbol: op.symbol for op in INFIX},
-}
+# One token per match: an identifier, `|-`, an infix symbol, or any other
+# non-space character alone.
+_TOKEN_RE = re.compile(r"%s|\|-|%s|\S" % (IDENT, "|".join(re.escape(op.symbol) for op in INFIX)))
+# every token but an identifier, and "" for the end
+_FIXED = frozenset({"bot", "top", "exists", "forall", "|-", "_", "~", "(", ")", ",", ".", "", *_INFIX})
 _OPEN = -1  # the level of an open group, below every operator's
 
 # An `<->` copies both operands, so a chain of n of them expands to about 2^n
@@ -86,45 +85,41 @@ class MalformedScript(ScriptError):
     pass
 
 
-def _unexpected(tok: tuple[str, str, int], *expected: str) -> FormulaSyntaxError:
-    return FormulaSyntaxError(f"unexpected {tok[1] or 'end of input'!r}", tok[2], expected)
-
-
 class _Tokens:
-    """The input's tokens as (kind, text, offset), then ("eof", "", len(text))."""
+    """The input's tokens as strings, then "" for the end."""
 
     def __init__(self, text: str):
-        self.toks = toks = []
-        pos = 0
-        for space, ident, other in _TOKEN_RE.findall(text):
-            pos += len(space)
-            value = ident or other
-            kind = _KINDS.get(value, "ident" if ident else None)
-            if kind is None:
-                raise FormulaSyntaxError(f"unexpected character {value!r}", pos)
-            toks.append((kind, value, pos))
-            pos += len(value)
-        toks.append(("eof", "", len(text)))
+        self.text = text
+        self.toks = toks = _TOKEN_RE.findall(text)
+        toks.append("")
         self.i = 0
+        stray = [tok for tok in set(toks).difference(_FIXED) if not (tok.isascii() and tok[0].isalpha())]
+        if stray:
+            i = min(map(toks.index, stray))
+            raise FormulaSyntaxError(f"unexpected character {toks[i]!r}", self.offset(i))
 
-    def peek(self) -> tuple[str, str, int]:
+    def offset(self, i: int) -> int:
+        """Where token i starts, found by a second scan; the end is len(text)."""
+        for k, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            if k == i:
+                return m.start()
+        return len(self.text)
+
+    def unexpected(self, i: int, *expected: str) -> FormulaSyntaxError:
+        return FormulaSyntaxError(f"unexpected {self.toks[i] or 'end of input'!r}", self.offset(i), expected)
+
+    def peek(self) -> str:
         return self.toks[self.i]
 
-    def next(self) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
+    def expect(self, tok: str, kind: str) -> None:
+        if self.toks[self.i] != tok:
+            raise self.unexpected(self.i, kind)
         self.i += 1
-        return tok
-
-    def expect(self, kind: str) -> tuple[str, str, int]:
-        tok = self.peek()
-        if tok[0] != kind:
-            raise _unexpected(tok, kind)
-        return self.next()
 
     def end(self) -> None:
         tok = self.peek()
-        if tok[0] != "eof":
-            raise FormulaSyntaxError(f"trailing input {tok[1]!r}", tok[2], ("eof",))
+        if tok:
+            raise FormulaSyntaxError(f"trailing input {tok!r}", self.offset(self.i), ("eof",))
 
 
 class Parser:
@@ -145,18 +140,18 @@ class Parser:
         """Parse one formula from the front; return it and the offset just past it."""
         toks = _Tokens(text)
         f = self._formula(toks)
-        return f, toks.peek()[2]
+        return f, toks.offset(toks.i)
 
     def parse_sequent(self, text: str) -> Sequent:
         toks = _Tokens(text)
         hyps: list[Formula] = []
-        if toks.peek()[0] not in ("turnstile", "eof"):
+        if toks.peek() not in ("|-", ""):
             hyps.append(self._formula(toks))
-            while toks.peek()[0] == "comma":
-                toks.next()
+            while toks.peek() == ",":
+                toks.i += 1
                 hyps.append(self._formula(toks))
-        toks.expect("turnstile")
-        if toks.peek()[0] == "eof":
+        toks.expect("|-", "turnstile")
+        if not toks.peek():
             concl: Formula = BOT
         else:
             concl = self._formula(toks)
@@ -186,74 +181,75 @@ class Parser:
     def _formula(self, toks: _Tokens) -> Formula:
         """One expression from `toks.i`, read by one loop over one explicit
         stack and a local index, written back on return.  A pending operator
-        waits as (level, constructor, left operand or bound variable,
-        offset); an open `(` or `name(` waits as (_OPEN, symbol or None, the
+        waits as (level, constructor, left operand or bound variable, token
+        index); an open `(` or `name(` waits as (_OPEN, symbol or None, the
         arguments read so far, 0), and no reduction passes it."""
         tl, i = toks.toks, toks.i
         pending: list[tuple] = []
         while True:
-            kind, value, off = tl[i]
+            tok = tl[i]
             i += 1
-            if kind == "neg":
+            if tok == "~":
                 pending.append((NEG_LEVEL, neg, None, 0))
                 continue
-            if kind in ("exists", "forall"):
-                for tok, expected in zip(tl[i:i + 2], ("ident", "dot")):
-                    if tok[0] != expected:
-                        raise _unexpected(tok, expected)
-                v, i = Variable(tl[i][1]), i + 2
-                pending.append((QUANTIFIER_LEVEL, Exists if kind == "exists" else Forall, v, 0))
-                continue
-            if kind == "lpar":
+            if tok == "(":
                 pending.append((_OPEN, None, None, 0))
                 continue
-            if kind == "ident":
-                if tl[i][0] != "lpar":
-                    f = _leaf(value)
+            if tok not in _FIXED:  # an identifier, as `_Tokens` checked
+                if tl[i] != "(":
+                    f = _leaf(tok)
                 else:
-                    sym = self.signature.get(value)
+                    sym = self.signature.get(tok)
                     if sym is None:
-                        raise FormulaSyntaxError(f"unknown connective {value!r}", off)
+                        raise FormulaSyntaxError(f"unknown connective {tok!r}", toks.offset(i - 1))
                     i += 1
-                    if sym.arity or tl[i][0] != "rpar":
+                    if sym.arity or tl[i] != ")":
                         pending.append((_OPEN, sym, [], 0))
                         continue
                     i += 1  # `name()`, a nullary connective
                     f = App(sym, ())
-            elif kind in _CONSTANTS:
-                f = _CONSTANTS[kind]
-            elif kind == "hole":
+            elif tok in _CONSTANTS:
+                f = _CONSTANTS[tok]
+            elif tok == "exists" or tok == "forall":
+                if tl[i] in _FIXED:
+                    raise toks.unexpected(i, "ident")
+                if tl[i + 1] != ".":
+                    raise toks.unexpected(i + 1, "dot")
+                v, i = Variable(tl[i]), i + 2
+                pending.append((QUANTIFIER_LEVEL, Exists if tok == "exists" else Forall, v, 0))
+                continue
+            elif tok == "_":
                 if self.hole is None:
-                    raise FormulaSyntaxError("hole '_' not allowed here", off)
+                    raise FormulaSyntaxError("hole '_' not allowed here", toks.offset(i - 1))
                 f = _leaf(self.hole.name)
             else:
-                raise _unexpected(tl[i - 1], "ident", "bot", "top", "~", "(", "exists", "forall")
+                raise toks.unexpected(i - 1, "ident", "bot", "top", "~", "(", "exists", "forall")
             # f is an operand: reduce, then go on to the next operand, close
             # an open group, or end
             while True:
-                kind = tl[i][0]
-                op = _INFIX.get(kind)
+                tok = tl[i]
+                op = _INFIX.get(tok)
                 # reduce what binds at least as tightly as op; everything at the end
                 floor = op.level + op.right if op else QUANTIFIER_LEVEL
                 while pending and pending[-1][0] >= floor:
-                    _level, build, arg, off = pending.pop()
+                    _level, build, arg, at = pending.pop()
                     if build is iff and 3 + 2 * (arg.size + f.size) > _MAX_IFF_NODES:
-                        raise FormulaSyntaxError(f"'<->' expands past {_MAX_IFF_NODES} nodes", off)
+                        raise FormulaSyntaxError(f"'<->' expands past {_MAX_IFF_NODES} nodes", toks.offset(at))
                     f = build(f) if arg is None else build(arg, f)
                 if op is not None:
-                    pending.append((op.level, op.build, f, tl[i][2]))
+                    pending.append((op.level, op.build, f, i))
                     i += 1
                     break
                 if not pending:
                     toks.i = i
                     return f
                 _, sym, args, _ = pending[-1]
-                if sym is not None and kind == "comma":
+                if sym is not None and tok == ",":
                     i += 1
                     args.append(f)
                     break
-                if kind != "rpar":
-                    raise _unexpected(tl[i], "rpar")
+                if tok != ")":
+                    raise toks.unexpected(i, "rpar")
                 i += 1
                 pending.pop()
                 if sym is not None:

@@ -98,6 +98,27 @@ def test_syntax_error_pins(text, sequent, message, offset, expected):
     assert (str(e.value), e.value.offset, e.value.expected) == (message, offset, expected)
 
 
+@pytest.mark.parametrize("text, message, offset, expected", [
+    pytest.param("P -> -> é", "unexpected character 'é' at offset 8", 8, (), id="after-a-grammar-error"),
+    pytest.param("P |- Ω", "unexpected character 'Ω' at offset 5", 5, (), id="non-ascii-letter"),
+    pytest.param("P\t/\\ Q |- 1Q", "unexpected character '1' at offset 10", 10, (), id="digit"),
+    pytest.param("exists 1. P |- P", "unexpected character '1' at offset 7", 7, (), id="bound-digit"),
+    pytest.param("P |- (Q", "unexpected 'end of input' at offset 7 (expected one of: rpar)", 7, ("rpar",),
+                 id="unclosed"),
+])
+def test_characters_are_checked_before_the_grammar(text, message, offset, expected):
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse_sequent(text)
+    assert (str(e.value), e.value.offset, e.value.expected) == (message, offset, expected)
+
+
+@pytest.mark.parametrize("text, offset", [("é", 0), ("Ω", 0), ("ª", 0), ("Pé", 1), ("Xé1", 1)])
+def test_a_non_ascii_letter_is_never_an_identifier(text, offset):
+    with pytest.raises(FormulaSyntaxError) as e:
+        parse_formula(text)
+    assert str(e.value) == f"unexpected character {text[offset]!r} at offset {offset}"
+
+
 def test_deep_prefix_and_infix_chains_parse():
     n = 5000
     f, g = parse_formula("~" * n + "P"), P
@@ -154,6 +175,28 @@ def test_print_refolds_abbreviations():
     assert print_formula(iff(P, Q)) == "P <-> Q"
     f = And(Implies(neg(X1), X2), Implies(neg(X2), X1))
     assert print_formula(f) == "(~X1 -> X2) /\\ (~X2 -> X1)"
+
+
+_PINNED_SIG = Signature([ConnectiveSymbol("c", 0), ConnectiveSymbol("t", 2)])
+
+
+@pytest.mark.parametrize("text, printed", [
+    ("top", "top"),
+    ("~top", "~top"),
+    ("~bot", "top"),
+    ("~~bot", "~top"),
+    ("top -> P", "top -> P"),
+    ("(bot -> bot) /\\ (bot -> bot)", "bot <-> bot"),
+    ("~(P <-> Q)", "~(P <-> Q)"),
+    ("exists X. ~X", "exists X. ~X"),
+    ("~(exists X. X)", "~(exists X. X)"),
+    ("c()", "c()"),
+    ("~t(P, Q)", "~t(P, Q)"),
+])
+def test_print_pins(text, printed):
+    f = parse_formula(text, _PINNED_SIG)
+    assert print_formula(f) == printed
+    assert parse_formula(printed, _PINNED_SIG) == f
 
 
 _names = st.sampled_from(["P", "Q", "R", "X", "Y"])
@@ -214,6 +257,19 @@ def test_whitespace_between_tokens_leaves_the_formula(f, data):
 def test_whitespace_between_tokens_leaves_the_sequent(hyps, concl, data):
     s = parse_sequent(_respaced(Sequent(tuple(hyps), concl).text(), data), _sig)
     assert [h.key for h in s.hyps] == [h.key for h in hyps] and s.concl.key == concl.key
+
+
+# Texts whose first token ends a formula read by `parse_prefix`, and the end
+# of input; none opens an application.
+_TAILS = ("", "Q", "~P", "bot -> Q", "exists X. X", "t(P) Q", "|- P", ", R", ") P")
+
+
+@settings(max_examples=200, deadline=None)
+@given(_formulas(), st.text(" \t\n", min_size=1, max_size=5), st.sampled_from(_TAILS), st.data())
+def test_parse_prefix_ends_where_the_tail_starts(f, ws, tail, data):
+    text = _respaced(print_formula(f), data) + ws
+    g, end = Parser(_sig).parse_prefix(text + tail)
+    assert (g.key, end) == (f.key, len(text))
 
 
 _NOISE = ("P", "Q", "X", "t", "u", "bot", "top", "exists", "forall", " ", "\t", "\u00a0", "(", ")",
