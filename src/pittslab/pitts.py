@@ -16,13 +16,15 @@ results are memoized per eliminated variable.
 The validation gate checks a candidate against a probe corpus, two sequents
 per probe, but decides them once per class of prover-equivalent probes, on
 the class's representative (`_table`); by cut, equivalent probes have the
-same antecedents and consequences.  A sequent whose forcing masks on the
-two-world chain (every valuation of the atoms at once) show a world forcing
-the hypothesis but not the conclusion is refuted by that Kripke model, so
-the gate records it as not derivable without calling `decide`; IPC is sound
-for Kripke semantics, so that is the verdict `decide` would give.  The
-candidate's sequents are decided on the representative of its class when
-that is smaller than the candidate.
+same antecedents and consequences.  The classes are found in one pass, by
+congruence where it applies and by `prover.equivalent` otherwise, and a
+compound probe's mask is composed from its operands' masks.  A sequent
+whose forcing masks on the two-world chain (every valuation of the atoms at
+once) show a world forcing the hypothesis but not the conclusion is refuted
+by that Kripke model, so the gate records it as not derivable without
+calling `decide`; IPC is sound for Kripke semantics, so that is the verdict
+`decide` would give.  The candidate's sequents are decided on the
+representative of its class when that is smaller than the candidate.
 
 Two small module-level `lru_cache`s keep what outlives a gate call: one
 corpus per atom set and budget (`_corpus`), and one table per corpus,
@@ -303,21 +305,17 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
     first probe), their masks, each probe's class and each class's size.
 
     A compound probe joins the class an earlier probe with the same connective
-    and operands of the same classes joined, since IPC equivalence is a
-    congruence.  Any other probe is compared, by `prover.equivalent`, with
-    the representatives that have its mask (equivalent formulas have equal
-    masks); it joins the first that matches, or starts a class."""
-    kept = []
-    names = set(inputs)
+    and operands of the same classes joined (in either order under /\\ and
+    \\/), since IPC equivalence is a congruence.  Any other probe is compared,
+    by `prover.equivalent`, with the representatives that have its mask
+    (equivalent formulas have equal masks); it joins the first that matches,
+    or starts a class.  Its mask is composed from its operands' class masks
+    where both operands are earlier probes, and is `kripke.forcing_mask`'s
+    otherwise (a leaf, or an operand that comes later or not at all)."""
     ys = frozenset([y])  # `y in fv` would hash y in Python for every probe
-    for psi in probes:
-        fv = psi.free_vars
-        if ys.isdisjoint(fv):
-            kept.append(psi)
-            names |= fv
-    kept = tuple(kept)
+    kept = tuple([psi for psi in probes if ys.isdisjoint(psi.free_vars)])
     require_plain(*kept)
-    names = sorted(names)
+    names = sorted(inputs.union(*[psi.free_vars for psi in kept]))
     masks, g, _ = kripke._stack(len(names[:_GRID_ATOMS]), (_CHAIN,))
     atoms = dict(zip((v.name for v in names), masks))
     atoms.update((v.name, 0) for v in names[_GRID_ATOMS:])
@@ -327,14 +325,17 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
     of: list[int] = []
     table: dict = {}  # classes by probe key, and by connective and operand classes
     for psi in kept:
-        key = psi.key
-        if isinstance(psi, (And, Or, Implies)):
-            # an operand that is not a probe stands for itself
+        op, key, a, b = type(psi), psi.key, None, None
+        if op in (And, Or, Implies):  # an operand that is not a probe stands for itself, by its key
             a, b = psi.left.key, psi.right.key
-            key = (type(psi), table.get(a, a), table.get(b, b))
+            a, b = table.get(a, a), table.get(b, b)
+            if op is not Implies and type(a) is type(b) and b < a:
+                a, b = b, a
+            key = (op, a, b)
         c = table.get(key)
         if c is None:
-            m = kripke.forcing_mask(psi, atoms, g)
+            m = (kripke.connective_mask(op, masks[a], masks[b], g) if type(a) is type(b) is int
+                 else kripke.forcing_mask(psi, atoms, g))
             same = by_mask.setdefault(m, [])
             c = next((i for i in same if prover.equivalent(reps[i], psi)), None)
             if c is None:
@@ -351,16 +352,16 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
 
 
 # The largest probe size `interpolate --probe-budget` accepts.  On atoms
-# P, Q, R a budget of 9 is 284,908 probes (2-3 s and 130 MB to build with
-# Python 3.11 on one core); each further step of two nodes multiplies that
-# many times over.
+# P, Q, R a budget of 9 is 284,908 probes (about 1 s and 88 MB to build with
+# Python 3.11 on one core, then about 2 s for their 3,621 classes); each
+# further step of two nodes multiplies that many times over.
 MAX_PROBE_NODES = 9
 
 
 def probe_corpus(variables, max_nodes: int = 8) -> tuple[Formula, ...]:
     """All formulas over the given atoms, each atom taken once, up to
-    `max_nodes` AST nodes, deduplicated up to commutativity of /\\ and \\/
-    (deterministic order).
+    `max_nodes` AST nodes (none when `max_nodes` < 1), deduplicated up to
+    commutativity of /\\ and \\/ (deterministic order).
 
     The corpus is built once per (atoms, `max_nodes`) and then shared, so
     it is an immutable tuple; the gate finds its class table by the
@@ -382,22 +383,21 @@ class _Corpus(tuple):
 
 @lru_cache(maxsize=4)
 def _corpus(variables: tuple, max_nodes: int) -> tuple[Formula, ...]:
-    """Each probe is kept with its commutative key; a candidate's key is
-    composed from its operands' keys (sorted under /\\ and \\/), and the
-    candidate is built only when that key is new.  Probes come in size
-    order, so a probe's operands come before it."""
-    leaves = [(g, g.key) for g in [BOT] + [Var(v) for v in variables]]
-    by_size: dict[int, list[tuple[Formula, str]]] = {1: leaves}
-    seen = {k for _, k in leaves}
+    """Probes come in size order, so a probe's operands come before it, and
+    each size is a range of probe indices.  Operands a, b at indices i, j give
+    a -> b, and a /\\ b and a \\/ b only when i <= j (else the pair j, i came
+    first); no two probes are equal up to commutativity, so no others repeat."""
+    out = [BOT, *map(Var, variables)] if max_nodes > 0 else []
+    by_size = {1: range(len(out))}
     for size in range(3, max_nodes + 1, 2):
-        bucket = by_size[size] = []
+        start = len(out)
         for lsize in range(1, size - 1, 2):
-            for a, ka in by_size[lsize]:
-                for b, kb in by_size[size - 1 - lsize]:
-                    lo, hi = (ka, kb) if ka <= kb else (kb, ka)
-                    for ctor, kl, kr in ((And, lo, hi), (Or, lo, hi), (Implies, ka, kb)):
-                        k = ctor.key_of(kl, kr)
-                        if k not in seen:
-                            seen.add(k)
-                            bucket.append((ctor(a, b), k))
-    return _Corpus(g for bucket in by_size.values() for g, _ in bucket)
+            for i in by_size[lsize]:
+                a = out[i]
+                for j in by_size[size - 1 - lsize]:
+                    b = out[j]
+                    if i <= j:
+                        out += (And(a, b), Or(a, b))
+                    out.append(Implies(a, b))
+        by_size[size] = range(start, len(out))
+    return _Corpus(out)

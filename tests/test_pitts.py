@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pittslab.kernel import Sequent
 from pittslab.parser import parse_formula
@@ -13,7 +14,7 @@ from pittslab.pitts import (
     simplify,
     validate_interpolant,
 )
-from pittslab import prover
+from pittslab import kripke, prover
 from pittslab.prover import decide, equivalent
 from pittslab.selftest import random_formula
 from pittslab.syntax import (
@@ -233,6 +234,18 @@ def test_probe_corpus_takes_each_atom_once():
     P = Variable("P")
     assert probe_corpus([P, P], 3) is probe_corpus([P], 3)
     assert len(probe_corpus([P], 3)) == 12
+
+
+def test_probe_corpus_below_one_node_is_empty():
+    # a budget below one node admits no formula, not even a leaf; the gate
+    # then runs no probe
+    P = Variable("P")
+    for atoms in ([], [P], [P, Variable("Q")]):
+        for max_nodes in (0, -1, -3):
+            assert probe_corpus(atoms, max_nodes) == ()
+        assert len(probe_corpus(atoms, 1)) == len(atoms) + 1
+    rep = validate_interpolant(f("P"), Y, f("P"), probe_corpus([P], 0))
+    assert rep.ok and rep.probes_run == 0 and rep.failures == []
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +537,66 @@ def test_class_table_partitions_the_corpus_by_equivalence(atoms, budget, classes
             members.setdefault(c, set()).add(psi.key)
         partitions.append({frozenset(keys) for keys in members.values()})
     assert partitions[0] == partitions[1]
+
+
+def _classes_without_congruence(probes, atoms, g):
+    """The classes of `probes` found from masks and `prover.equivalent`
+    alone: each probe joins the first earlier class with its mask whose
+    representative is equivalent to it, or starts a class."""
+    reps, masks, of = [], [], []
+    for psi in probes:
+        m = kripke.forcing_mask(psi, atoms, g)
+        c = next((i for i, r in enumerate(reps) if masks[i] == m and equivalent(r, psi)), None)
+        if c is None:
+            c = len(reps)
+            reps.append(psi)
+            masks.append(m)
+        of.append(c)
+    return reps, masks, of, [of.count(c) for c in range(len(reps))]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    corpus=st.sampled_from([(("P",), 8), (("P", "Q"), 7), (("P", "Y"), 5)]),
+    least=st.sampled_from([1, 3, 5]),
+    order=st.sampled_from(["corpus", "reversed", "shuffled"]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_class_table_matches_classes_without_congruence(corpus, least, order, rng):
+    # `_table` on probes whose operands come late or not at all: a shuffled or
+    # reversed sample of a corpus, from which the probes below `least` nodes
+    # (the leaves, from 3 up) are gone; over P and Y only the P probes are
+    # kept.  Its classes, masks and counts are those of a classifier that
+    # takes no class from congruence and no mask from operands.
+    from pittslab import pitts
+
+    atoms, budget = corpus
+    pool = [psi for psi in probe_corpus([Variable(a) for a in atoms], budget) if psi.size >= least]
+    probes = [pool[i] for i in sorted(rng.sample(range(len(pool)), min(len(pool), 600)))]
+    if order == "reversed":
+        probes.reverse()
+    elif order == "shuffled":
+        rng.shuffle(probes)
+    kept, atom_masks, g, reps, masks, of, size = pitts._table.__wrapped__(tuple(probes), Y, frozenset([Y]))
+    assert kept == tuple(psi for psi in probes if Y not in psi.free_vars)
+    assert (reps, masks, of, size) == _classes_without_congruence(kept, atom_masks, g)
+
+
+def test_cold_class_table_evaluates_only_the_leaves(monkeypatch):
+    # a compound probe's mask comes from its operands' classes, so a cold
+    # table over the 4,203 probes of P and Q evaluates only bot, P and Q;
+    # congruence in either operand order under /\ and \/ keeps its
+    # `prover.equivalent` calls at or below 396
+    from pittslab import pitts
+
+    corpus = probe_corpus([Variable("P"), Variable("Q")], 7)
+    evaluated, compared = [], []
+    forcing_mask, equivalent_ = kripke.forcing_mask, prover.equivalent
+    monkeypatch.setattr(kripke, "forcing_mask", lambda psi, *a: evaluated.append(psi) or forcing_mask(psi, *a))
+    monkeypatch.setattr(prover, "equivalent", lambda *a: compared.append(a) or equivalent_(*a))
+    reps = pitts._table.__wrapped__(corpus, Y, frozenset([Y]))[3]
+    assert evaluated == [BOT, var("P"), var("Q")] == list(corpus[:3])
+    assert len(reps) == 83 and len(compared) <= 396
 
 
 def _gate_calls():

@@ -205,7 +205,7 @@ def test_quantifier_keys_match_the_definition():
 
 
 def test_key_of_is_the_key_the_constructor_gives():
-    # the probe gate looks verdicts up by keys it composes with `key_of`
+    # `key_of` composes a node's key from its operands' keys, without the node
     import random
 
     rng = random.Random(16)
