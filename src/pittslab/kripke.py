@@ -9,14 +9,13 @@ down to the worlds above w, and the first countermodel (fewest worlds) is
 rooted and fails at its root.  A rooted poset on n worlds is a bottom put
 under a poset on n - 1 worlds (`rooted_posets`), so a sweep to n worlds
 enumerates posets of at most n - 1.  `forcing_mask` evaluates a formula at
-every valuation and world at once, as one Python int with a bit per
-(valuation, world), on a grid; the sweep's grids lay the rooted posets of
-one world count side by side (`_layout`), so it evaluates the sequent once
-per grid of many posets, not once per poset.  The one-variable lattice in
-`rieger` uses the same evaluator on the one-atom universal model, and
-`prover.classical_tautology` is the sweep `first_failure` on one world (a
-one-world model is a classical valuation).  A countermodel found is a
-`kernel.KripkeModel` (`submodel`), checked apart from the sweep.
+every valuation and world of a poset at once, as one Python int with a bit
+per (valuation, world), on a grid, as `rieger` does on its universal model.
+The sweep lays a world count's rooted posets side by side, one int per world
+(`_slabs`), and evaluates the sequent once per world count, implications by
+ANDs and ORs without shifts (`prover.classical_tautology` is its one-world
+run).  A countermodel found is a `kernel.KripkeModel` (`submodel`), checked
+apart from the sweep.
 """
 from __future__ import annotations
 
@@ -148,7 +147,7 @@ def upsets(n: int, up: tuple[int, ...]) -> tuple[int, ...]:
 # Forcing at every valuation at once.  A poset's n worlds are laid out over
 # a grid of valuation points: bit p * n + w of a mask stands for world w at
 # point p, and a formula's mask holds the (point, world) pairs forcing it.
-# A sweep's grid is several posets' grids, each from its own start bit.
+# The sweep's tables (`_slabs`) keep one int per world instead.
 
 @dataclass(frozen=True)
 class Grid:
@@ -264,40 +263,36 @@ def first_failure(s: Sequent, max_worlds: int = DEFAULT_BOUND):
     failure as trying every poset: let n be the least world count with a
     failure; a failure at a world w that is not the least world would also
     occur on the upset of w, a rooted poset of fewer worlds, so every
-    failing poset at n is rooted and fails only at its root, and
-    `rooted_posets(n)` keeps the `posets(n)` order.
+    failing poset at n is rooted and fails only at its root, world 0 (the
+    only world tested), and `rooted_posets(n)` keeps the `posets(n)` order.
 
-    The sequent is evaluated once per grid of `_layout`, on many posets at
-    once: its lowest failing bit is in the first failing poset, found by
-    `bisect` over the posets' starts.  Raises `GridTooLarge` past a cap."""
+    The sequent is evaluated once per table of `_slabs`, one per world count
+    to DEFAULT_BOUND (`_slab_table`) and one per poset past it: its lowest
+    failing bit is in the first failing poset, found by `bisect` over the
+    posets' starts.  Raises `GridTooLarge` past a cap."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     require_plain(*s.hyps, s.concl)
-    names = sorted(s.free_vars())
+    names = [v.name for v in sorted(s.free_vars())]
     k = len(names)
     for n in range(1, max_worlds + 1):
-        for ups, build in _layout(k, n):
-            masks, g, starts = build(k, ups)
-            atoms = dict(zip((v.name for v in names), masks))
-            fail = g.full
+        tables = (_slab_table(k, n),) if n <= DEFAULT_BOUND else (_slabs(k, (up,)) for up in rooted_posets(n))
+        for ups, starts, full, masks, above, bottom in tables:
+            atoms = dict(zip(names, masks))
+            fail = full
             for h in s.hyps:
-                fail &= forcing_mask(h, atoms, g)
-            fail ^= fail & forcing_mask(s.concl, atoms, g)
+                fail &= _root_mask(h, atoms, full, above, bottom)
+            fail ^= fail & _root_mask(s.concl, atoms, full, above, bottom)
             if fail:
                 bit = _lowest_bit(fail)
                 i = bisect_right(starts, bit) - 1
-                point, world = divmod(bit - starts[i], n)
-                return ups[i], point, world
+                return ups[i], bit - starts[i], 0
     return None
 
 
-# A grid of `_layout` on at most DEFAULT_BOUND worlds and of at most this
-# many bits is kept in `_grid_table` once built, any other is built on each
-# call: every three-atom grid to six worlds takes 1.6 MB, every four-atom one
-# 32 MB.  No poset's grid past `_MAX_GRID_BITS` is built: that refuses four
-# atoms on seven worlds (125 Mbit), five on six (235 Mbit) and twelve on
-# three (732 Mbit), and lets three atoms on eight worlds (17 Mbit) through.
-_TABLE_BITS = 1 << 23
+# No poset's grid past `_MAX_GRID_BITS` (u^k * n bits for k atoms on a poset
+# of n worlds with u upsets) is built: that refuses four atoms on seven worlds,
+# five on six and twelve on three, and lets three atoms on eight through.
 _MAX_GRID_BITS = 1 << 25
 
 
@@ -306,60 +301,125 @@ class GridTooLarge(FormulaError):
 
 
 @lru_cache(maxsize=None)
-def _layout(k: int, n: int) -> tuple[tuple[tuple, object], ...]:
-    """`rooted_posets(n)` cut, in order, into the sweep's grids, each with
-    its builder: on at most DEFAULT_BOUND worlds, runs of posets whose k-atom
-    blocks (see `_stack`) take at most `_TABLE_BITS` bits together, kept in
-    `_grid_table`; else one poset each, built per call, where joining blocks
-    would cost more than the per-poset evaluation it saves."""
-    runs: list = []  # [posets, bits]
-    for up in rooted_posets(n):
-        bits = (len(upsets(n, up)) ** k * n + 7) // 8 * 8
-        if not (runs and n <= DEFAULT_BOUND and runs[-1][1] + bits <= _TABLE_BITS):
-            runs.append([[], 0])
-        runs[-1][0].append(up)
-        runs[-1][1] += bits
-    return tuple((tuple(run), _grid_table if n <= DEFAULT_BOUND and bits <= _TABLE_BITS else _stack)
-                 for run, bits in runs)
+def _slab_table(k: int, n: int) -> tuple:
+    """`_slabs(k, rooted_posets(n))`, built on first use."""
+    return _slabs(k, rooted_posets(n))
 
 
-def _stack(k: int, ups) -> tuple[tuple[int, ...], Grid, tuple[int, ...]]:
-    """The masks of atoms 0..k-1, by position, and the grid they span on the
-    posets `ups` of one world count, labeled as in `posets`, side by side,
-    with each poset's start bit.  A poset's block has a valuation point for
-    each way of giving every atom an upset, the last atom's varying fastest.
-    Blocks start on byte boundaries; the bits between them are in no mask, so
-    no shift of `connective_mask` crosses from one block into the next."""
+def _slabs(k: int, ups) -> tuple:
+    """The sweep's table for k atoms on the posets `ups` of one world count:
+    the posets, their start bits, `full`, each atom's mask, `above` and the
+    mask of bot; `GridTooLarge`, before anything is built, past a cap.  A
+    poset's block has a bit per valuation point, as in `_stack`, and starts
+    on a byte boundary; `full` holds every point of every block.  A mask has
+    an int per world: the points where it does not force the formula.
+    `above` lists, from the top world down, each world w with each v > w it
+    sees and the blocks where it does (None for all).  On one world a mask
+    is its forcing mask instead, and `above` its grid."""
     n = len(ups[0])
     uss = [upsets(n, up) for up in ups]
-    bits = max(len(us) ** k * n for us in uss)
+    bits = max(map(len, uss)) ** k * n
     if bits > _MAX_GRID_BITS:
         raise GridTooLarge(f"countermodel sweep too large: {k} atoms on {n} worlds need a grid "
                            f"of {bits:,} bits, more than {_MAX_GRID_BITS:,}")
-    rows = [[] for _ in range(k + n)]  # atoms 0..k-1, full, sees at offsets 1..n-1
-    for up, us in zip(ups, uss):
+    rows: list[list] = [[] for _ in range(k * n)]  # atom i at world w: row i * n + w
+    fulls, blocks = [], {}  # blocks by the upsets holding the world, and the atom
+    for us in uss:
+        u, size = len(us), (len(us) ** k + 7) // 8
+        # character 8 * (u - 1 - j) + 7 - w is bit w of upset j (n <= 8)
+        text = format(int.from_bytes(bytes(us), "little"), f"0{8 * u}b")
+        for w, i in itertools.product(range(n), range(k)):
+            col = text[7 - w::8]
+            if (col, i) not in blocks:
+                # atom i takes upset j on `inner` points in a row: spread bits, times 2 ** inner - 1
+                inner = u ** (k - 1 - i)
+                if inner == 1:
+                    spread = int(col, 2)
+                else:
+                    spread = bytearray(u * inner // 8 + 1)
+                    for j, c in enumerate(reversed(col)):
+                        if c == "1":
+                            spread[j * inner >> 3] |= 1 << (j * inner & 7)
+                    spread = int.from_bytes(spread, "little")
+                runs = _repeat((spread << inner) - spread, u * inner, u ** i)
+                blocks[col, i] = runs if len(ups) == 1 else runs.to_bytes(size, "little")
+            rows[i * n + w].append(blocks[col, i])
+        ones = (1 << u ** k) - 1
+        fulls.append(ones if len(ups) == 1 else ones.to_bytes(size, "little"))
+
+    def join(parts) -> int:  # one poset's blocks are ints; more are joined as bytes
+        return parts[0] if len(ups) == 1 else int.from_bytes(b"".join(parts), "little")
+
+    starts = tuple(itertools.accumulate((8 * len(f) for f in fulls[:-1]), initial=0))
+    full = join(fulls)
+    if n == 1:
+        return ups, starts, full, tuple(map(join, rows)), Grid(full, ()), 0
+    above = []
+    for w in reversed(range(n - 1)):
+        pairs = []
+        for v in range(w + 1, n):
+            seen = [up[w] >> v & 1 for up in ups]
+            if any(seen):
+                pairs.append((v, None if all(seen) else
+                              join(f if s else bytes(len(f)) for f, s in zip(fulls, seen))))
+        above.append((w, pairs))
+    atoms = tuple(tuple(full ^ join(row) for row in rows[i * n:i * n + n]) for i in range(k))
+    return ups, starts, full, atoms, tuple(above), (full,) * n
+
+
+def _root_mask(f: Formula, atoms: dict, full: int, above, bottom) -> int:
+    """World 0's forcing mask of f on a table of `_slabs`."""
+    if type(above) is Grid:
+        return forcing_mask(f, atoms, above)
+    todo: list = [f]  # as in `forcing_mask`
+    done: list = []
+    while todo:
+        h = todo.pop()
+        if h is None:
+            h = todo.pop()
+            b = done.pop()
+            a = done.pop()
+            op = type(h)
+            if op is And:
+                done.append([x | y for x, y in zip(a, b)])
+            elif op is Or:
+                done.append([x & y for x, y in zip(a, b)])
+            else:
+                # h fails at w iff some v >= w forces its left side but not its right
+                miss = [(x | y) ^ x for x, y in zip(a, b)]
+                for w, pairs in above:  # the worlds above w are final
+                    m = miss[w]
+                    for v, seen in pairs:
+                        m |= miss[v] if seen is None else miss[v] & seen
+                    miss[w] = m
+                done.append(miss)
+            continue
+        op = type(h)
+        if op is Var:
+            done.append(atoms[h.var.name])
+        elif op is Bottom:
+            done.append(bottom)
+        else:  # a connective: the sweep takes plain formulas only
+            todo += (h, None, h.right, h.left)
+    return full ^ done[0][0]
+
+
+def _stack(k: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], Grid]:
+    """The masks of atoms 0..k-1, by position, and the grid of the poset
+    `up` at every valuation point: a point gives each atom an upset, the
+    last atom's varying fastest."""
+    n = len(up)
+    us = upsets(n, up)
+    masks = []
+    for i in range(k):
         # atom i takes upset j on a run of `inner` consecutive points, j = 0, 1, ...
-        for i in range(k):
-            inner = len(us) ** (k - 1 - i)
-            run = _repeat(1, n, inner)
-            runs = 0
-            for j, mask in enumerate(us):
-                runs |= (mask * run) << (j * inner * n)
-            rows[i].append(_repeat(runs, len(us) * inner * n, len(us) ** i))
-        g = grid(up, _repeat(1, n, len(us) ** k))
-        sees = dict(g.sees)
-        for d, row in enumerate(rows[k:]):
-            row.append(sees.get(d, 0) if d else g.full)
-    # each mask is its blocks' masks joined as bytes, in linear time
-    sizes = [(len(us) ** k * n + 7) // 8 for us in uss]
-    rows = [row[0] if len(row) == 1 else
-            int.from_bytes(b"".join(m.to_bytes(b, "little") for m, b in zip(row, sizes)), "little")
-            for row in rows]
-    starts = tuple(8 * end for end in itertools.accumulate(sizes, initial=0))[:-1]
-    return tuple(rows[:k]), Grid(rows[k], tuple((d, m) for d, m in enumerate(rows[k:]) if d and m)), starts
-
-
-_grid_table = lru_cache(maxsize=None)(_stack)
+        inner = len(us) ** (k - 1 - i)
+        run = _repeat(1, n, inner)
+        runs = 0
+        for j, mask in enumerate(us):
+            runs |= (mask * run) << (j * inner * n)
+        masks.append(_repeat(runs, len(us) * inner * n, len(us) ** i))
+    return tuple(masks), grid(up, _repeat(1, n, len(us) ** k))
 
 
 def submodel(up: tuple[int, ...], keep, atoms: dict[str, int]) -> KripkeModel:

@@ -316,7 +316,7 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
     kept = tuple([psi for psi in probes if ys.isdisjoint(psi.free_vars)])
     require_plain(*kept)
     names = sorted(inputs.union(*[psi.free_vars for psi in kept]))
-    masks, g, _ = kripke._stack(len(names[:_GRID_ATOMS]), (_CHAIN,))
+    masks, g = kripke._stack(len(names[:_GRID_ATOMS]), _CHAIN)
     atoms = dict(zip((v.name for v in names), masks))
     atoms.update((v.name, 0) for v in names[_GRID_ATOMS:])
     reps: list[Formula] = []

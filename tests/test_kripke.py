@@ -273,7 +273,7 @@ def test_rooted_posets_are_the_rooted_posets_in_order():
 def _reference_failures(s, up):
     """The failing bits of s on the poset `up`, on a grid built afresh."""
     names = sorted(s.free_vars())
-    masks, g, _ = kripke._stack(len(names), (up,))
+    masks, g = kripke._stack(len(names), up)
     atoms = {v.name: m for v, m in zip(names, masks)}
     fail = g.full
     for h in s.hyps:
@@ -397,40 +397,45 @@ def test_bound_eight_sweeps_the_seven_world_table():
 
 
 def test_grid_table_keeps_no_grid_past_the_default_bound():
-    # grids on seven or eight worlds are built per call, not kept: sweeps to
-    # 6 and to 8 worlds leave the table with the grids to 6 worlds
+    # tables on seven or eight worlds are built per call, not kept: sweeps to
+    # 6 and to 8 worlds leave one table per world count to 6
     sizes = []
     for bound in (6, 8):
-        kripke._grid_table.cache_clear()
+        kripke._slab_table.cache_clear()
         assert find_countermodel(parse_sequent("|- P -> P"), bound) is None
-        sizes.append(kripke._grid_table.cache_info().currsize)
-    assert sizes[0] == sizes[1] == sum(len(kripke._layout(1, n)) for n in range(1, 7))
-    assert all(build is kripke._stack for n in (7, 8) for _, build in kripke._layout(1, n))
-    # four atoms split the six-world posets over three grids, all kept
-    kripke._grid_table.cache_clear()
+        sizes.append(kripke._slab_table.cache_info().currsize)
+    assert sizes == [6, 6]
+    # four atoms on six worlds, the largest table kept, is one table too
+    kripke._slab_table.cache_clear()
     assert find_countermodel(parse_sequent("|- (P /\\ Q /\\ R /\\ S) -> P"), 6) is None
-    assert [len(kripke._layout(4, n)) for n in range(1, 7)] == [1, 1, 1, 1, 1, 3]
-    assert kripke._grid_table.cache_info().currsize == 8
+    assert kripke._slab_table.cache_info().currsize == 6
 
 
 _RN = ("(((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) \\/ "
        "((((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) -> ~~X \\/ (~~X -> X))")
-_BD4 = "S \\/ (S -> (R \\/ (R -> (Q \\/ (Q -> (P \\/ ~P))))))"
+_BD3 = "R \\/ (R -> (Q \\/ (Q -> (P \\/ ~P))))"
+_BD4 = "S \\/ (S -> (" + _BD3 + "))"
 
 # (sequent, bound, poset table of the reference sweep): first failures past
-# the first poset of their grid, past the first grid of their world count,
-# and on seven worlds, where each poset is its own grid, built per call.  The
+# the first poset of their table, on three atoms at six worlds, and on seven
+# worlds in sweeps to 7 and 8, where each poset is its own table, built per
+# call; and an oracle-shaped double negation that sweeps to None.  The
 # reference sweeps only the rooted posets where the grid of some other poset
 # would pass the cap (four atoms on six worlds) or the sweep take seconds.
 _STACKED = [
     ("|- ~P \\/ ~~P", 3, posets),
-    ("|- (R \\/ (R -> (Q \\/ (Q -> (P \\/ ~P))))) \\/ ~S \\/ ~~S", 5, posets),
+    ("|- (" + _BD3 + ") \\/ ~S \\/ ~~S", 5, posets),
     ("|- " + _BD4, 5, posets),
+    ("|- (" + _BD3 + ") \\/ (P -> Q) \\/ (Q -> R) \\/ (R -> P)", 6, rooted_posets),
+    ("|- (" + _BD3 + ") \\/ (~~P -> P) \\/ ((~~P -> P) -> P \\/ ~P)", 6, rooted_posets),
+    ("|- (((P -> Q) -> R) -> ((Q -> P) -> R) -> R) \\/ ((~P -> Q \\/ R) -> (~P -> Q) \\/ (~P -> R))",
+     6, rooted_posets),
     ("|- (" + _BD4 + ") \\/ ~P \\/ ~~P", 6, rooted_posets),
     ("|- (" + _BD4 + ") \\/ (Q -> S) \\/ (S -> Q)", 6, rooted_posets),
     ("|- " + _RN, 7, rooted_posets),
     ("P |- " + _RN, 8, rooted_posets),
     ("|- " + _RN + " \\/ (P /\\ Q)", 8, rooted_posets),
+    ("|- ((((P -> Q) \\/ (P \\/ R)) -> bot) -> bot)", 6, rooted_posets),
 ]
 
 
@@ -439,13 +444,13 @@ def test_stacked_sweep_finds_the_per_poset_first_failure():
     for text, bound, table in _STACKED:
         s = parse_sequent(text)
         hit = first_failure(s, bound)
-        assert hit is not None and hit == _reference_first_failure(s, bound, table), text
-        k, n = len(s.free_vars()), len(hit[0])
-        grids = [ups for ups, _ in kripke._layout(k, n)]
-        at = next(i for i, ups in enumerate(grids) if hit[0] in ups)
-        seen.add((k, n, at > 0, grids[at].index(hit[0]) > 0))
+        assert hit == _reference_first_failure(s, bound, table), text
+        assert (hit is None) == (text == _STACKED[-1][0]), text
+        if hit is not None:
+            n = len(hit[0])
+            seen.add((len(s.free_vars()), n, rooted_posets(n).index(hit[0]) > 0))
     assert {1, 2, 3, 4} == {k for k, *_ in seen}
-    assert {(4, 5, False, True), (4, 6, True, True), (1, 7, True, False), (3, 7, True, False)} <= seen
+    assert {(4, 5, True), (4, 6, True), (3, 6, True), (1, 7, True), (2, 7, True), (3, 7, True)} <= seen
 
 
 def test_sweep_past_the_grid_cap_is_a_usage_error(capsys):
@@ -456,4 +461,6 @@ def test_sweep_past_the_grid_cap_is_a_usage_error(capsys):
     assert cli.main(["prove", f"|- (~A0 \\/ ~~A0) \\/ ({conj})"]) == 2
     assert time.perf_counter() - start < 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "error: " in captured.err and "12 atoms on 3 worlds" in captured.err
+    assert captured.out == ""
+    assert captured.err == ("error: countermodel sweep too large: 12 atoms on 3 worlds need a grid "
+                            "of 732,421,875 bits, more than 33,554,432\n")

@@ -336,7 +336,7 @@ def _chain_refutation(hyp, concl, names):
     from pittslab import kripke
     from pittslab.pitts import _CHAIN
 
-    masks, g, _ = kripke._stack(len(names), (_CHAIN,))
+    masks, g = kripke._stack(len(names), _CHAIN)
     atoms = {v.name: m for v, m in zip(names, masks)}
     bad = kripke.forcing_mask(hyp, atoms, g) & ~kripke.forcing_mask(concl, atoms, g)
     if not bad:
