@@ -8,14 +8,17 @@ generated submodels, so a model failing at world w still fails at w when cut
 down to the worlds above w, and the first countermodel (fewest worlds) is
 rooted and fails at its root.  A rooted poset on n worlds is a bottom put
 under a poset on n - 1 worlds (`rooted_posets`), so a sweep to n worlds
-enumerates posets of at most n - 1.  `forcing_mask` evaluates a formula at
-every valuation and world of a poset at once, as one Python int with a bit
-per (valuation, world), on a grid, as `rieger` does on its universal model.
-The sweep lays a world count's rooted posets side by side, one int per world
-(`_slabs`), and evaluates the sequent once per world count, implications by
-ANDs and ORs without shifts (`prover.classical_tautology` is its one-world
-run).  A countermodel found is a `kernel.KripkeModel` (`submodel`), checked
-apart from the sweep.
+enumerates posets of at most n - 1.  One explicit-stack loop (`_evaluate`)
+evaluates a formula at every valuation and world of a poset at once, in two
+layouts that differ only in bot's mask and the connective step.  On a grid
+(`forcing_mask`) a mask is one Python int with a bit per (valuation,
+world), as `rieger` uses on its universal model.  The sweep lays a world
+count's rooted posets side by side, one int per world (`_slabs`,
+`slab_mask`), and evaluates the sequent once per world count, implications
+by ANDs and ORs without shifts (`prover.classical_tautology` is its
+one-world run, on a grid); `pitts`' probe gate reads the two-world table,
+the chain.  A countermodel found is a `kernel.KripkeModel` (`submodel`),
+checked apart from the sweep.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import and_, or_, xor
 
 from .kernel import KripkeModel, Sequent
 from .syntax import (
@@ -147,7 +151,8 @@ def upsets(n: int, up: tuple[int, ...]) -> tuple[int, ...]:
 # Forcing at every valuation at once.  A poset's n worlds are laid out over
 # a grid of valuation points: bit p * n + w of a mask stands for world w at
 # point p, and a formula's mask holds the (point, world) pairs forcing it.
-# The sweep's tables (`_slabs`) keep one int per world instead.
+# The sweep's tables (`_slabs`) keep one int per world instead, evaluated by
+# the same loop (`slab_mask`).
 
 @dataclass(frozen=True)
 class Grid:
@@ -158,37 +163,36 @@ class Grid:
     sees: tuple[tuple[int, int], ...]
 
 
-def grid(up: tuple[int, ...], col: int = 1) -> Grid:
+def grid(up: tuple[int, ...]) -> Grid:
     """The grid of the poset with masks `up` (up[w] = bitmask of worlds >= w)
-    at the points marked in `col` (bit p * n for point p)."""
+    at one valuation point."""
     n = len(up)
     offsets: dict[int, int] = {}
     for w, mask in enumerate(up):
         for v in range(n):
             if v != w and mask >> v & 1:
                 offsets[v - w] = offsets.get(v - w, 0) | 1 << w
-    return Grid(col * ((1 << n) - 1), tuple((d, col * ws) for d, ws in sorted(offsets.items())))
+    return Grid((1 << n) - 1, tuple(sorted(offsets.items())))
 
 
 _CONNECTIVES = (And, Or, Implies)
 
 
-def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid) -> int:
-    """The mask of f on grid g, given the masks of its atoms by name (each
-    inside g.full).  Evaluated over an explicit stack, children first."""
+def _evaluate(f: Formula, atoms: dict, bottom, step, layout):
+    """The mask of f from the masks of its atoms by name, `bottom` for bot
+    and `step(op, a, b, layout)` for op(g, h) from the masks a of g and b of
+    h.  Evaluated over an explicit stack, children first."""
     # A connective is pushed again below a None marker, under its operands;
     # popping the marker combines the last two masks of `done`.  Nodes are
     # told apart by their exact class: no node class has subclasses.
     todo: list = [f]
-    done: list[int] = []
+    done: list = []
     while todo:
         h = todo.pop()
         if h is None:
             h = todo.pop()
             b = done.pop()
-            a = done.pop()
-            op = type(h)
-            done.append(a & b if op is And else a | b if op is Or else connective_mask(op, a, b, g))
+            done.append(step(type(h), done.pop(), b, layout))
             continue
         op = type(h)
         if op is Var:
@@ -197,12 +201,18 @@ def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid) -> int:
             except KeyError:
                 raise UnsupportedFormula(f"unexpected atom {h.var}") from None
         elif op is Bottom:
-            done.append(0)
+            done.append(bottom)
         elif op in _CONNECTIVES:
             todo += (h, None, h.right, h.left)
         else:
             raise UnsupportedFormula(f"cannot evaluate {h}")
     return done[0]
+
+
+def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid) -> int:
+    """The mask of f on grid g, given the masks of its atoms by name (each
+    inside g.full)."""
+    return _evaluate(f, atoms, 0, connective_mask, g)
 
 
 def connective_mask(op: type, a: int, b: int, g: Grid) -> int:
@@ -267,16 +277,20 @@ def first_failure(s: Sequent, max_worlds: int = DEFAULT_BOUND):
     only world tested), and `rooted_posets(n)` keeps the `posets(n)` order.
 
     The sequent is evaluated once per table of `_slabs`, one per world count
-    to DEFAULT_BOUND (`_slab_table`) and one per poset past it: its lowest
-    failing bit is in the first failing poset, found by `bisect` over the
-    posets' starts.  Raises `GridTooLarge` past a cap."""
+    to DEFAULT_BOUND (kept by `_slab_table` within a bit budget) and one per
+    poset past it: its lowest failing bit is in the first failing poset,
+    found by `bisect` over the posets' starts.  Raises `GridTooLarge` past a
+    cap."""
     if max_worlds < 1:
         raise ValueError("max_worlds must be >= 1")
     require_plain(*s.hyps, s.concl)
     names = [v.name for v in sorted(s.free_vars())]
     k = len(names)
     for n in range(1, max_worlds + 1):
-        tables = (_slab_table(k, n),) if n <= DEFAULT_BOUND else (_slabs(k, (up,)) for up in rooted_posets(n))
+        if n > DEFAULT_BOUND:
+            tables = (_slabs(k, (up,)) for up in rooted_posets(n))
+        else:
+            tables = (_slab_table(k, n) or _slabs(k, rooted_posets(n)),)
         for ups, starts, full, masks, above, bottom in tables:
             atoms = dict(zip(names, masks))
             fail = full
@@ -301,27 +315,37 @@ class GridTooLarge(FormulaError):
 
 
 @lru_cache(maxsize=None)
-def _slab_table(k: int, n: int) -> tuple:
-    """`_slabs(k, rooted_posets(n))`, built on first use."""
-    return _slabs(k, rooted_posets(n))
+def _slab_table(k: int, n: int):
+    """`_slabs(k, rooted_posets(n))`, built on first use; None where its atom
+    masks would hold more than `_MAX_GRID_BITS` bits in all (k times its
+    grid's bits), for the caller to build such a table per call."""
+    ups = rooted_posets(n)
+    return None if k * _grid_bits(k, ups) > _MAX_GRID_BITS else _slabs(k, ups)
+
+
+def _grid_bits(k: int, ups) -> int:
+    """u^k * n: the bits of a grid of k atoms on the posets `ups` of n worlds,
+    where u is the most upsets any of them has."""
+    return max(len(upsets(len(up), up)) for up in ups) ** k * len(ups[0])
 
 
 def _slabs(k: int, ups) -> tuple:
     """The sweep's table for k atoms on the posets `ups` of one world count:
     the posets, their start bits, `full`, each atom's mask, `above` and the
     mask of bot; `GridTooLarge`, before anything is built, past a cap.  A
-    poset's block has a bit per valuation point, as in `_stack`, and starts
-    on a byte boundary; `full` holds every point of every block.  A mask has
-    an int per world: the points where it does not force the formula.
-    `above` lists, from the top world down, each world w with each v > w it
-    sees and the blocks where it does (None for all).  On one world a mask
-    is its forcing mask instead, and `above` its grid."""
+    poset's block has a bit per valuation point, where each atom takes an
+    upset, the last atom's varying fastest, and starts on a byte boundary;
+    `full` holds every point of every block.  A mask has an int per world:
+    the points where it does not force the formula.  `above` lists, from
+    the top world down, each world w with each v > w it sees and the blocks
+    where it does (None for all).  On one world a mask is its forcing mask
+    instead, and `above` its grid."""
     n = len(ups[0])
-    uss = [upsets(n, up) for up in ups]
-    bits = max(map(len, uss)) ** k * n
+    bits = _grid_bits(k, ups)
     if bits > _MAX_GRID_BITS:
         raise GridTooLarge(f"countermodel sweep too large: {k} atoms on {n} worlds need a grid "
                            f"of {bits:,} bits, more than {_MAX_GRID_BITS:,}")
+    uss = [upsets(n, up) for up in ups]
     rows: list[list] = [[] for _ in range(k * n)]  # atom i at world w: row i * n + w
     fulls, blocks = [], {}  # blocks by the upsets holding the world, and the atom
     for us in uss:
@@ -371,55 +395,31 @@ def _root_mask(f: Formula, atoms: dict, full: int, above, bottom) -> int:
     """World 0's forcing mask of f on a table of `_slabs`."""
     if type(above) is Grid:
         return forcing_mask(f, atoms, above)
-    todo: list = [f]  # as in `forcing_mask`
-    done: list = []
-    while todo:
-        h = todo.pop()
-        if h is None:
-            h = todo.pop()
-            b = done.pop()
-            a = done.pop()
-            op = type(h)
-            if op is And:
-                done.append([x | y for x, y in zip(a, b)])
-            elif op is Or:
-                done.append([x & y for x, y in zip(a, b)])
-            else:
-                # h fails at w iff some v >= w forces its left side but not its right
-                miss = [(x | y) ^ x for x, y in zip(a, b)]
-                for w, pairs in above:  # the worlds above w are final
-                    m = miss[w]
-                    for v, seen in pairs:
-                        m |= miss[v] if seen is None else miss[v] & seen
-                    miss[w] = m
-                done.append(miss)
-            continue
-        op = type(h)
-        if op is Var:
-            done.append(atoms[h.var.name])
-        elif op is Bottom:
-            done.append(bottom)
-        else:  # a connective: the sweep takes plain formulas only
-            todo += (h, None, h.right, h.left)
-    return full ^ done[0][0]
+    return full ^ slab_mask(f, atoms, above, bottom)[0]
 
 
-def _stack(k: int, up: tuple[int, ...]) -> tuple[tuple[int, ...], Grid]:
-    """The masks of atoms 0..k-1, by position, and the grid of the poset
-    `up` at every valuation point: a point gives each atom an upset, the
-    last atom's varying fastest."""
-    n = len(up)
-    us = upsets(n, up)
-    masks = []
-    for i in range(k):
-        # atom i takes upset j on a run of `inner` consecutive points, j = 0, 1, ...
-        inner = len(us) ** (k - 1 - i)
-        run = _repeat(1, n, inner)
-        runs = 0
-        for j, mask in enumerate(us):
-            runs |= (mask * run) << (j * inner * n)
-        masks.append(_repeat(runs, len(us) * inner * n, len(us) ** i))
-    return tuple(masks), grid(up, _repeat(1, n, len(us) ** k))
+def slab_mask(f: Formula, atoms: dict, above, bottom) -> list[int]:
+    """The mask of f on a table of `_slabs` of two worlds or more, given its
+    `above`, its mask of bot and the masks of f's atoms by name: an int per
+    world, the points where the world does not force f."""
+    return _evaluate(f, atoms, bottom, slab_step, above)
+
+
+def slab_step(op: type, a, b, above) -> list[int]:
+    """The mask of op(f, h) on a table of `_slabs` of two worlds or more,
+    given its `above`, from the masks a of f and b of h."""
+    if op is And:
+        return list(map(or_, a, b))
+    if op is Or:
+        return list(map(and_, a, b))
+    # f -> h fails at w iff some v >= w forces f but not h
+    miss = list(map(xor, map(or_, a, b), a))
+    for w, pairs in above:  # the worlds above w are final
+        m = miss[w]
+        for v, seen in pairs:
+            m |= miss[v] if seen is None else miss[v] & seen
+        miss[w] = m
+    return miss
 
 
 def submodel(up: tuple[int, ...], keep, atoms: dict[str, int]) -> KripkeModel:

@@ -18,18 +18,20 @@ per probe, but decides them once per class of prover-equivalent probes, on
 the class's representative (`_table`); by cut, equivalent probes have the
 same antecedents and consequences.  The classes are found in one pass, by
 congruence where it applies and by `prover.equivalent` otherwise, and a
-compound probe's mask is composed from its operands' masks.  A sequent
-whose forcing masks on the two-world chain (every valuation of the atoms at
-once) show a world forcing the hypothesis but not the conclusion is refuted
+compound probe's mask is composed from its operands' masks, on the
+sweep's two-world table (`kripke._slab_table`), the chain.  A sequent whose
+masks show world 0 forcing the hypothesis but not the conclusion is refuted
 by that Kripke model, so the gate records it as not derivable without
 calling `decide`; IPC is sound for Kripke semantics, so that is the verdict
-`decide` would give.  The candidate's sequents are decided on the
-representative of its class when that is smaller than the candidate.
+`decide` would give.  World 1 forces what world 0 forces where every atom
+takes world 1's value at both, so world 0's mask decides world 1's and keys
+the classes.  The candidate's sequents are decided on the representative of
+its class when that is smaller than the candidate.
 
 Two small module-level `lru_cache`s keep what outlives a gate call: one
 corpus per atom set and budget (`_corpus`), and one table per corpus,
 eliminated variable and set of input atoms (`_table`), which holds the
-probes free of that variable, their 2-chain grid and their classes.  A
+probes free of that variable, their 2-chain masks and their classes.  A
 corpus of `_corpus` hashes by identity, so a gate call finds its table
 through the corpus object without hashing a probe; any other sequence of
 probes is read as a tuple, hashed probe by probe.
@@ -228,7 +230,7 @@ class ValidationReport:
     consequence_holds: bool
     failures: list = field(default_factory=list)  # (probe, direction) pairs
     probes_run: int = 0
-    settled: int = 0  # sequents refuted on the 2-chain grid, without `decide`
+    settled: int = 0  # sequents refuted at world 0 of the 2-chain, without `decide`
 
 
 def validate_interpolant(
@@ -250,12 +252,10 @@ def validate_forall_interpolant(
     return _gate(phi, y, candidate, probes, forall=True)
 
 
-# The two-world chain (world 0 below world 1), the sweep's one rooted poset
-# of two worlds.
-_CHAIN = kripke.rooted_posets(2)[0]
-# The grid has 3 ** k points for k atoms.  Past this many atoms the later
-# ones are false at every point (still a persistent valuation, so every
-# refutation stays a countermodel), which keeps a mask within 2 * 3 ** 6 bits.
+# The 2-chain has 3 ** k valuation points for k atoms.  Past this many atoms
+# the later ones are false at every point (still a persistent valuation, so
+# every refutation stays a countermodel), which keeps a world's mask within
+# 3 ** 6 bits.
 _GRID_ATOMS = 6
 
 
@@ -263,31 +263,32 @@ def _gate(
     phi: Formula, y: Variable, candidate: Formula, probes, forall: bool
 ) -> ValidationReport:
     # Each probe takes the verdicts of its class's representative; each of
-    # those sequents is refuted on the 2-chain grid where the masks allow, and
-    # decided otherwise.  The dual gate turns every sequent around.
+    # those sequents is refuted at world 0 of the 2-chain where the masks
+    # allow, and decided otherwise.  The dual gate turns every sequent around.
     require_plain(phi, candidate)
     if not isinstance(probes, tuple):  # tuple() would copy a corpus, losing its identity
         probes = tuple(probes)
-    kept, atoms, g, reps, masks, of, size = _table(probes, y, phi.free_vars | candidate.free_vars)
+    kept, chain, reps, masks, of, size = _table(probes, y, phi.free_vars | candidate.free_vars)
 
     def entails(a: Formula, b: Formula, ma: int, mb: int) -> tuple[bool, int]:
-        # a |- b (b |- a in the dual gate), and 1 when the 2-chain refutes it
+        # a |- b (b |- a in the dual gate), and 1 when world 0 refutes it: the
+        # masks hold the points where world 0 does not force a and b
         hyp, concl, mh, mc = (b, a, mb, ma) if forall else (a, b, ma, mb)
-        if mh & ~mc:
+        if mc & ~mh:
             return False, 1
         return prover.decide(Sequent((hyp,), concl)), 0
 
-    m_phi = kripke.forcing_mask(phi, atoms, g)
-    m_candidate = kripke.forcing_mask(candidate, atoms, g)
+    m_phi = kripke.slab_mask(phi, *chain)[0]
+    m_candidate = kripke.slab_mask(candidate, *chain)[0]
     variable_free = y not in candidate.free_vars
     # By cut, candidate |- psi iff stand_in |- psi, and so in the dual gate.
-    smaller = (r for r, m in zip(reps, masks) if m == m_candidate and r.size < candidate.size)
+    smaller = (r for r, m in zip(reps, masks) if m[0] == m_candidate and r.size < candidate.size)
     stand_in = next((r for r in smaller if prover.equivalent(r, candidate)), candidate)
     consequence, settled = entails(phi, stand_in, m_phi, m_candidate)
     direction = []  # per class: the side whose sequent holds where the two disagree
     for r, m, n in zip(reps, masks, size):
-        left, n_left = entails(stand_in, r, m_candidate, m)
-        right, n_right = entails(phi, r, m_phi, m)
+        left, n_left = entails(stand_in, r, m_candidate, m[0])
+        right, n_right = entails(phi, r, m_phi, m[0])
         settled += n * (n_left + n_right)
         direction.append(None if left == right else "candidate" if left else "input")
     failures = []
@@ -299,29 +300,31 @@ def _gate(
 
 @lru_cache(maxsize=4)
 def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
-    """The probes free of y, in order; the atom masks and grid of the 2-chain
-    over their atoms and `inputs`; and the probes grouped into classes of
-    prover-equivalent formulas: the classes' representatives (each class's
-    first probe), their masks, each probe's class and each class's size.
+    """The probes free of y, in order; `kripke.slab_mask`'s last arguments
+    on the 2-chain over their atoms and `inputs`; and the probes grouped into
+    classes of prover-equivalent formulas: the classes' representatives (each
+    class's first probe), their masks, each probe's class and each class's
+    size.
 
     A compound probe joins the class an earlier probe with the same connective
     and operands of the same classes joined (in either order under /\\ and
     \\/), since IPC equivalence is a congruence.  Any other probe is compared,
-    by `prover.equivalent`, with the representatives that have its mask
-    (equivalent formulas have equal masks); it joins the first that matches,
-    or starts a class.  Its mask is composed from its operands' class masks
-    where both operands are earlier probes, and is `kripke.forcing_mask`'s
-    otherwise (a leaf, or an operand that comes later or not at all)."""
+    by `prover.equivalent`, with the representatives that have its world 0
+    mask (equivalent formulas have equal masks); it joins the first that
+    matches, or starts a class.  Its mask is composed by `kripke.slab_step`
+    from its operands' class masks where both operands are earlier probes,
+    and is `kripke.slab_mask`'s otherwise (a leaf, or an operand that comes
+    later or not at all)."""
     ys = frozenset([y])  # `y in fv` would hash y in Python for every probe
     kept = tuple([psi for psi in probes if ys.isdisjoint(psi.free_vars)])
     require_plain(*kept)
     names = sorted(inputs.union(*[psi.free_vars for psi in kept]))
-    masks, g = kripke._stack(len(names[:_GRID_ATOMS]), _CHAIN)
-    atoms = dict(zip((v.name for v in names), masks))
-    atoms.update((v.name, 0) for v in names[_GRID_ATOMS:])
+    _, _, _, slabs, above, bottom = kripke._slab_table(len(names[:_GRID_ATOMS]), 2)
+    atoms = dict(zip((v.name for v in names), slabs))
+    atoms.update((v.name, bottom) for v in names[_GRID_ATOMS:])
     reps: list[Formula] = []
-    masks: list[int] = []
-    by_mask: dict[int, list[int]] = {}
+    masks: list = []
+    by_mask: dict[int, list[int]] = {}  # classes by world 0's mask
     of: list[int] = []
     table: dict = {}  # classes by probe key, and by connective and operand classes
     for psi in kept:
@@ -334,9 +337,9 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
             key = (op, a, b)
         c = table.get(key)
         if c is None:
-            m = (kripke.connective_mask(op, masks[a], masks[b], g) if type(a) is type(b) is int
-                 else kripke.forcing_mask(psi, atoms, g))
-            same = by_mask.setdefault(m, [])
+            m = (kripke.slab_step(op, masks[a], masks[b], above) if type(a) is type(b) is int
+                 else kripke.slab_mask(psi, atoms, above, bottom))
+            same = by_mask.setdefault(m[0], [])
             c = next((i for i in same if prover.equivalent(reps[i], psi)), None)
             if c is None:
                 c = len(reps)
@@ -348,7 +351,7 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
     size = [0] * len(reps)
     for c in of:
         size[c] += 1
-    return kept, atoms, g, reps, masks, of, size
+    return kept, (atoms, above, bottom), reps, masks, of, size
 
 
 # The largest probe size `interpolate --probe-budget` accepts.  On atoms

@@ -4,7 +4,7 @@ Inverse of the parser up to alpha-equivalence: `parse(print(f)) == f`.
 Symbols, levels and associativity come from `syntax.INFIX`, the table the
 parser reads.  Refolds `a -> bot` to `~a`, `bot -> bot` to `top`, and
 `(a -> b) /\\ (b -> a)` to `a <-> b` for readability.  `_print` dispatches
-on each node's exact class, as `kripke.forcing_mask` does, and tests for
+on each node's exact class, as `kripke._evaluate` does, and tests for
 `top` and `~` only inside its `Implies` case.
 """
 from __future__ import annotations

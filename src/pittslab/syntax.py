@@ -164,17 +164,11 @@ class _Binary(Formula):
         lf, rf = left.free_vars, right.free_vars
         _set_left(self, left)
         _set_right(self, right)
-        _set_key(self, self.key_of(left.key, right.key))
+        _set_key(self, f"{self.tag}({left.key},{right.key})")
         _set_size(self, left.size + right.size + 1)
         _set_quantifier(self, left.has_quantifier or right.has_quantifier)
         _set_app(self, left.has_app or right.has_app)
         _set_free(self, lf if rf <= lf else rf if lf <= rf else lf | rf)
-
-    @classmethod
-    def key_of(cls, left_key: str, right_key: str) -> str:
-        """The key `cls(left, right)` gets, from its operands' keys, without
-        building the formula."""
-        return f"{cls.tag}({left_key},{right_key})"
 
     def children(self):
         return (self.left, self.right)

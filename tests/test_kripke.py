@@ -12,10 +12,12 @@ from hypothesis import given, settings, strategies as st
 from pittslab import cli, kripke
 from pittslab.kernel import Sequent
 from pittslab.kripke import (
+    Grid,
     KripkeModel,
     find_countermodel,
     first_failure,
     forcing_mask,
+    grid,
     posets,
     rooted_posets,
     upsets,
@@ -270,10 +272,41 @@ def test_rooted_posets_are_the_rooted_posets_in_order():
         assert list(rooted_posets(n)) == [up for up in posets(n) if up[0] == full]
 
 
+def _repeat(pattern, width, count):
+    """`count` copies of `pattern`, one every `width` bits from bit 0."""
+    out = 0
+    for i in range(count.bit_length()):  # the copies doubled i times, where count has bit i
+        if count >> i & 1:
+            out = out << (width << i) | pattern
+        pattern |= pattern << (width << i)
+    return out
+
+
+def _stack(k, up):
+    """The masks of atoms 0..k-1, by position, and the grid of the poset
+    `up` at every valuation point, built apart from the sweep's tables: bit
+    p * n + w stands for world w at point p, and a point gives each atom an
+    upset, the last atom's varying fastest."""
+    n = len(up)
+    us = upsets(n, up)
+    masks = []
+    for i in range(k):
+        # atom i takes upset j on a run of `inner` consecutive points, j = 0, 1, ...
+        inner = len(us) ** (k - 1 - i)
+        run = _repeat(1, n, inner)
+        runs = 0
+        for j, mask in enumerate(us):
+            runs |= (mask * run) << (j * inner * n)
+        masks.append(_repeat(runs, len(us) * inner * n, len(us) ** i))
+    col = _repeat(1, n, len(us) ** k)  # bit p * n for every point p
+    g = grid(up)
+    return tuple(masks), Grid(col * g.full, tuple((d, col * ws) for d, ws in g.sees))
+
+
 def _reference_failures(s, up):
     """The failing bits of s on the poset `up`, on a grid built afresh."""
     names = sorted(s.free_vars())
-    masks, g = kripke._stack(len(names), up)
+    masks, g = _stack(len(names), up)
     atoms = {v.name: m for v, m in zip(names, masks)}
     fail = g.full
     for h in s.hyps:
@@ -409,6 +442,17 @@ def test_grid_table_keeps_no_grid_past_the_default_bound():
     kripke._slab_table.cache_clear()
     assert find_countermodel(parse_sequent("|- (P /\\ Q /\\ R /\\ S) -> P"), 6) is None
     assert kripke._slab_table.cache_info().currsize == 6
+
+
+def test_sweep_keeps_no_table_past_the_bit_budget():
+    # 24 atoms are refuted on one world, whose table's atom masks would hold
+    # 24 * 2 ** 24 bits (51 MB): the table is built for the call, not kept
+    kripke._slab_table.cache_clear()
+    s = parse_sequent("|- " + " /\\ ".join(f"A{i}" for i in range(24)))
+    model, world = find_countermodel(s)
+    assert len(model.worlds) == 1 and model.refutes(world, s)
+    assert kripke._slab_table.cache_info().currsize == 1 and kripke._slab_table(24, 1) is None
+    kripke._slab_table.cache_clear()
 
 
 _RN = ("(((~~X -> X) -> X \\/ ~X) -> ~X \\/ ~~X) \\/ "

@@ -249,8 +249,9 @@ def test_probe_corpus_below_one_node_is_empty():
 
 
 # ---------------------------------------------------------------------------
-# The gate settles on the 2-chain grid the sequents a two-world model already
-# refutes, and calls `decide` for the rest; none of that may show in a report.
+# The gate settles at world 0 of the 2-chain the sequents a two-world model
+# already refutes, and calls `decide` for the rest; none of that may show in
+# a report.
 
 def _reference_gate(phi, y, candidate, probes, forall):
     """The gate with `decide` on every sequent and no masks."""
@@ -330,27 +331,19 @@ def test_gate_past_the_grid_atoms_matches_deciding_every_probe():
     assert settled > 0
 
 
-def _chain_refutation(hyp, concl, names):
-    """The 2-chain model and world at the lowest bit where the masks of hyp
-    and concl refute hyp |- concl, or None."""
-    from pittslab import kripke
-    from pittslab.pitts import _CHAIN
+# The two-world chain, world 0 below world 1, as `up` masks.
+_CHAIN = (0b11, 0b10)
 
-    masks, g = kripke._stack(len(names), _CHAIN)
-    atoms = {v.name: m for v, m in zip(names, masks)}
-    bad = kripke.forcing_mask(hyp, atoms, g) & ~kripke.forcing_mask(concl, atoms, g)
-    if not bad:
-        return None
-    point, world = divmod((bad & -bad).bit_length() - 1, len(_CHAIN))
-    points = {v.name: atoms[v.name] >> point * len(_CHAIN) & g.full for v in names}
-    return kripke.submodel(_CHAIN, range(len(_CHAIN)), points), world
+
+def _chain_refutation(hyp, concl):
+    """A countermodel of at most two worlds to hyp |- concl, and its world,
+    or None: a one-world model is the 2-chain with a constant valuation."""
+    return kripke.find_countermodel(Sequent((hyp,), concl), 2)
 
 
 def test_every_mask_refutation_is_a_checked_countermodel():
     from pittslab.kripke import submodel
-    from pittslab.pitts import _CHAIN
 
-    names = [Variable("P"), Variable("Q"), Variable("Y")]
     # every persistent valuation of the three atoms on the 2-chain
     upsets = (0b00, 0b10, 0b11)
     models = [
@@ -364,7 +357,7 @@ def test_every_mask_refutation_is_a_checked_countermodel():
             (random_formula(rng, "PQY", rng.choice([3, 5, 7])),),
             random_formula(rng, "PQY", rng.choice([1, 3, 5, 7])),
         )
-        found = _chain_refutation(s.hyps[0], s.concl, names)
+        found = _chain_refutation(s.hyps[0], s.concl)
         if found is not None:
             settled += 1
             model, world = found
@@ -375,12 +368,39 @@ def test_every_mask_refutation_is_a_checked_countermodel():
     assert 50 < settled < 350
 
 
+def test_world_0_refutes_what_the_two_world_sweep_refutes():
+    # on random pairs of probes over up to three atoms, the gate's test (a
+    # point where world 0 of the 2-chain forces h but not c, on the class
+    # masks of `_table`) refutes h |- c exactly when the sweep to two worlds
+    # finds a countermodel; and world 0's mask of a probe, which keys its
+    # class, determines world 1's
+    from pittslab import pitts
+
+    rng = random.Random(36)
+    refuted = pairs = 0
+    for atoms, budget in ((["P"], 7), (["P", "Q"], 5), (["P", "Q", "R"], 5)):
+        corpus = probe_corpus([Variable(a) for a in atoms], budget)
+        _, chain, _, masks, of, _ = pitts._table(corpus, Y, frozenset([Y]))
+        world_1 = {}
+        for psi in corpus:
+            m0, m1 = kripke.slab_mask(psi, *chain)
+            assert world_1.setdefault(m0, m1) == m1, psi
+        assert len(world_1) < len(corpus)
+        for _ in range(300):
+            i, j = rng.randrange(len(corpus)), rng.randrange(len(corpus))
+            mh, mc = masks[of[i]][0], masks[of[j]][0]
+            swept = kripke.first_failure(Sequent((corpus[i],), corpus[j]), 2)
+            assert bool(mc & ~mh) == (swept is not None), (corpus[i], corpus[j])
+            refuted += swept is not None
+            pairs += 1
+    assert 0 < refuted < pairs
+
+
 def test_gate_settles_exactly_the_chain_refuted_sequents():
     from pittslab.pitts import validate_forall_interpolant
 
     phi = f("(Y \\/ ~Y) -> (P /\\ Q)")
-    names = [Variable("P"), Variable("Q"), Variable("Y")]
-    probes = probe_corpus(names[:2], 5)
+    probes = probe_corpus([Variable("P"), Variable("Q")], 5)
     for gate, candidate, forall in (
         (validate_interpolant, simplify(pite_exists(phi, Y)), False),
         (validate_forall_interpolant, simplify(pita_forall(phi, Y)), True),
@@ -388,7 +408,7 @@ def test_gate_settles_exactly_the_chain_refuted_sequents():
     ):
         pairs = [(phi, candidate)] + [(g, psi) for psi in probes for g in (candidate, phi)]
         sequents = [(b, a) if forall else (a, b) for a, b in pairs]
-        expected = sum(_chain_refutation(h, c, names) is not None for h, c in sequents)
+        expected = sum(_chain_refutation(h, c) is not None for h, c in sequents)
         assert gate(phi, Y, candidate, probes).settled == expected > 0
 
 
@@ -505,13 +525,13 @@ def test_gate_caches_across_calls_keep_every_report():
         wrong_seen += bool(failures)
     assert wrong_seen >= 5
     assert all(c.cache_info().hits > 0 for c in caches)
-    # every mask kept is its representative's mask on its grid
+    # every mask kept is its representative's mask on the 2-chain
     checked = 0
     for atoms, budget in atom_sets:
         corpus = probe_corpus([Variable(a) for a in atoms], budget)
-        _, atoms_masks, g, reps, masks, _, _ = pitts._table(corpus, Y, frozenset([Y]))
+        _, chain, reps, masks, _, _ = pitts._table(corpus, Y, frozenset([Y]))
         for psi, m in zip(reps, masks):
-            assert m == kripke.forcing_mask(psi, atoms_masks, g), psi
+            assert m == kripke.slab_mask(psi, *chain), psi
             checked += 1
     assert checked > 0
 
@@ -526,7 +546,7 @@ def test_class_table_partitions_the_corpus_by_equivalence(atoms, budget, classes
     corpus = probe_corpus([Variable(a) for a in atoms], budget)
     partitions = []
     for order in (corpus, corpus[::-1]):
-        kept, _, _, reps, _, of, size = pitts._table(order, Y, frozenset([Y]))
+        kept, _, reps, _, of, size = pitts._table(order, Y, frozenset([Y]))
         assert kept == order and len(reps) == classes
         assert size == [of.count(c) for c in range(classes)]
         assert [order[of.index(c)] for c in range(classes)] == reps
@@ -539,14 +559,14 @@ def test_class_table_partitions_the_corpus_by_equivalence(atoms, budget, classes
     assert partitions[0] == partitions[1]
 
 
-def _classes_without_congruence(probes, atoms, g):
+def _classes_without_congruence(probes, chain):
     """The classes of `probes` found from masks and `prover.equivalent`
-    alone: each probe joins the first earlier class with its mask whose
-    representative is equivalent to it, or starts a class."""
+    alone: each probe joins the first earlier class with its world 0 mask
+    whose representative is equivalent to it, or starts a class."""
     reps, masks, of = [], [], []
     for psi in probes:
-        m = kripke.forcing_mask(psi, atoms, g)
-        c = next((i for i, r in enumerate(reps) if masks[i] == m and equivalent(r, psi)), None)
+        m = kripke.slab_mask(psi, *chain)
+        c = next((i for i, r in enumerate(reps) if masks[i][0] == m[0] and equivalent(r, psi)), None)
         if c is None:
             c = len(reps)
             reps.append(psi)
@@ -577,9 +597,9 @@ def test_class_table_matches_classes_without_congruence(corpus, least, order, rn
         probes.reverse()
     elif order == "shuffled":
         rng.shuffle(probes)
-    kept, atom_masks, g, reps, masks, of, size = pitts._table.__wrapped__(tuple(probes), Y, frozenset([Y]))
+    kept, chain, reps, masks, of, size = pitts._table.__wrapped__(tuple(probes), Y, frozenset([Y]))
     assert kept == tuple(psi for psi in probes if Y not in psi.free_vars)
-    assert (reps, masks, of, size) == _classes_without_congruence(kept, atom_masks, g)
+    assert (reps, masks, of, size) == _classes_without_congruence(kept, chain)
 
 
 def test_cold_class_table_evaluates_only_the_leaves(monkeypatch):
@@ -591,8 +611,8 @@ def test_cold_class_table_evaluates_only_the_leaves(monkeypatch):
 
     corpus = probe_corpus([Variable("P"), Variable("Q")], 7)
     evaluated, compared = [], []
-    forcing_mask, equivalent_ = kripke.forcing_mask, prover.equivalent
-    monkeypatch.setattr(kripke, "forcing_mask", lambda psi, *a: evaluated.append(psi) or forcing_mask(psi, *a))
+    evaluate, equivalent_ = kripke._evaluate, prover.equivalent
+    monkeypatch.setattr(kripke, "_evaluate", lambda psi, *a: evaluated.append(psi) or evaluate(psi, *a))
     monkeypatch.setattr(prover, "equivalent", lambda *a: compared.append(a) or equivalent_(*a))
     reps = pitts._table.__wrapped__(corpus, Y, frozenset([Y]))[3]
     assert evaluated == [BOT, var("P"), var("Q")] == list(corpus[:3])
