@@ -8,23 +8,19 @@ generated submodels, so a model failing at world w still fails at w when cut
 down to the worlds above w, and the first countermodel (fewest worlds) is
 rooted and fails at its root.  A rooted poset on n worlds is a bottom put
 under a poset on n - 1 worlds (`rooted_posets`), so a sweep to n worlds
-enumerates posets of at most n - 1.  One explicit-stack loop (`_evaluate`)
-evaluates a formula at every valuation and world of a poset at once, in two
-layouts that differ only in bot's mask and the connective step.  On a grid
-(`forcing_mask`) a mask is one Python int with a bit per (valuation,
-world), as `rieger` uses on its universal model.  The sweep lays a world
-count's rooted posets side by side, one int per world (`_slabs`,
-`slab_mask`), and evaluates the sequent once per world count, implications
-by ANDs and ORs without shifts (`prover.classical_tautology` is its
-one-world run, on a grid); `pitts`' probe gate reads the two-world table,
-the chain.  A countermodel found is a `kernel.KripkeModel` (`submodel`),
-checked apart from the sweep.
+enumerates posets of at most n - 1.  The sweep lays a world count's rooted
+posets side by side, one int per world with a bit per valuation point
+(`_slabs`), and evaluates the sequent once per world count with one
+explicit-stack loop (`_evaluate`, `slab_mask`), implications by ANDs and ORs
+without shifts; `prover.classical_tautology` is its one-world run, and
+`pitts`' probe gate reads the two-world table, the chain.  `rieger` runs the
+same loop on its ladder, with a step of its own.  A countermodel found is a
+`kernel.KripkeModel` (`submodel`), checked apart from the sweep.
 """
 from __future__ import annotations
 
 import itertools
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import and_, or_, xor
 
@@ -148,32 +144,8 @@ def upsets(n: int, up: tuple[int, ...]) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Forcing at every valuation at once.  A poset's n worlds are laid out over
-# a grid of valuation points: bit p * n + w of a mask stands for world w at
-# point p, and a formula's mask holds the (point, world) pairs forcing it.
-# The sweep's tables (`_slabs`) keep one int per world instead, evaluated by
-# the same loop (`slab_mask`).
-
-@dataclass(frozen=True)
-class Grid:
-    """A poset repeated at every valuation point."""
-
-    full: int  # every (point, world) bit
-    # (d, bits of the worlds w that see world w + d), one entry per offset d != 0
-    sees: tuple[tuple[int, int], ...]
-
-
-def grid(up: tuple[int, ...]) -> Grid:
-    """The grid of the poset with masks `up` (up[w] = bitmask of worlds >= w)
-    at one valuation point."""
-    n = len(up)
-    offsets: dict[int, int] = {}
-    for w, mask in enumerate(up):
-        for v in range(n):
-            if v != w and mask >> v & 1:
-                offsets[v - w] = offsets.get(v - w, 0) | 1 << w
-    return Grid((1 << n) - 1, tuple(sorted(offsets.items())))
-
+# Forcing at every valuation at once, on the sweep's tables (`_slabs`): a
+# mask holds an int per world, with a bit per valuation point.
 
 _CONNECTIVES = (And, Or, Implies)
 
@@ -207,27 +179,6 @@ def _evaluate(f: Formula, atoms: dict, bottom, step, layout):
         else:
             raise UnsupportedFormula(f"cannot evaluate {h}")
     return done[0]
-
-
-def forcing_mask(f: Formula, atoms: dict[str, int], g: Grid) -> int:
-    """The mask of f on grid g, given the masks of its atoms by name (each
-    inside g.full)."""
-    return _evaluate(f, atoms, 0, connective_mask, g)
-
-
-def connective_mask(op: type, a: int, b: int, g: Grid) -> int:
-    """The mask of op(f, h) on grid g from the masks a of f and b of h."""
-    if op is And:
-        return a & b
-    if op is Or:
-        return a | b
-    # f -> h fails at world w iff some world w + d >= w forces f but not h;
-    # (a | b) ^ b is a & ~b without the negative intermediate
-    bad = (a | b) ^ b
-    miss = bad
-    for d, ws in g.sees:
-        miss |= (bad >> d if d > 0 else bad << -d) & ws
-    return g.full ^ miss
 
 
 def _repeat(pattern: int, width: int, count: int) -> int:
@@ -291,12 +242,12 @@ def first_failure(s: Sequent, max_worlds: int = DEFAULT_BOUND):
             tables = (_slabs(k, (up,)) for up in rooted_posets(n))
         else:
             tables = (_slab_table(k, n) or _slabs(k, rooted_posets(n)),)
-        for ups, starts, full, masks, above, bottom in tables:
+        for ups, starts, masks, above, bottom in tables:
             atoms = dict(zip(names, masks))
-            fail = full
+            hyp = 0  # the points where world 0 fails to force some hypothesis
             for h in s.hyps:
-                fail &= _root_mask(h, atoms, full, above, bottom)
-            fail ^= fail & _root_mask(s.concl, atoms, full, above, bottom)
+                hyp |= slab_mask(h, atoms, above, bottom)[0]
+            fail = slab_mask(s.concl, atoms, above, bottom)[0] & ~hyp
             if fail:
                 bit = _lowest_bit(fail)
                 i = bisect_right(starts, bit) - 1
@@ -304,9 +255,10 @@ def first_failure(s: Sequent, max_worlds: int = DEFAULT_BOUND):
     return None
 
 
-# No poset's grid past `_MAX_GRID_BITS` (u^k * n bits for k atoms on a poset
-# of n worlds with u upsets) is built: that refuses four atoms on seven worlds,
-# five on six and twelve on three, and lets three atoms on eight through.
+# A poset's grid is its (valuation point, world) pairs: u^k * n for k atoms
+# on a poset of n worlds with u upsets.  No table holds a poset whose grid
+# passes `_MAX_GRID_BITS`: that refuses four atoms on seven worlds, five on
+# six and twelve on three, and lets three atoms on eight through.
 _MAX_GRID_BITS = 1 << 25
 
 
@@ -316,9 +268,12 @@ class GridTooLarge(FormulaError):
 
 @lru_cache(maxsize=None)
 def _slab_table(k: int, n: int):
-    """`_slabs(k, rooted_posets(n))`, built on first use; None where its atom
-    masks would hold more than `_MAX_GRID_BITS` bits in all (k times its
-    grid's bits), for the caller to build such a table per call."""
+    """`_slabs(k, rooted_posets(n))`, built on first use; None, for the
+    caller to build such a table per call, where k times the grid of its
+    largest poset (k * u^k * n bits, `_grid_bits`) passes `_MAX_GRID_BITS`.
+    That bounds the largest poset's share, not the table: its atom masks
+    hold k * n bits per valuation point of every poset, 93 M bits (12 MB)
+    for the kept table of four atoms on six worlds."""
     ups = rooted_posets(n)
     return None if k * _grid_bits(k, ups) > _MAX_GRID_BITS else _slabs(k, ups)
 
@@ -331,15 +286,14 @@ def _grid_bits(k: int, ups) -> int:
 
 def _slabs(k: int, ups) -> tuple:
     """The sweep's table for k atoms on the posets `ups` of one world count:
-    the posets, their start bits, `full`, each atom's mask, `above` and the
-    mask of bot; `GridTooLarge`, before anything is built, past a cap.  A
-    poset's block has a bit per valuation point, where each atom takes an
-    upset, the last atom's varying fastest, and starts on a byte boundary;
-    `full` holds every point of every block.  A mask has an int per world:
-    the points where it does not force the formula.  `above` lists, from
+    the posets, their start bits, each atom's mask, `above` and the mask of
+    bot; `GridTooLarge`, before anything is built, past a cap.  A poset's
+    block has a bit per valuation point, where each atom takes an upset, the
+    last atom's varying fastest, and starts on a byte boundary.  A mask is a
+    list of an int per world: the points where the world does not force the
+    formula (bot's holds every point of every block).  `above` lists, from
     the top world down, each world w with each v > w it sees and the blocks
-    where it does (None for all).  On one world a mask is its forcing mask
-    instead, and `above` its grid."""
+    where it does (None for all)."""
     n = len(ups[0])
     bits = _grid_bits(k, ups)
     if bits > _MAX_GRID_BITS:
@@ -376,8 +330,6 @@ def _slabs(k: int, ups) -> tuple:
 
     starts = tuple(itertools.accumulate((8 * len(f) for f in fulls[:-1]), initial=0))
     full = join(fulls)
-    if n == 1:
-        return ups, starts, full, tuple(map(join, rows)), Grid(full, ()), 0
     above = []
     for w in reversed(range(n - 1)):
         pairs = []
@@ -387,27 +339,20 @@ def _slabs(k: int, ups) -> tuple:
                 pairs.append((v, None if all(seen) else
                               join(f if s else bytes(len(f)) for f, s in zip(fulls, seen))))
         above.append((w, pairs))
-    atoms = tuple(tuple(full ^ join(row) for row in rows[i * n:i * n + n]) for i in range(k))
-    return ups, starts, full, atoms, tuple(above), (full,) * n
-
-
-def _root_mask(f: Formula, atoms: dict, full: int, above, bottom) -> int:
-    """World 0's forcing mask of f on a table of `_slabs`."""
-    if type(above) is Grid:
-        return forcing_mask(f, atoms, above)
-    return full ^ slab_mask(f, atoms, above, bottom)[0]
+    atoms = tuple([full ^ join(row) for row in rows[i * n:i * n + n]] for i in range(k))
+    return ups, starts, atoms, tuple(above), [full] * n
 
 
 def slab_mask(f: Formula, atoms: dict, above, bottom) -> list[int]:
-    """The mask of f on a table of `_slabs` of two worlds or more, given its
-    `above`, its mask of bot and the masks of f's atoms by name: an int per
-    world, the points where the world does not force f."""
+    """The mask of f on a table of `_slabs`, given its `above`, its mask of
+    bot and the masks of f's atoms by name: an int per world, the points
+    where the world does not force f."""
     return _evaluate(f, atoms, bottom, slab_step, above)
 
 
-def slab_step(op: type, a, b, above) -> list[int]:
-    """The mask of op(f, h) on a table of `_slabs` of two worlds or more,
-    given its `above`, from the masks a of f and b of h."""
+def slab_step(op: type, a: list[int], b: list[int], above) -> list[int]:
+    """The mask of op(f, h) on a table of `_slabs`, given its `above`, from
+    the masks a of f and b of h."""
     if op is And:
         return list(map(or_, a, b))
     if op is Or:

@@ -319,7 +319,7 @@ def _table(probes: tuple, y: Variable, inputs: frozenset) -> tuple:
     kept = tuple([psi for psi in probes if ys.isdisjoint(psi.free_vars)])
     require_plain(*kept)
     names = sorted(inputs.union(*[psi.free_vars for psi in kept]))
-    _, _, _, slabs, above, bottom = kripke._slab_table(len(names[:_GRID_ATOMS]), 2)
+    _, _, slabs, above, bottom = kripke._slab_table(len(names[:_GRID_ATOMS]), 2)
     atoms = dict(zip((v.name for v in names), slabs))
     atoms.update((v.name, bottom) for v in names[_GRID_ATOMS:])
     reps: list[Formula] = []

@@ -7,7 +7,9 @@ decided on truncations of the one-atom universal Kripke model, the
 Rieger–Nishimura ladder (depth bounded by the implication count of the
 formulas involved).  This stays fast where plain proof search blows up:
 each class is keyed by the bitmask of the worlds its formulas force there,
-evaluated with `kripke.forcing_mask`.  The test suite cross-validates this
+evaluated by `kripke._evaluate` with a step by the forcing definition
+(`_step`): an implication fails at every world below a world that forces
+its antecedent but not its consequent.  The test suite cross-validates this
 oracle against the prover and checks that the recurrence misses no class,
 and everything the module reports (classification, lattice order) is
 certified by the prover or by an explicit countermodel.
@@ -18,9 +20,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .kernel import Sequent
-from .kripke import Grid, _lowest_bit, connective_mask, forcing_mask, grid, submodel
+from .kripke import _evaluate, _lowest_bit, submodel
 from .prover import decide, equivalent
 from .syntax import (
+    And,
     BOT,
     Formula,
     Implies,
@@ -64,16 +67,35 @@ class RNClass:
 # formulas in both.
 
 @lru_cache(maxsize=None)
-def _universal_model(depth: int) -> tuple[int, tuple[int, ...], Grid]:
+def _universal_model(depth: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """The one-atom universal model to the given depth: the ladder on
     2 * depth worlds.  Worlds 0 and 1 are maximal and X holds at world 0
     only; world k >= 2 sees itself and the worlds 0 .. k - 2.
 
-    Returns (true_at, up, grid): the bitmask of worlds forcing the atom, for
-    each world w the bitmask of worlds >= w, and the model's forcing grid.
+    Returns (true_at, up, down): the bitmask of worlds forcing the atom, and
+    for each world w the bitmasks of the worlds >= w and of those <= w.
     """
-    up = (0b1,) + tuple(1 << k | (1 << k - 1) - 1 for k in range(1, 2 * depth))
-    return 0b1, up, grid(up)
+    n, full = 2 * depth, (1 << 2 * depth) - 1
+    up = (0b1,) + tuple(1 << k | (1 << k - 1) - 1 for k in range(1, n))
+    # world w is seen by itself and the worlds w + 2 .. n - 1
+    down = tuple(1 << w | full >> w + 2 << w + 2 for w in range(n))
+    return 0b1, up, down
+
+
+def _step(op: type, a: int, b: int, down: tuple[int, ...]) -> int:
+    """The worlds forcing op(f, h), from the worlds a forcing f and b forcing
+    h, given each world's down-set."""
+    if op is And:
+        return a & b
+    if op is Or:
+        return a | b
+    # f -> h fails at every world below a world forcing f but not h
+    bad, miss = (a | b) ^ b, 0
+    while bad:
+        low = bad & -bad
+        miss |= down[low.bit_length() - 1]
+        bad ^= low
+    return ((1 << len(down)) - 1) ^ miss
 
 
 def _imp_depth(f: Formula) -> int:
@@ -83,8 +105,8 @@ def _imp_depth(f: Formula) -> int:
 
 def _forced(fs, depth: int) -> list[int]:
     """The worlds of the depth-`depth` truncation that force each of fs."""
-    true_at, _, g = _universal_model(depth)
-    return [forcing_mask(f, {X.name: true_at}, g) for f in fs]
+    true_at, _, down = _universal_model(depth)
+    return [_evaluate(f, {X.name: true_at}, 0, _step, down) for f in fs]
 
 
 def refuting_model(f: Formula, g: Formula):
@@ -147,10 +169,10 @@ class RNLattice:
 
     def _masks(self, depth: int) -> list[int]:
         """The worlds of the depth-`depth` truncation forcing each of reps."""
-        true_at, _, g = _universal_model(depth)
+        true_at, _, down = _universal_model(depth)
         masks = [0, true_at]
         for op, i, j in _steps(self.level):
-            masks.append(connective_mask(op, masks[i], masks[j], g))
+            masks.append(_step(op, masks[i], masks[j], down))
         return masks
 
     def classify(self, f: Formula) -> RNClass:

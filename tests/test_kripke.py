@@ -12,12 +12,9 @@ from hypothesis import given, settings, strategies as st
 from pittslab import cli, kripke
 from pittslab.kernel import Sequent
 from pittslab.kripke import (
-    Grid,
     KripkeModel,
     find_countermodel,
     first_failure,
-    forcing_mask,
-    grid,
     posets,
     rooted_posets,
     upsets,
@@ -282,6 +279,18 @@ def _repeat(pattern, width, count):
     return out
 
 
+def _grid(up):
+    """The poset `up` at one valuation point: every world's bit, and for each
+    offset d != 0 the bits of the worlds w that see world w + d."""
+    n = len(up)
+    offsets = {}
+    for w, mask in enumerate(up):
+        for v in range(n):
+            if v != w and mask >> v & 1:
+                offsets[v - w] = offsets.get(v - w, 0) | 1 << w
+    return (1 << n) - 1, sorted(offsets.items())
+
+
 def _stack(k, up):
     """The masks of atoms 0..k-1, by position, and the grid of the poset
     `up` at every valuation point, built apart from the sweep's tables: bit
@@ -299,19 +308,39 @@ def _stack(k, up):
             runs |= (mask * run) << (j * inner * n)
         masks.append(_repeat(runs, len(us) * inner * n, len(us) ** i))
     col = _repeat(1, n, len(us) ** k)  # bit p * n for every point p
-    g = grid(up)
-    return tuple(masks), Grid(col * g.full, tuple((d, col * ws) for d, ws in g.sees))
+    full, sees = _grid(up)
+    return tuple(masks), col * full, [(d, col * ws) for d, ws in sees]
+
+
+def _grid_mask(f, atoms, full, sees):
+    """The bits of the grid `full` forcing f, by recursion on f, given the
+    masks of its atoms by name and the grid's `sees` from `_stack`."""
+    if isinstance(f, Var):
+        return atoms[f.var.name]
+    if isinstance(f, Bottom):
+        return 0
+    a, b = _grid_mask(f.left, atoms, full, sees), _grid_mask(f.right, atoms, full, sees)
+    if isinstance(f, And):
+        return a & b
+    if isinstance(f, Or):
+        return a | b
+    # f -> h fails at world w iff some world w + d >= w forces f but not h
+    bad = a & ~b
+    miss = bad
+    for d, ws in sees:
+        miss |= (bad >> d if d > 0 else bad << -d) & ws
+    return full & ~miss
 
 
 def _reference_failures(s, up):
     """The failing bits of s on the poset `up`, on a grid built afresh."""
     names = sorted(s.free_vars())
-    masks, g = _stack(len(names), up)
+    masks, full, sees = _stack(len(names), up)
     atoms = {v.name: m for v, m in zip(names, masks)}
-    fail = g.full
+    fail = full
     for h in s.hyps:
-        fail &= forcing_mask(h, atoms, g)
-    return fail ^ fail & forcing_mask(s.concl, atoms, g)
+        fail &= _grid_mask(h, atoms, full, sees)
+    return fail & ~_grid_mask(s.concl, atoms, full, sees)
 
 
 def _reference_first_failure(s, max_worlds, table=posets):

@@ -559,6 +559,19 @@ def test_class_table_partitions_the_corpus_by_equivalence(atoms, budget, classes
     assert partitions[0] == partitions[1]
 
 
+@pytest.mark.parametrize("atoms", [["P"], ["P", "Q"]])
+def test_every_probe_has_its_class_mask_on_the_chain(atoms):
+    # each kept probe's class mask is the probe's own mask on the 2-chain, as
+    # a whole value (both worlds, one type): bot /\ bot has bot's mask
+    from pittslab import pitts
+
+    corpus = probe_corpus([Variable(a) for a in atoms], 8)
+    kept, chain, _, masks, of, _ = pitts._table(corpus, Y, frozenset([Y]))
+    assert len(kept) == {1: 942, 2: 4203}[len(atoms)]
+    for psi, c in zip(kept, of):
+        assert masks[c] == kripke.slab_mask(psi, *chain), psi
+
+
 def _classes_without_congruence(probes, chain):
     """The classes of `probes` found from masks and `prover.equivalent`
     alone: each probe joins the first earlier class with its world 0 mask

@@ -3,8 +3,7 @@ import random
 
 import pytest
 
-from pittslab.kernel import Sequent
-from pittslab.kripke import connective_mask
+from pittslab.kernel import KripkeModel, Sequent
 from pittslab.parser import parse_formula
 from pittslab.prover import decide, equivalent
 from pittslab.rieger import (
@@ -14,6 +13,7 @@ from pittslab.rieger import (
     RNLattice,
     _forced,
     _imp_depth,
+    _step,
     _universal_model,
     check_rieger_lower_facts,
     default_lattice,
@@ -104,13 +104,31 @@ def test_recurrence_reaches_every_class():
     assert all(_imp_depth(r) <= 12 for r in default_lattice(12).reps)
     for level in range(MAX_LEVEL):
         upper = RNLattice(level + 1)
-        _, _, g = _universal_model(upper.depth)
+        _, _, down = _universal_model(upper.depth)
         masks = set(upper._masks(upper.depth))
         assert len(masks) == len(upper.reps) == 2 * level + 4
         below = RNLattice(level)._masks(upper.depth)
         for a, b in itertools.product(below, repeat=2):
             for op in (And, Or, Implies):
-                assert connective_mask(op, a, b, g) in masks, (level, op, a, b)
+                assert _step(op, a, b, down) in masks, (level, op, a, b)
+
+
+@pytest.mark.parametrize("depth", [4, 26])
+def test_ladder_step_matches_the_independent_forcing_checker(depth):
+    # the worlds `_forced` gives each formula are those where the kernel's
+    # model of the same ladder, X true at world 0 only, forces it
+    _, up, _ = _universal_model(depth)
+    n = len(up)
+    model = KripkeModel(
+        tuple(range(n)),
+        frozenset((w, v) for w in range(n) for v in range(n) if up[w] >> v & 1),
+        ((0, frozenset({"X"})),),
+    )
+    rng = random.Random(depth)
+    formulas = RNLattice(12).reps + [random_formula(rng, ["X"], 9) for _ in range(300)]
+    for g in formulas:
+        forced = _forced((g,), depth)[0]
+        assert forced == sum(1 << w for w in range(n) if model.forces(w, g)), g
 
 
 def test_level_exceeded():
